@@ -50,7 +50,9 @@ _PROBLEM_KEYS = {
     "psi", "psi_file", "f", "F",
     "obstacle.kind", "obstacle.c0", "obstacle.alpha", "obstacle.kernel", "obstacle.psi_file",
 }
-_SOLVER_KEYS = {"tol_outer", "tol_inner", "max_outer", "max_inner", "omega", "tau"}
+_SOLVER_KEYS = {"tol_outer", "tol_inner", "max_outer", "max_inner"}
+# keys of inner solvers the CLI no longer runs (PSOR relaxation, projected damping)
+_REMOVED_SOLVER_KEYS = {"omega", "tau"}
 _STUDY_KEYS = {
     "kind", "eps_list", "delta_list", "n_list", "f_deltas", "phi_deltas",
     "family", "reference",
@@ -68,8 +70,6 @@ class ExperimentConfig:
     tol_inner: float = 1e-10
     max_outer: int = 200
     max_inner: int = 10000
-    omega: float | None = None
-    tau: float | str = "auto"
     study_kind: str | None = None
     study: dict = field(default_factory=dict)
     seed: int = 42
@@ -79,7 +79,7 @@ class ExperimentConfig:
         return OuterParams(tol=self.tol_outer, max_iter=self.max_outer)
 
     def inner_params(self) -> VIParams:
-        return VIParams(tol=self.tol_inner, max_iter=self.max_inner, omega=self.omega, tau=self.tau)
+        return VIParams(tol=self.tol_inner, max_iter=self.max_inner)
 
     def build_problem(self) -> QVIProblem:
         overrides = dict(self.overrides)
@@ -222,6 +222,11 @@ def _apply_problem_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) 
 
 
 def _apply_solver_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -> None:
+    if key in _REMOVED_SOLVER_KEYS:
+        raise ConfigError(
+            f"line {line_no}: key '{key}' in [solver] was removed; "
+            "the inner solver is semismooth Newton for every operator"
+        )
     if key not in _SOLVER_KEYS:
         raise ConfigError(f"line {line_no}: unknown key '{key}' in [solver]")
     if key == "tol_outer":
@@ -240,18 +245,6 @@ def _apply_solver_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -
         v = _parse_int(raw, line_no, key)
         _require_range(v > 0, line_no, key, "must be positive")
         cfg.max_inner = v
-    elif key == "omega":
-        if raw != "auto":
-            v = _parse_float(raw, line_no, key)
-            _require_range(0 < v < 2, line_no, key, f"must lie in (0,2), got {v}")
-            cfg.omega = v
-    elif key == "tau":
-        if raw == "auto":
-            cfg.tau = "auto"
-        else:
-            v = _parse_float(raw, line_no, key)
-            _require_range(v > 0, line_no, key, "must be positive or 'auto'")
-            cfg.tau = v
 
 
 def _apply_study_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -> None:

@@ -26,7 +26,7 @@ class SolverError(QvarError):
 
 
 class StagnationError(SolverError):
-    """Damping step underflowed; the projected iteration cannot make progress."""
+    """Newton step underflowed; the inner solver cannot make progress."""
 
 
 class OracleSizeError(QvarError):

@@ -66,8 +66,9 @@ class LinearEllipticOperator:
         y[:-1] += self.upper[:-1] * u[1:]
         return y
 
-    def diag_at(self, u: np.ndarray) -> np.ndarray:
-        return self.diag
+    def jacobian_bands(self, u: np.ndarray):
+        """Tridiagonal Jacobian at u as (lower, diag, upper) rows."""
+        return self.lower, self.diag, self.upper
 
     def dense(self) -> np.ndarray:
         m = self.mesh.dof_count
@@ -164,17 +165,23 @@ class PLaplacianOperator:
             flux = np.where(s > 0.0, s ** ((self.p - 2.0) / 2.0) * g, 0.0)
         return (flux[:-1] - flux[1:]) / self.mesh.h
 
-    def diag_at(self, u: np.ndarray) -> np.ndarray:
+    def jacobian_bands(self, u: np.ndarray):
+        """Tridiagonal Jacobian at u: edge e couples its two end nodes through
+        the flux derivative s^{(p-4)/2} ((p-1) g^2 + eps), whose s=0 limit is
+        0 for p > 2 and 1 for p = 2."""
         g = self._edge_gradients(u)
         s = g * g + self.eps
-        # flux derivative s^{(p-4)/2} ((p-1) g^2 + eps); the s=0 limit is 0 for
-        # p > 2 and 1 for p = 2
         limit = 1.0 if self.p == 2.0 else 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             dflux = np.where(
                 s > 0.0, s ** ((self.p - 4.0) / 2.0) * ((self.p - 1.0) * g * g + self.eps), limit
             )
-        return (dflux[:-1] + dflux[1:]) / self.mesh.h**2
+        dflux /= self.mesh.h**2
+        lower = -dflux[:-1]
+        upper = -dflux[1:]
+        lower[0] = 0.0
+        upper[-1] = 0.0
+        return lower, dflux[:-1] + dflux[1:], upper
 
     def energy(self, u: np.ndarray) -> np.ndarray:
         """Convex potential whose gradient (in the weighted pairing) is the operator."""
@@ -200,7 +207,6 @@ class NonMonotoneOperator:
         self.mesh = base.mesh
         self.lam = float(lam)
         self.func = func
-        self._constants = None
 
     @property
     def is_sine(self) -> bool:
@@ -209,8 +215,12 @@ class NonMonotoneOperator:
     def matvec(self, u: np.ndarray) -> np.ndarray:
         return self.base.matvec(u) + self.lam * self.func(u)
 
-    def diag_at(self, u: np.ndarray) -> np.ndarray:
-        return self.base.diag
+    def jacobian_bands(self, u: np.ndarray):
+        """Base bands plus lam*cos(u) on the diagonal for the sine; the base
+        bands alone (a chord step) for a custom nonlinearity."""
+        if not self.is_sine:
+            return self.base.jacobian_bands(u)
+        return self.base.lower, self.base.diag + self.lam * np.cos(u), self.base.upper
 
     def energy(self, u: np.ndarray) -> float:
         """Potential of the composite; only the sine nonlinearity has one here."""
@@ -218,21 +228,6 @@ class NonMonotoneOperator:
             raise NotImplementedError("no potential known for a custom nonlinearity")
         hw = self.mesh.h * self.mesh.weights()
         return self.base.energy(u) - self.lam * float(np.dot(hw, np.cos(u)))
-
-    @property
-    def constants(self) -> OperatorConstants:
-        """Structural constants: eigenvalue-accurate base plus the closed-form
-        |lam| bounds for the sine part (h1 norm pair)."""
-        if self._constants is None:
-            base = estimate_constants(self.base, "h1")
-            self._constants = OperatorConstants(
-                c=base.c,
-                L=base.L + abs(self.lam),
-                gamma=abs(self.lam),
-                norm_tag="h1",
-                method="eig",
-            )
-        return self._constants
 
 
 class RegularizedOperator:
@@ -253,11 +248,15 @@ class RegularizedOperator:
             y += self.delta * self.R.matvec(u)
         return y
 
-    def diag_at(self, u: np.ndarray) -> np.ndarray:
-        d = np.asarray(self.inner.diag_at(u), dtype=np.float64) + self.eps
+    def jacobian_bands(self, u: np.ndarray):
+        """Inner bands plus eps on the diagonal plus delta times the bands of R."""
+        lower, diag, upper = self.inner.jacobian_bands(u)
+        diag = diag + self.eps
         if self.delta > 0.0:
-            d = d + self.delta * self.R.diag
-        return d
+            lower = lower + self.delta * self.R.lower
+            diag = diag + self.delta * self.R.diag
+            upper = upper + self.delta * self.R.upper
+        return lower, diag, upper
 
     def energy(self, u: np.ndarray) -> float:
         hw = self.mesh.h * self.mesh.weights()

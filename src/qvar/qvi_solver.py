@@ -30,7 +30,7 @@ from .operators import (
     estimate_constants,
     solve_unconstrained,
 )
-from .vi_solver import VIParams, solve_vi, solve_vi_projected
+from .vi_solver import VIParams, solve_vi
 
 _ORDER_TOL = 1e-9
 _RHO_BURN_IN = 2
@@ -266,14 +266,14 @@ def unconstrained_supersolution(op, F: GridFunction, inner: VIParams | None = No
     """Solve op(y) = F without constraints: the start iterate for the maximal mode.
 
     Composite operators use their linear part; genuinely nonlinear operators
-    fall back to the projected iteration with the obstacle pushed to infinity.
+    use the inner Newton solver with the obstacle pushed to infinity.
     """
     linear = _linear_part(op)
     if linear is not None:
         return solve_unconstrained(linear, F)
     inner = inner or VIParams()
     huge = GridFunction.constant(op.mesh, 1e300)
-    rep = solve_vi_projected(op, F, huge, inner)
+    rep = solve_vi(op, F, huge, inner)
     if not rep.converged:
         raise SolverError("unconstrained nonlinear solve did not converge")
     return rep.solution

@@ -121,20 +121,23 @@ def _fit_or_none(points) -> RateFit | None:
 
 def _map_indexed(fn, items, jobs: int, what: str = "study"):
     """Solve every parameter point, preserving list order regardless of
-    scheduling; a failing point aborts the study with its position flagged."""
-    if jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    out = []
-    for k, item in enumerate(items):
+    scheduling; a failing point aborts the study with its position flagged
+    (the first failing point in list order, on either path)."""
+    items = list(items)
+
+    def point(k):
         try:
-            out.append(fn(item))
+            return fn(items[k])
         except SolverError as exc:
             raise SolverError(
                 f"{what} aborted at parameter point {k + 1} of {len(items)} "
-                f"({len(out)} rows completed): {exc}"
+                f"({k} rows completed): {exc}"
             ) from exc
-    return out
+
+    if jobs > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(point, range(len(items))))
+    return [point(k) for k in range(len(items))]
 
 
 def _check_decreasing(values, what: str) -> None:

@@ -1,9 +1,10 @@
 """Inner obstacle-problem solvers for S(f, psi), the map the outer iteration uses.
 
-The reference linear solver is projected SOR (ascending dof order, part of the
-determinism contract); nonlinear operators use a damped projected iteration
-with diagonal scaling.  A brute-force active-set enumeration oracle covers
-correctness on small instances, and the complementarity residual
+Every operator goes through one semismooth Newton method on the
+complementarity system min(psi - y, f - A(y)) = 0, with one tridiagonal
+solve per iteration on the operator's Jacobian bands.  Projected SOR stays as
+a short linear reference, and a brute-force active-set enumeration oracle
+covers correctness on small instances.  The complementarity residual
 
     kkt(y) = max_i | min(psi_i - y_i, (f - A(y))_i) |
 
@@ -16,8 +17,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import LinAlgError, solve_banded
 
-from . import _kernels
 from .errors import (
     GridMismatchError,
     OracleInfeasibleError,
@@ -26,33 +27,26 @@ from .errors import (
     StagnationError,
 )
 from .grid import GridFunction
-from .operators import (
-    LinearEllipticOperator,
-    NonMonotoneOperator,
-    PLaplacianOperator,
-    RegularizedOperator,
-    estimate_constants,
-)
+from .operators import LinearEllipticOperator
 
 _ORACLE_MAX_DOF = 20
-_TAU_FLOOR = 1e-12
+# nodes this close to the obstacle, with a positive multiplier, are held on it
+_HOLD_TOL = 1e-10
+# backtracking gives up once the Newton step is scaled below this
+_STEP_FLOOR = 1e-12
 
 
 @dataclass
 class VIParams:
     """Inner-solver controls.
 
-    omega is the SOR relaxation (None picks 2/(1+sin(pi*h)) per mesh); tau is
-    the damping step of the projected iteration ('auto' starts from the
-    classical c/L**2 step of the estimated constants and is then adapted:
-    halved on rejected trial steps, grown gently while steps are accepted).
-    An explicit tau is never grown beyond its given value.
+    max_iter caps Newton iterations (sweeps for PSOR); omega is the relaxation
+    of the PSOR reference only (None picks 2/(1+sin(pi*h)) per mesh).
     """
 
     tol: float = 1e-10
     max_iter: int = 10000
     omega: float | None = None
-    tau: float | str = "auto"
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -61,8 +55,6 @@ class VIParams:
             raise ValueError(f"max_iter must be positive, got {self.max_iter}")
         if self.omega is not None and not (0.0 < self.omega < 2.0):
             raise ValueError(f"relaxation omega must lie in (0,2), got {self.omega}")
-        if self.tau != "auto" and (not np.isfinite(self.tau) or self.tau <= 0):
-            raise ValueError(f"damping tau must be positive or 'auto', got {self.tau}")
 
 
 @dataclass
@@ -93,162 +85,112 @@ def _feasible_start(psi: np.ndarray) -> np.ndarray:
 def solve_vi_psor(
     op: LinearEllipticOperator, f: GridFunction, psi: GridFunction, params: VIParams
 ) -> VISolveReport:
-    """Projected SOR for linear operators from the feasible start min(0, psi)."""
+    """Projected SOR in ascending dof order from the feasible start min(0, psi):
+    the plain-loop reference the Newton solver is checked against."""
     if not getattr(op, "is_linear", False):
         raise SolverError("PSOR requires a linear (tridiagonal) operator")
     if f.mesh != op.mesh or psi.mesh != op.mesh:
         raise GridMismatchError("force/obstacle live on a different mesh")
     omega = params.omega if params.omega is not None else 2.0 / (1.0 + math.sin(math.pi * op.mesh.h))
-    y = _feasible_start(psi.values)
-    iters, kkt = _kernels.psor_solve(
-        op.lower, op.diag, op.upper, f.values, psi.values, y,
-        float(omega), float(params.tol), int(params.max_iter),
-    )
-    return VISolveReport(GridFunction(op.mesh, y), int(iters), float(kkt), kkt <= params.tol)
+    lower, diag, upper = op.lower, op.diag, op.upper
+    fv, pv = f.values, psi.values
+    y = _feasible_start(pv)
+    n = y.size
+    for sweep in range(1, params.max_iter + 1):
+        for i in range(n):
+            r = fv[i] - diag[i] * y[i]
+            if i > 0:
+                r -= lower[i] * y[i - 1]
+            if i < n - 1:
+                r -= upper[i] * y[i + 1]
+            y[i] = min(y[i] + omega * r / diag[i], pv[i])
+        kkt = float(np.max(np.abs(np.minimum(pv - y, fv - op.matvec(y)))))
+        if kkt <= params.tol:
+            break
+    return VISolveReport(GridFunction(op.mesh, y), sweep, kkt, kkt <= params.tol)
 
 
-def _tridiag_sine_form(op):
-    """Unwrap op into (lower, diag, upper, lam) when it is a tridiagonal plus
-    lam*sin composite (possibly eps/delta-regularized); None otherwise."""
-    if isinstance(op, NonMonotoneOperator) and op.is_sine:
-        b = op.base
-        return b.lower, b.diag, b.upper, op.lam
-    if isinstance(op, RegularizedOperator):
-        inner = _tridiag_sine_form(op.inner)
-        if inner is None:
-            return None
-        lower, diag, upper, lam = inner
-        diag = diag + op.eps
-        if op.delta > 0.0:
-            lower = lower + op.delta * op.R.lower
-            diag = diag + op.delta * op.R.diag
-            upper = upper + op.delta * op.R.upper
-        return lower, diag, upper, lam
-    return None
+def _newton_step(bands, held: np.ndarray, gap: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Solve J dy = r on free rows and dy = gap on held rows."""
+    lower, diag, upper = bands
+    ab = np.zeros((3, gap.size))
+    ab[0, 1:] = np.where(held[:-1], 0.0, upper[:-1])
+    ab[1] = np.where(held, 1.0, diag)
+    ab[2, :-1] = np.where(held[1:], 0.0, lower[1:])
+    try:
+        return solve_banded((1, 1), ab, np.where(held, gap, r))
+    except LinAlgError as exc:
+        raise SolverError(f"singular Newton system: {exc}") from exc
 
 
-def _plap_form(op):
-    """Unwrap op into (p, eps, reg_eps) for the p-Laplacian kernel; None otherwise."""
-    if isinstance(op, PLaplacianOperator):
-        return op.p, op.eps, 0.0
-    if isinstance(op, RegularizedOperator) and op.delta == 0.0:
-        inner = _plap_form(op.inner)
-        if inner is None:
-            return None
-        p, eps, reg = inner
-        return p, eps, reg + op.eps
-    return None
+def solve_vi(op, f: GridFunction, psi: GridFunction, params: VIParams) -> VISolveReport:
+    """Semismooth Newton on min(psi - y, f - A(y)) = 0 from min(0, psi).
 
-
-def _auto_tau(op) -> float:
-    con = estimate_constants(op, "l2", trials=20, seed=0)
-    if con.L > 0 and con.c > 0:
-        return float(min(max(con.c / con.L**2, 1e-8), 1.0))
-    return 1e-3
-
-
-def solve_vi_projected(op, f: GridFunction, psi: GridFunction, params: VIParams) -> VISolveReport:
-    """Damped projected iteration y <- min(psi, y + tau * D^{-1} (f - op(y))).
-
-    D is the diagonal of the linearization at the current iterate (the base
-    row diagonal for composite operators).  Trial steps are accepted on the
-    operator's potential when one exists (the complementarity residual is not
-    a descent measure for a simultaneous update); tau is halved on rejected
-    steps and grown gently otherwise.  Underflow below 1e-12 raises a
-    stagnation error; the residual is the termination test throughout.
+    Each iteration solves one tridiagonal system with the Jacobian bands of
+    the operator at y on free rows and moves held rows onto the obstacle.
+    With a potential (op.energy) this is a projected Newton method: nodes on
+    the obstacle with a positive multiplier are held, and the projected path
+    min(psi, y + t dy) is backtracked until the energy minus <f, y> does not
+    rise beyond round-off.  Without one, the primal-dual active set
+    {psi - y <= f - A(y)} is held and a trial is accepted when it lowers the
+    complementarity residual.  A non-finite trial is rejected; a step scaled
+    below 1e-12 raises a stagnation error.  The residual is the termination
+    test throughout.
     """
     if f.mesh != op.mesh or psi.mesh != op.mesh:
         raise GridMismatchError("force/obstacle live on a different mesh")
-    if params.tau == "auto":
-        tau = _auto_tau(op)
-        tau_cap = 1.0
-    else:
-        tau = float(params.tau)
-        tau_cap = tau
-    y = _feasible_start(psi.values)
-    hw = op.mesh.h * op.mesh.weights()
-
-    tri = _tridiag_sine_form(op)
-    if tri is not None:
-        lower, diag, upper, lam = tri
-        iters, kkt, _, stagnated = _kernels.projected_tridiag_sine(
-            lower, diag, upper, hw, float(lam), f.values, psi.values, y,
-            tau, float(params.tol), int(params.max_iter), tau_cap,
-        )
-        if stagnated:
-            raise StagnationError(f"damping step underflowed at residual {kkt:.3e}")
-        return VISolveReport(GridFunction(op.mesh, y), int(iters), float(kkt), kkt <= params.tol)
-
-    plap = _plap_form(op)
-    if plap is not None:
-        p, eps, reg_eps = plap
-        iters, kkt, _, stagnated = _kernels.projected_plap(
-            float(p), float(eps), float(op.mesh.h), float(reg_eps), hw,
-            f.values, psi.values, y, tau, float(params.tol), int(params.max_iter), tau_cap,
-        )
-        if stagnated:
-            raise StagnationError(f"damping step underflowed at residual {kkt:.3e}")
-        return VISolveReport(GridFunction(op.mesh, y), int(iters), float(kkt), kkt <= params.tol)
-
-    return _projected_generic(op, f, psi, params, y, tau, tau_cap, hw)
-
-
-def _projected_generic(op, f, psi, params, y, tau, tau_cap, hw) -> VISolveReport:
-    """Pure-numpy projected iteration for operators without a compiled kernel."""
     fv, pv = f.values, psi.values
+    hw = op.mesh.h * op.mesh.weights()
+    y = _feasible_start(pv)
+
+    def merit(v):
+        return op.energy(v) - float(np.dot(hw * fv, v))
 
     try:
-        def merit(v):
-            return op.energy(v) - float(np.dot(hw * fv, v))
-
         e = merit(y)
-        have_energy = True
     except (AttributeError, NotImplementedError):
-        have_energy = False
-
-    def residual(v):
-        return fv - op.matvec(v)
+        merit = None
 
     def kkt_of(v, r):
         return float(np.max(np.abs(np.minimum(pv - v, r))))
 
-    kkt = np.inf
-    kkt_ref = np.inf
-    iters = params.max_iter
-    for it in range(1, params.max_iter + 1):
-        r = residual(y)
-        d = np.asarray(op.diag_at(y), dtype=np.float64)
-        d = np.maximum(d, 1e-12 * max(float(np.max(d)), 1e-300))
-        yt = np.minimum(pv, y + tau * r / d)
-        if have_energy:
-            et = merit(yt)
-            accept = et <= e + 1e-14 * (abs(e) + 1.0)
+    r = fv - op.matvec(y)
+    kkt = kkt_of(y, r)
+    iters = 0
+    while kkt > params.tol and iters < params.max_iter:
+        iters += 1
+        gap = pv - y
+        if merit is not None:
+            held = (gap <= _HOLD_TOL * (1.0 + np.abs(pv))) & (r > 0.0)
         else:
-            kkt_t = kkt_of(yt, residual(yt))
-            accept = kkt_t <= kkt_ref
-        if accept:
-            y = yt
-            if have_energy:
-                e = et
-            rnew = residual(y)
-            kkt = kkt_of(y, rnew)
-            kkt_ref = min(kkt_ref, kkt)
-            if kkt <= params.tol:
-                iters = it
+            held = gap <= r
+        dy = _newton_step(op.jacobian_bands(y), held, gap, r)
+        t = 1.0
+        while True:
+            with np.errstate(over="ignore", invalid="ignore"):
+                yt = np.minimum(pv, y + t * dy)
+                rt = fv - op.matvec(yt)
+                kkt_t = kkt_of(yt, rt)
+                if merit is not None:
+                    et = merit(yt)
+                    accept = math.isfinite(et) and et <= e + 1e-14 * (abs(e) + 1.0)
+                else:
+                    accept = kkt_t < kkt
+            if accept and math.isfinite(kkt_t):
                 break
-            tau = min(tau * 1.25, tau_cap)
-        else:
-            tau *= 0.5
-            if tau < _TAU_FLOOR:
-                raise StagnationError(f"damping step underflowed at residual {kkt:.3e}")
-    return VISolveReport(GridFunction(op.mesh, y), int(iters), float(kkt), kkt <= params.tol)
+            t *= 0.5
+            if t < _STEP_FLOOR:
+                raise StagnationError(f"Newton step underflowed at residual {kkt:.3e}")
+        y, r, kkt = yt, rt, kkt_t
+        if merit is not None:
+            e = et
+    return VISolveReport(GridFunction(op.mesh, y), iters, kkt, kkt <= params.tol)
 
 
-def solve_vi(op, f: GridFunction, psi: GridFunction, params: VIParams) -> VISolveReport:
-    """Dispatch to PSOR for linear operators, projected iteration otherwise."""
-    if getattr(op, "is_linear", False):
-        return solve_vi_psor(op, f, psi, params)
-    return solve_vi_projected(op, f, psi, params)
+def solve_vi_projected(op, f: GridFunction, psi: GridFunction, params: VIParams) -> VISolveReport:
+    """Former name of the nonlinear inner solve, kept for callers that bind it
+    by name (bench/tracer.py); every operator now uses solve_vi."""
+    return solve_vi(op, f, psi, params)
 
 
 def active_set_candidates(op: LinearEllipticOperator, f: GridFunction, psi: GridFunction):

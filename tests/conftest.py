@@ -1,28 +1,6 @@
 import numpy as np
 import pytest
 
-from qvar.grid import GridFunction, make_mesh
-from qvar.operators import NonMonotoneOperator, PLaplacianOperator, assemble_linear
-from qvar.vi_solver import VIParams, solve_vi_projected, solve_vi_psor
-
-
-@pytest.fixture(scope="session")
-def warm_kernels():
-    """Trigger JIT compilation of the solver kernels on tiny instances so
-    timed runs measure solve time, not compilation."""
-    params = VIParams(tol=1e-8, max_iter=500)
-    mesh_n = make_mesh(4, "neumann")
-    mesh_d = make_mesh(4, "dirichlet")
-    lin = assemble_linear(mesh_n, 1.0, 1.0)
-    f = GridFunction.constant(mesh_n, 1.0)
-    psi = GridFunction.constant(mesh_n, 0.5)
-    solve_vi_psor(lin, f, psi, params)
-    solve_vi_projected(NonMonotoneOperator(lin, 0.1), f, psi, params)
-    fd = GridFunction.constant(mesh_d, 1.0)
-    psid = GridFunction.constant(mesh_d, 0.5)
-    solve_vi_projected(PLaplacianOperator(mesh_d, 3.0, 1e-2), fd, psid, params)
-    return True
-
 
 @pytest.fixture
 def rng():

@@ -26,8 +26,6 @@ from qvar.studies import (
 )
 from qvar.vi_solver import VIParams, kkt_residual, solve_vi_active_set_oracle, solve_vi_psor
 
-pytestmark = pytest.mark.usefixtures("warm_kernels")
-
 
 def _report(num, desc, checks, elapsed, budget):
     failed = [name for name, ok in checks.items() if not ok]

@@ -68,11 +68,17 @@ class TestParseConfig:
         assert cfg.overrides["kernel"] == "gauss(0.3)"
 
     def test_solver_overrides(self):
-        cfg = parse_config("[solver]\ntol_outer = 1e-6\nomega = 1.5\ntau = 0.25\nmax_outer = 50\n")
+        cfg = parse_config("[solver]\ntol_outer = 1e-6\nmax_inner = 500\nmax_outer = 50\n")
         assert cfg.tol_outer == 1e-6
-        assert cfg.omega == 1.5
-        assert cfg.tau == 0.25
+        assert cfg.max_inner == 500
         assert cfg.max_outer == 50
+
+    @pytest.mark.parametrize("key", ["omega", "tau"])
+    def test_removed_solver_keys(self, tmp_path, key):
+        with pytest.raises(ConfigError, match=f"'{key}' in \\[solver\\] was removed"):
+            parse_config(f"[solver]\n{key} = auto\n")
+        cfg = write_cfg(tmp_path, f"[problem]\nname = example1d\n[solver]\n{key} = 0.5\n")
+        assert run_command(["solve", "-c", cfg]) == 4
 
     def test_obstacle_kind_mismatch(self):
         cfg = parse_config("[problem]\nname = example1d\nobstacle.kind = kernel\n")
@@ -105,6 +111,13 @@ class TestSolveCommand:
             f"out = {tmp_path}\n[problem]\nname = example1d\n[solver]\nmax_outer = 2\n",
         )
         assert run_command(["solve", "-c", cfg]) == 3
+
+    def test_plaplacian_fine_mesh(self, tmp_path):
+        cfg = write_cfg(
+            tmp_path, f"out = {tmp_path}\n[problem]\nname = plaplacian\nn = 256\n"
+        )
+        assert run_command(["solve", "-c", cfg]) == 0
+        assert "converged=True" in (tmp_path / "plaplacian_report.csv").read_text()
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, "[problem]\nalpha = -1\n")

@@ -3,6 +3,7 @@ import pytest
 
 from qvar.errors import EllipticityError, MissingRegularizerError, SolverError
 from qvar.grid import GridFunction, dual_norm, duality_pairing, make_mesh, norm
+from qvar.qvi_solver import operator_structural_constants
 from qvar.operators import (
     LinearEllipticOperator,
     NonMonotoneOperator,
@@ -13,6 +14,20 @@ from qvar.operators import (
     estimate_constants,
     solve_unconstrained,
 )
+
+
+def dense_bands(bands):
+    lower, diag, upper = bands
+    return np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+
+
+def fd_jacobian(op, u, step=1e-6):
+    cols = []
+    for j in range(u.size):
+        e = np.zeros(u.size)
+        e[j] = step
+        cols.append((op.matvec(u + e) - op.matvec(u - e)) / (2.0 * step))
+    return np.column_stack(cols)
 
 
 def identity_operator(mesh, scale=1.0):
@@ -170,6 +185,41 @@ class TestSolveUnconstrained:
             solve_unconstrained(plap, GridFunction.constant(mesh, 1.0))
 
 
+class TestJacobianBands:
+    def operators(self):
+        mesh = make_mesh(16, "dirichlet")
+        lin = assemble_linear(mesh, lambda x: 1.0 + 0.5 * x, lambda x: x)
+        plap = PLaplacianOperator(mesh, 3.0, 1e-2)
+        R = assemble_linear(mesh, 2.0, 1.0)
+        return {
+            "linear": lin,
+            "sine": NonMonotoneOperator(lin, 0.3),
+            "plaplacian": plap,
+            "plaplacian_p4": PLaplacianOperator(mesh, 4.0, 1e-3),
+            "regularized": add_regularization(plap, 0.3, 0.2, R),
+            "regularized_sine": add_regularization(NonMonotoneOperator(lin, 0.3), 0.1, 0.5, R),
+        }
+
+    @pytest.mark.parametrize(
+        "name",
+        ["linear", "sine", "plaplacian", "plaplacian_p4", "regularized", "regularized_sine"],
+    )
+    def test_matches_central_differences(self, name):
+        op = self.operators()[name]
+        u = np.random.default_rng(17).uniform(-0.3, 0.3, op.mesh.dof_count)
+        J = dense_bands(op.jacobian_bands(u))
+        fd = fd_jacobian(op, u)
+        assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(J))
+
+    def test_custom_nonlinearity_gives_chord(self):
+        mesh = make_mesh(16, "neumann")
+        base = assemble_linear(mesh, 1.0, 1.0)
+        comp = NonMonotoneOperator(base, 0.1, func=np.tanh)
+        u = np.linspace(-1.0, 1.0, mesh.dof_count)
+        for got, want in zip(comp.jacobian_bands(u), base.jacobian_bands(u)):
+            assert np.array_equal(got, want)
+
+
 class TestConstants:
     def test_neumann_reaction_smallest_eigenvalue(self):
         mesh = make_mesh(64, "neumann")
@@ -212,7 +262,7 @@ class TestConstants:
         mesh = make_mesh(32, "neumann")
         base = assemble_linear(mesh, 1.0, 1.0)
         comp = NonMonotoneOperator(base, 0.1)
-        con = comp.constants
+        con, _ = operator_structural_constants(comp)
         assert con.gamma == pytest.approx(0.1)
         assert con.c == pytest.approx(1.0, abs=1e-8)
         assert con.L == pytest.approx(1.1, abs=1e-8)

@@ -217,6 +217,13 @@ class TestNonMonotone:
             assert rep.rho_observed <= cert.rho + 0.05
 
 
+class TestFineMeshes:
+    def test_nonmonotone_sine_golden_n256(self):
+        rep = solve_qvi_minimal(builtin_problem("nonmonotone_sine", n=256))
+        assert rep.converged
+        assert np.max(np.abs(rep.solution.values - 2.0 / 3.0)) <= 1e-6
+
+
 class TestNonlinearSupersolution:
     def test_plaplacian_maximal_mode(self):
         # no linear part: the supersolution comes from the nonlinear solve
@@ -225,6 +232,14 @@ class TestNonlinearSupersolution:
         rep_max = solve_qvi_maximal(prob, minimal=rep_min.solution)
         assert rep_max.converged
         # fixed obstacle: both modes land on the same solution
+        assert norm(rep_max.solution - rep_min.solution, "sup") <= 1e-8
+
+    def test_plaplacian_maximal_mode_n64(self):
+        # the supersolution runs the inner solver with the obstacle at 1e300
+        prob = builtin_problem("plaplacian", n=64)
+        rep_min = solve_qvi_minimal(prob)
+        rep_max = solve_qvi_maximal(prob, minimal=rep_min.solution)
+        assert rep_min.converged and rep_max.converged
         assert norm(rep_max.solution - rep_min.solution, "sup") <= 1e-8
 
     def test_supersolution_solves_operator(self):

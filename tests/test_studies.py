@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qvar.errors import InsufficientDataError, NestingError
+from qvar.errors import InsufficientDataError, NestingError, SolverError
 from qvar.grid import GridFunction, make_mesh
 from qvar.obstacle import ObstacleMap
 from qvar.operators import add_regularization, assemble_linear
@@ -240,6 +240,20 @@ class TestDeterminismAndFormat:
         a = run_regularization_path(prob, EXAMPLE_EPS, golden_exact(), jobs=1).to_csv()
         b = run_regularization_path(prob, EXAMPLE_EPS, golden_exact(), jobs=4).to_csv()
         assert a == b
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_point_position(self, jobs):
+        def template(n):
+            if n == 32:
+                raise SolverError("planted failure")
+            return variable_fixed_obstacle(n)
+
+        with pytest.raises(SolverError) as info:
+            run_mesh_refinement(template, [8, 16, 32, 64], jobs=jobs)
+        assert str(info.value) == (
+            "mesh refinement aborted at parameter point 3 of 4 (2 rows completed): "
+            "planted failure"
+        )
 
     def test_csv_layout(self):
         prob = builtin_problem("fixed_obstacle")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from qvar.errors import (
     OracleInfeasibleError,
     OracleSizeError,
     SolverError,
+    StagnationError,
 )
 from qvar.grid import GridFunction, dual_norm, leq, make_mesh, norm
 from qvar.operators import (
@@ -20,8 +23,8 @@ from qvar.vi_solver import (
     VIParams,
     active_set_candidates,
     kkt_residual,
+    solve_vi,
     solve_vi_active_set_oracle,
-    solve_vi_projected,
     solve_vi_psor,
 )
 
@@ -40,10 +43,6 @@ class TestParams:
             VIParams(omega=2.5)
         with pytest.raises(ValueError):
             VIParams(omega=0.0)
-
-    def test_tau_positive(self):
-        with pytest.raises(ValueError):
-            VIParams(tau=-1.0)
 
     def test_tol_positive(self):
         with pytest.raises(ValueError):
@@ -184,7 +183,7 @@ class TestProjected:
         lin = assemble_linear(mesh, 1.0, 0.0)
         f = GridFunction.constant(mesh, 1.0)
         psi = GridFunction.constant(mesh, 0.05)
-        a = solve_vi_projected(plap, f, psi, VIParams())
+        a = solve_vi(plap, f, psi, VIParams())
         b = solve_vi_psor(lin, f, psi, VIParams())
         assert a.converged and b.converged
         assert np.max(np.abs(a.solution.values - b.solution.values)) <= 1e-8
@@ -195,7 +194,7 @@ class TestProjected:
         comp = NonMonotoneOperator(base, 0.0)
         f = GridFunction.constant(mesh, 1.0)
         psi = GridFunction.constant(mesh, 0.5)
-        a = solve_vi_projected(comp, f, psi, VIParams())
+        a = solve_vi(comp, f, psi, VIParams())
         b = solve_vi_psor(base, f, psi, VIParams())
         assert np.max(np.abs(a.solution.values - b.solution.values)) <= 1e-8
 
@@ -204,19 +203,10 @@ class TestProjected:
         plap = PLaplacianOperator(mesh, 3.0, 1e-3)
         f = GridFunction.constant(mesh, 1.0)
         psi = GridFunction.constant(mesh, 10.0)
-        rep = solve_vi_projected(plap, f, psi, VIParams())
+        rep = solve_vi(plap, f, psi, VIParams())
         assert rep.converged
         assert rep.kkt_residual <= 1e-10
         assert np.max(np.abs(rep.solution.values - rep.solution.values[::-1])) <= 1e-8
-
-    def test_explicit_tau(self):
-        mesh = make_mesh(16, "dirichlet")
-        plap = PLaplacianOperator(mesh, 3.0, 1e-2)
-        f = GridFunction.constant(mesh, 1.0)
-        psi = GridFunction.constant(mesh, 0.1)
-        rep = solve_vi_projected(plap, f, psi, VIParams(tau=0.5))
-        assert rep.converged
-        assert leq(rep.solution, psi, 1e-12)
 
     def test_regularized_plap_path(self):
         from qvar.operators import add_regularization
@@ -226,22 +216,90 @@ class TestProjected:
         reg = add_regularization(plap, 0.25)
         f = GridFunction.constant(mesh, 1.0)
         psi = GridFunction.constant(mesh, 0.05)
-        rep = solve_vi_projected(reg, f, psi, VIParams())
+        rep = solve_vi(reg, f, psi, VIParams())
         assert rep.converged
         assert kkt_residual(reg, f, psi, rep.solution) <= 1e-10
 
     def test_custom_nonlinearity_without_potential(self):
-        # tanh composite has no known potential: the residual-based fallback
-        # still converges in the diagonally dominant regime
+        # tanh composite has no known potential: primal-dual active sets with
+        # chord steps on the base bands, accepted on the residual
         mesh = make_mesh(32, "neumann")
         base = assemble_linear(mesh, 1.0, 1.0)
         comp = NonMonotoneOperator(base, 0.1, func=np.tanh)
         f = GridFunction.constant(mesh, 1.0)
         psi = GridFunction(mesh, 0.4 + 0.5 * np.abs(mesh.dof_nodes() - 0.5))
-        rep = solve_vi_projected(comp, f, psi, VIParams(tol=1e-9, max_iter=200000))
+        rep = solve_vi(comp, f, psi, VIParams(tol=1e-9, max_iter=200000))
         assert rep.converged
         assert kkt_residual(comp, f, psi, rep.solution) <= 1e-9
         assert leq(rep.solution, psi, 1e-12)
+
+
+class TestNewton:
+    def test_matches_oracle(self):
+        rng = np.random.default_rng(2003)
+        params = VIParams()
+        for _ in range(200):
+            op, f, psi = random_instance(rng, int(rng.integers(1, 13)))
+            ref = solve_vi_active_set_oracle(op, f, psi)
+            rep = solve_vi(op, f, psi, params)
+            assert rep.converged
+            assert np.max(np.abs(ref.values - rep.solution.values)) <= 1e-10
+
+    def test_report_on_exhaustion(self):
+        mesh = make_mesh(64, "dirichlet")
+        op = assemble_linear(mesh, 1.0, 0.0)
+        f = GridFunction.constant(mesh, 1.0)
+        psi = GridFunction.constant(mesh, 0.05)
+        rep = solve_vi(op, f, psi, VIParams(max_iter=2))
+        assert not rep.converged
+        assert rep.iterations == 2
+        assert rep.kkt_residual > 1e-10
+
+    def test_overflowing_trial_rejected(self):
+        class ExpReaction:
+            """-u'' + 2u exp(u^2), the gradient of 0.5 <A u, u> + sum hw exp(u^2)."""
+
+            def __init__(self, base):
+                self.base = base
+                self.mesh = base.mesh
+
+            def matvec(self, u):
+                return self.base.matvec(u) + 2.0 * u * np.exp(u * u)
+
+            def jacobian_bands(self, u):
+                lower, diag, upper = self.base.jacobian_bands(u)
+                return lower, diag + (2.0 + 4.0 * u * u) * np.exp(u * u), upper
+
+            def energy(self, u):
+                hw = self.mesh.h * self.mesh.weights()
+                return self.base.energy(u) + float(np.dot(hw, np.exp(u * u)))
+
+        # the first Newton step from 0 linearizes exp(u^2) at 1 and overshoots
+        # far enough that its trial energy is inf: a rejection, not a warning
+        mesh = make_mesh(32, "dirichlet")
+        op = ExpReaction(assemble_linear(mesh, 1.0, 0.0))
+        f = GridFunction.constant(mesh, 1e3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve_vi(op, f, GridFunction.constant(mesh, 1e300), VIParams())
+        assert rep.converged
+        assert np.max(np.abs(op.matvec(rep.solution.values) - 1e3)) <= 1e-10
+
+    def test_stagnation_on_rising_potential(self):
+        class RisingPotential:
+            def __init__(self, base):
+                self.mesh = base.mesh
+                self.matvec = base.matvec
+                self.jacobian_bands = base.jacobian_bands
+
+            def energy(self, u):
+                return 1e6 * float(np.sum(np.abs(u)))
+
+        mesh = make_mesh(16, "dirichlet")
+        op = RisingPotential(assemble_linear(mesh, 1.0, 0.0))
+        f = GridFunction.constant(mesh, 1.0)
+        with pytest.raises(StagnationError, match="underflowed"):
+            solve_vi(op, f, GridFunction.constant(mesh, 1.0), VIParams())
 
 
 class TestOrderProperties:
