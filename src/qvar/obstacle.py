@@ -12,10 +12,9 @@ reported Lipschitz bound is a true bound for the discrete map.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import GridMismatchError
-from .grid import GridFunction, Mesh, trapezoid_integral, _h1_gram_banded
+from .grid import GridFunction, Mesh, trapezoid_integral, _h1_gram_cholesky
 
 CONSTANT_MEAN = "constant_mean"
 KERNEL = "kernel"
@@ -76,9 +75,15 @@ class ObstacleMap:
     def kernel(
         cls, mesh: Mesh, psi: GridFunction, alpha: float, kernel_fn
     ) -> "ObstacleMap":
-        """Build a kernel map by sampling kernel_fn(x, xi) at dof nodes."""
+        """Build a kernel map by sampling kernel_fn(x, xi) at dof nodes.
+
+        kernel_fn must accept numpy arrays: it is called once, on a column and
+        a row of the dof nodes, and its result is broadcast to (m, m).
+        """
         xs = mesh.dof_nodes()
-        k = np.array([[kernel_fn(xi, xj) for xj in xs] for xi in xs], dtype=np.float64)
+        m = mesh.dof_count
+        samples = kernel_fn(xs[:, None], xs[None, :])
+        k = np.broadcast_to(np.asarray(samples, dtype=np.float64), (m, m))
         return cls(mesh, KERNEL, alpha=alpha, psi_base=psi, kernel_samples=k)
 
     def shifted(self, delta: float) -> "ObstacleMap":
@@ -126,14 +131,32 @@ def lipschitz_bound(omap: ObstacleMap, norm_tag: str = "l2") -> float:
     if norm_tag == "l2":
         frob_sq = float(np.einsum("i,j,ij->", hw, hw, omap.kernel_samples**2))
         return omap.alpha * float(np.sqrt(frob_sq))
-    # h1 tag: sup ||B z||_h1 / ||z||_l2 with B z = alpha * K (hw z)
-    B = omap.alpha * omap.kernel_samples * hw[None, :]
-    off, diag = _h1_gram_banded(mesh)
-    G1 = np.diag(diag) + np.diag(off[1:], -1) + np.diag(off[1:], 1)
-    M = B.T @ G1 @ B
-    W = np.diag(hw)
-    mu = eigh(M, W, eigvals_only=True)
-    return float(np.sqrt(max(mu[-1], 0.0)))
+    # h1 tag: sup ||B z||_h1 / ||z||_l2 with B z = alpha * K (hw z).  With the
+    # h1 Gram matrix G1 = U^T U (bidiagonal U) and z = w / sqrt(hw) this is the
+    # largest singular value of C = alpha U K diag(sqrt(hw)), applied to
+    # vectors without forming C.
+    K = omap.kernel_samples
+    upper, diag = _h1_gram_cholesky(mesh)
+    scale = omap.alpha * np.sqrt(hw)
+    if K.shape[0] == 1:
+        return float(abs(diag[0] * K[0, 0] * scale[0]))
+
+    def normal_matvec(x):
+        # C^T C x, with U and U^T applied from their two bands
+        z = K @ (scale * x)
+        y = diag * z
+        y[:-1] += upper[1:] * z[1:]
+        w = diag * y
+        w[1:] += upper[1:] * y[:-1]
+        return scale * (K.T @ w)
+
+    # ARPACK is imported here, not at module level: it adds megabytes to
+    # every `import qvar` that never asks for an h1 kernel bound
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    CtC = LinearOperator(K.shape, matvec=normal_matvec, dtype=np.float64)
+    mu = eigsh(CtC, k=1, which="LA", tol=0, v0=np.ones(K.shape[0]), return_eigenvectors=False)
+    return float(np.sqrt(max(mu[0], 0.0)))
 
 
 def check_order_preserving(omap: ObstacleMap, trials: int = 100, seed: int = 0) -> bool:

@@ -16,10 +16,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cholesky_banded, cho_solve_banded, solve_banded
 
 from .errors import EllipticityError, GridMismatchError, MissingRegularizerError, SolverError
-from .grid import DIRICHLET, GridFunction, Mesh, dual_norm, _h1_gram_banded, _h1_gram_cholesky
-
-_RAYLEIGH_TOL = 1e-8
-_POWER_MAX_IT = 20000
+from .grid import DIRICHLET, GridFunction, Mesh, dual_norm, _h1_gram_banded
 
 
 @dataclass(frozen=True)
@@ -334,86 +331,96 @@ def solve_unconstrained(op: LinearEllipticOperator, f: GridFunction) -> GridFunc
     return GridFunction(op.mesh, u)
 
 
-def _norm_gram_apply(mesh: Mesh, norm_tag: str):
-    """Return matvec and solve callables for the tagged norm Gram matrix."""
-    hw = mesh.h * mesh.weights()
+def _norm_gram_bands(mesh: Mesh, norm_tag: str):
+    """(offdiag, diag) bands of the tagged norm Gram matrix."""
     if norm_tag == "l2":
-        return (lambda x: hw * x), (lambda x: x / hw)
+        hw = mesh.h * mesh.weights()
+        return np.zeros_like(hw), hw
     if norm_tag != "h1":
         raise ValueError(f"unknown norm tag {norm_tag!r}")
-    off, diag = _h1_gram_banded(mesh)
-    factor = _h1_gram_cholesky(mesh)
-
-    def matvec(x):
-        y = diag * x
-        y[1:] += off[1:] * x[:-1]
-        y[:-1] += off[1:] * x[1:]
-        return y
-
-    return matvec, (lambda x: cho_solve_banded((factor, False), x))
+    return _h1_gram_banded(mesh)
 
 
-def _power_extreme(K_off, K_diag, gram_mv, gram_solve, m, rng, largest: bool):
-    """Generalized Rayleigh-quotient extreme of K x = mu G x by (inverse)
-    power iteration, stopped on relative Rayleigh stagnation."""
+def _tridiag_matvec(off, diag, x):
+    y = diag * x
+    y[1:] += off[1:] * x[:-1]
+    y[:-1] += off[1:] * x[1:]
+    return y
 
-    def K_mv(x):
-        y = K_diag * x
-        y[1:] += K_off[1:] * x[:-1]
-        y[:-1] += K_off[1:] * x[1:]
-        return y
 
-    if not largest:
-        ab = np.vstack([K_off, K_diag])
+def _pencil_extremes(K_off, K_diag, G_off, G_diag):
+    """Smallest and largest eigenvalue (c, L) of the symmetric tridiagonal
+    pencil K x = mu G x with G positive definite.
+
+    Each extreme is bracketed by bisection on whether a banded Cholesky
+    factorization of +-(K - mu G) succeeds (Sylvester's law of inertia),
+    carried to the resolution of floating point, then refined by three
+    inverse-iteration steps with the last positive definite factor and a
+    Rayleigh quotient.  c is reported as 0 when K is not positive definite.
+    """
+
+    def factor(sign, mu):
+        ab = np.vstack([sign * (K_off - mu * G_off), sign * (K_diag - mu * G_diag)])
         try:
-            factor = cholesky_banded(ab, lower=False)
+            return cholesky_banded(ab, lower=False, check_finite=False)
         except LinAlgError:
-            return 0.0
-        K_solve = lambda x: cho_solve_banded((factor, False), x)
+            return None
 
-    x = rng.standard_normal(m)
-    x /= np.linalg.norm(x)
-    q_old = np.inf
-    for _ in range(_POWER_MAX_IT):
-        if largest:
-            x = gram_solve(K_mv(x))
-        else:
-            x = K_solve(gram_mv(x))
-        nrm = np.linalg.norm(x)
-        if nrm == 0.0:
-            return 0.0
-        x /= nrm
-        kx = K_mv(x)
-        gx = gram_mv(x)
-        q = float(np.dot(x, kx) / np.dot(x, gx))
-        if abs(q - q_old) <= _RAYLEIGH_TOL * max(abs(q), 1e-300):
-            return q
-        q_old = q
-    return q_old
+    def bisect(sign, definite, other, fac):
+        # `definite` keeps a point where sign * (K - mu G) is positive definite
+        while definite != (mid := 0.5 * (definite + other)) != other:
+            trial = factor(sign, mid)
+            if trial is None:
+                other = mid
+            else:
+                definite, fac = mid, trial
+        return definite, fac
+
+    def refine(fac):
+        x = np.ones_like(K_diag)
+        for _ in range(3):
+            x = cho_solve_banded((fac, False), _tridiag_matvec(G_off, G_diag, x))
+            x /= np.linalg.norm(x)
+        kx = _tridiag_matvec(K_off, K_diag, x)
+        return float(np.dot(x, kx) / np.dot(x, _tridiag_matvec(G_off, G_diag, x)))
+
+    # L: mu G - K turns positive definite above the largest eigenvalue
+    lo, hi = 0.0, 1.0
+    while (fac := factor(-1.0, hi)) is None:
+        lo, hi = hi, 2.0 * hi
+        if not np.isfinite(hi):
+            raise SolverError("operator spectrum has no finite upper bound")
+    hi, fac = bisect(-1.0, hi, lo, fac)
+    L = refine(fac)
+    # c: K - mu G stays positive definite below the smallest eigenvalue
+    fac = factor(1.0, 0.0)
+    if fac is None:
+        return 0.0, L
+    _, fac = bisect(1.0, 0.0, hi, fac)
+    return refine(fac), L
 
 
 def estimate_constants(op, norm_tag: str = "h1", trials: int = 100, seed: int = 0) -> OperatorConstants:
     """Empirical structural constants of an operator.
 
     Linear operators get eigenvalue-accurate extremes of the generalized
-    Rayleigh quotient <Au,u>/||u||^2 via (inverse) power iteration; nonlinear
-    operators get sampled extrema over seeded random pairs, reported as
-    empirical bounds.
+    Rayleigh quotient <Au,u>/||u||^2 from bisection on the tridiagonal pencil;
+    they do not depend on `seed`.  Nonlinear operators get sampled extrema
+    over seeded random pairs, reported as empirical bounds.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     mesh = op.mesh
     m = mesh.dof_count
-    rng = np.random.default_rng(seed)
-    gram_mv, gram_solve = _norm_gram_apply(mesh, norm_tag)
+    G_off, G_diag = _norm_gram_bands(mesh, norm_tag)
 
     if getattr(op, "is_linear", False):
-        off, diag = op.gram_tridiag()
-        L = _power_extreme(off, diag, gram_mv, gram_solve, m, rng, largest=True)
-        c = _power_extreme(off, diag, gram_mv, gram_solve, m, rng, largest=False)
+        c, L = _pencil_extremes(*op.gram_tridiag(), G_off, G_diag)
         c = max(c, 0.0)
         L = max(L, c)
         return OperatorConstants(c=c, L=L, gamma=0.0, norm_tag=norm_tag, method="eig")
+
+    rng = np.random.default_rng(seed)
 
     hw = mesh.h * mesh.weights()
     mono_min = np.inf
@@ -422,7 +429,7 @@ def estimate_constants(op, norm_tag: str = "h1", trials: int = 100, seed: int = 
         u = rng.standard_normal(m)
         v = rng.standard_normal(m)
         du = u - v
-        nd = float(np.sqrt(np.dot(du, gram_mv(du))))
+        nd = float(np.sqrt(np.dot(du, _tridiag_matvec(G_off, G_diag, du))))
         if nd < 1e-14:
             continue
         dop = op.matvec(u) - op.matvec(v)

@@ -6,7 +6,7 @@ parameters) so studies can rescale a problem without re-deriving it.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from .grid import GridFunction, from_csv, make_mesh
 from .obstacle import ObstacleMap
@@ -25,19 +25,21 @@ _DEFAULT_BC = {
 
 
 def gauss_kernel(sigma: float):
-    """Symmetric nonnegative kernel exp(-(x-xi)^2 / (2 sigma^2))."""
+    """Symmetric nonnegative kernel exp(-(x-xi)^2 / (2 sigma^2)), evaluated
+    elementwise on broadcastable numpy arrays."""
     if sigma <= 0:
         raise ValueError(f"gauss kernel width must be positive, got {sigma}")
     two_s2 = 2.0 * sigma * sigma
 
     def k(x, xi):
-        return math.exp(-((x - xi) ** 2) / two_s2)
+        return np.exp(-((x - xi) ** 2) / two_s2)
 
     return k
 
 
 def one_kernel(x, xi):
-    return 1.0
+    """Constant kernel 1, broadcast to the shape of its arguments."""
+    return np.ones(np.broadcast(x, xi).shape)
 
 
 def _resolve_kernel(spec):

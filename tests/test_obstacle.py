@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
-from qvar.grid import GridFunction, make_mesh, norm
+from qvar.grid import GridFunction, _h1_gram_banded, make_mesh, norm
 from qvar.obstacle import ObstacleMap, check_order_preserving, eval_obstacle, lipschitz_bound
 from qvar.problems import gauss_kernel, one_kernel
 
@@ -93,6 +96,42 @@ class TestLipschitzBound:
                 v = GridFunction(mesh, rng.standard_normal(mesh.dof_count))
                 gap = norm(eval_obstacle(omap, u) - eval_obstacle(omap, v), "sup")
                 assert gap <= lphi * norm(u - v, "l2") + 1e-9
+
+
+def dense_h1_bound(omap):
+    """l2 -> h1 norm of the coupling part by a dense generalized eigenproblem:
+    the largest mu of B^T G1 B z = mu W z with B = alpha K diag(hw)."""
+    mesh = omap.mesh
+    hw = mesh.h * mesh.weights()
+    B = omap.alpha * omap.kernel_samples * hw[None, :]
+    off, diag = _h1_gram_banded(mesh)
+    G1 = np.diag(diag) + np.diag(off[1:], -1) + np.diag(off[1:], 1)
+    mu = eigh(B.T @ G1 @ B, np.diag(hw), eigvals_only=True)
+    return float(np.sqrt(max(mu[-1], 0.0)))
+
+
+class TestH1BoundReference:
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 64, 256])
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("kernel", ["gauss(0.25)", "gauss(5.0)", "one"])
+    def test_matches_dense_eigh(self, n, bc, kernel):
+        mesh = make_mesh(n, bc)
+        kernel_fn = one_kernel if kernel == "one" else gauss_kernel(float(kernel[6:-1]))
+        omap = ObstacleMap.kernel(mesh, GridFunction.constant(mesh, 0.5), 0.25, kernel_fn)
+        assert lipschitz_bound(omap, "h1") == pytest.approx(dense_h1_bound(omap), rel=1e-12, abs=0.0)
+
+
+class TestKernelSampling:
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("sigma", [0.05, 0.25, 5.0])
+    def test_gauss_matches_scalar_exp(self, bc, sigma):
+        mesh = make_mesh(64, bc)
+        omap = ObstacleMap.kernel(mesh, GridFunction.zeros(mesh), 0.25, gauss_kernel(sigma))
+        xs = mesh.dof_nodes()
+        for i, xi in enumerate(xs):
+            for j, xj in enumerate(xs):
+                want = math.exp(-((xi - xj) ** 2) / (2.0 * sigma * sigma))
+                assert abs(omap.kernel_samples[i, j] - want) <= 2.0 * math.ulp(want)
 
 
 class TestOrderPreservation:

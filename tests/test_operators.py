@@ -3,7 +3,8 @@ import pytest
 
 from qvar.errors import EllipticityError, MissingRegularizerError, SolverError
 from qvar.grid import GridFunction, dual_norm, duality_pairing, make_mesh, norm
-from qvar.qvi_solver import operator_structural_constants
+from qvar.problems import builtin_problem
+from qvar.qvi_solver import operator_structural_constants, problem_certificate
 from qvar.operators import (
     LinearEllipticOperator,
     NonMonotoneOperator,
@@ -293,6 +294,41 @@ class TestConstants:
             u = rng.standard_normal(mesh.dof_count) * 5.0
             gap = comp.matvec(u) - base.matvec(u)
             assert np.max(np.abs(gap)) <= 0.3 + 1e-15
+
+
+class TestPencilConstants:
+    """Linear constants against the closed-form lumped spectrum of -u'' on a
+    dirichlet mesh, lambda_k = 4/h^2 sin^2(k pi h / 2): the h1 pencil has
+    eigenvalues lambda_k / (1 + lambda_k), the l2 pencil lambda_k itself."""
+
+    @staticmethod
+    def lumped_extremes(n):
+        h = 1.0 / n
+        lam = 4.0 / h**2 * np.sin(np.array([1, n - 1]) * np.pi * h / 2.0) ** 2
+        return lam
+
+    @pytest.mark.parametrize("n", [128, 256, 1024, 4096])
+    @pytest.mark.parametrize("tag", ["h1", "l2"])
+    def test_closed_form_for_every_seed(self, n, tag):
+        lam = self.lumped_extremes(n)
+        c_exact, L_exact = lam / (1.0 + lam) if tag == "h1" else lam
+        op = assemble_linear(make_mesh(n, "dirichlet"), 1.0, 0.0)
+        for seed in range(20):
+            con = estimate_constants(op, tag, seed=seed)
+            assert con.c == pytest.approx(c_exact, rel=1e-9, abs=0.0)
+            assert con.L == pytest.approx(L_exact, rel=1e-9, abs=0.0)
+
+    def test_example1d_certificate_row(self):
+        row = problem_certificate(builtin_problem("example1d", n=64)).csv_row()
+        assert row == "1,1,0,0,0.25,0.25,True"
+
+    def test_indefinite_operator_has_zero_coercivity(self):
+        mesh = make_mesh(16, "dirichlet")
+        op = assemble_linear(mesh, 1.0, 0.0)
+        op.diag[:] -= 20.0  # shifts below the smallest eigenvalue pi^2
+        con = estimate_constants(op, "l2")
+        assert con.c == 0.0
+        assert con.L == pytest.approx(self.lumped_extremes(16)[1] - 20.0, rel=1e-12)
 
 
 class TestRegularization:
