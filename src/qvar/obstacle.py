@@ -11,6 +11,8 @@ reported Lipschitz bound is a true bound for the discrete map.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .errors import GridMismatchError
@@ -27,6 +29,12 @@ class ObstacleMap:
     Negative coupling weights are rejected at construction: every monotone
     iteration downstream requires an increasing map, and a negative alpha
     would break it silently.
+
+    A kernel map stores its matrix K either densely (`kernel_samples`, m x m)
+    or, for a stationary kernel on the uniform mesh, as the first column of
+    the symmetric Toeplitz matrix (`kernel_column`, K_ij = column[|i - j|]),
+    applied through a circulant embedding whose spectrum is computed once.
+    Both are read-only after construction, so `shifted` maps share them.
     """
 
     def __init__(
@@ -37,6 +45,7 @@ class ObstacleMap:
         alpha: float = 0.0,
         psi_base: GridFunction | None = None,
         kernel_samples: np.ndarray | None = None,
+        kernel_column: np.ndarray | None = None,
     ):
         if variant not in (CONSTANT_MEAN, KERNEL, FIXED):
             raise ValueError(f"unknown obstacle variant {variant!r}")
@@ -48,6 +57,9 @@ class ObstacleMap:
         self.alpha = float(alpha)
         self.psi_base = None
         self.kernel_samples = None
+        self.kernel_column = None
+        self._spectrum = None
+        self._nfft = 0
         m = mesh.dof_count
         if variant in (KERNEL, FIXED):
             if psi_base is None:
@@ -55,13 +67,34 @@ class ObstacleMap:
             if psi_base.mesh != mesh:
                 raise GridMismatchError("psi_base lives on a different mesh")
             self.psi_base = psi_base.copy()
-        if variant == KERNEL:
-            if kernel_samples is None:
-                raise ValueError("kernel maps need kernel samples k(x_i, x_j)")
+        if variant != KERNEL:
+            return
+        if (kernel_samples is None) == (kernel_column is None):
+            raise ValueError(
+                "kernel maps need either kernel samples k(x_i, x_j) or a Toeplitz column"
+            )
+        if kernel_samples is not None:
             k = np.asarray(kernel_samples, dtype=np.float64).copy()
             if k.shape != (m, m):
                 raise GridMismatchError(f"kernel samples must be {m}x{m}, got {k.shape}")
+            k.setflags(write=False)
             self.kernel_samples = k
+            return
+        col = np.asarray(kernel_column, dtype=np.float64).copy()
+        if col.shape != (m,):
+            raise GridMismatchError(f"kernel column must have {m} entries, got {col.shape}")
+        # symmetric circulant of length 2^k >= 2m - 1 whose leading m x m block
+        # is K; its spectrum is real because the circulant is symmetric
+        nfft = 1 << (2 * m - 2).bit_length()
+        circ = np.zeros(nfft)
+        circ[:m] = col
+        circ[nfft - m + 1:] = col[:0:-1]
+        spectrum = np.fft.rfft(circ).real
+        col.setflags(write=False)
+        spectrum.setflags(write=False)
+        self.kernel_column = col
+        self._spectrum = spectrum
+        self._nfft = nfft
 
     @classmethod
     def constant_mean(cls, mesh: Mesh, c0: float, alpha: float) -> "ObstacleMap":
@@ -75,27 +108,42 @@ class ObstacleMap:
     def kernel(
         cls, mesh: Mesh, psi: GridFunction, alpha: float, kernel_fn
     ) -> "ObstacleMap":
-        """Build a kernel map by sampling kernel_fn(x, xi) at dof nodes.
+        """Build a kernel map from kernel_fn(x, xi) at the dof nodes.
 
-        kernel_fn must accept numpy arrays: it is called once, on a column and
-        a row of the dof nodes, and its result is broadcast to (m, m).
+        A stationary kernel carries a `profile(d)` attribute, the kernel as a
+        function of the distance d = |x - xi| >= 0 on numpy arrays; it is
+        sampled once at the m dof spacings and stored as a Toeplitz column.
+        Any other kernel_fn must accept numpy arrays: it is called once, on a
+        column and a row of the dof nodes, and its result is broadcast to the
+        dense (m, m) matrix.
         """
-        xs = mesh.dof_nodes()
         m = mesh.dof_count
+        profile = getattr(kernel_fn, "profile", None)
+        if profile is not None:
+            column = np.asarray(profile(np.arange(m) / mesh.n), dtype=np.float64)
+            column = np.broadcast_to(column, (m,))
+            return cls(mesh, KERNEL, alpha=alpha, psi_base=psi, kernel_column=column)
+        xs = mesh.dof_nodes()
         samples = kernel_fn(xs[:, None], xs[None, :])
         k = np.broadcast_to(np.asarray(samples, dtype=np.float64), (m, m))
         return cls(mesh, KERNEL, alpha=alpha, psi_base=psi, kernel_samples=k)
 
     def shifted(self, delta: float) -> "ObstacleMap":
-        """Copy of the map with its base level raised by delta."""
+        """The map with its base level raised by delta; a kernel map shares
+        its read-only kernel storage with the original."""
+        out = copy.copy(self)
         if self.variant == CONSTANT_MEAN:
-            return ObstacleMap(self.mesh, CONSTANT_MEAN, c0=self.c0 + delta, alpha=self.alpha)
-        psi = GridFunction(self.mesh, self.psi_base.values + delta)
-        if self.variant == FIXED:
-            return ObstacleMap(self.mesh, FIXED, psi_base=psi)
-        return ObstacleMap(
-            self.mesh, KERNEL, alpha=self.alpha, psi_base=psi, kernel_samples=self.kernel_samples
-        )
+            out.c0 = self.c0 + delta
+        else:
+            out.psi_base = GridFunction(self.mesh, self.psi_base.values + delta)
+        return out
+
+    def _apply_kernel(self, z: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """K z, or K^T z with transpose, for a kernel map.  Dense samples may
+        be asymmetric; a Toeplitz column defines a symmetric K."""
+        if self.kernel_samples is not None:
+            return (self.kernel_samples.T if transpose else self.kernel_samples) @ z
+        return np.fft.irfft(self._spectrum * np.fft.rfft(z, self._nfft), self._nfft)[: z.size]
 
 
 def eval_obstacle(omap: ObstacleMap, y: GridFunction) -> GridFunction:
@@ -108,7 +156,7 @@ def eval_obstacle(omap: ObstacleMap, y: GridFunction) -> GridFunction:
     if omap.variant == FIXED:
         return omap.psi_base.copy()
     hw = omap.mesh.h * omap.mesh.weights()
-    coupled = omap.kernel_samples @ (hw * np.maximum(y.values, 0.0))
+    coupled = omap._apply_kernel(hw * np.maximum(y.values, 0.0))
     return GridFunction(omap.mesh, omap.psi_base.values + omap.alpha * coupled)
 
 
@@ -127,35 +175,43 @@ def lipschitz_bound(omap: ObstacleMap, norm_tag: str = "l2") -> float:
     if omap.variant == CONSTANT_MEAN:
         return omap.alpha
     mesh = omap.mesh
+    m = mesh.dof_count
     hw = mesh.h * mesh.weights()
     if norm_tag == "l2":
-        frob_sq = float(np.einsum("i,j,ij->", hw, hw, omap.kernel_samples**2))
+        if omap.kernel_samples is not None:
+            frob_sq = float(np.einsum("i,j,ij->", hw, hw, omap.kernel_samples**2))
+        else:
+            # a sum over diagonals: sum_d (2 - [d=0]) k_d^2 S_d with the lag
+            # sums S_d = sum_i hw_i hw_{i+d}, an autocorrelation taken by FFT
+            nfft = omap._nfft
+            lags = np.fft.irfft(np.abs(np.fft.rfft(hw, nfft)) ** 2, nfft)[:m]
+            terms = omap.kernel_column**2 * lags
+            frob_sq = float(2.0 * np.sum(terms[1:]) + terms[0])
         return omap.alpha * float(np.sqrt(frob_sq))
     # h1 tag: sup ||B z||_h1 / ||z||_l2 with B z = alpha * K (hw z).  With the
     # h1 Gram matrix G1 = U^T U (bidiagonal U) and z = w / sqrt(hw) this is the
     # largest singular value of C = alpha U K diag(sqrt(hw)), applied to
     # vectors without forming C.
-    K = omap.kernel_samples
     upper, diag = _h1_gram_cholesky(mesh)
     scale = omap.alpha * np.sqrt(hw)
-    if K.shape[0] == 1:
-        return float(abs(diag[0] * K[0, 0] * scale[0]))
+    if m == 1:
+        return float(abs(diag[0] * omap._apply_kernel(scale)[0]))
 
     def normal_matvec(x):
         # C^T C x, with U and U^T applied from their two bands
-        z = K @ (scale * x)
+        z = omap._apply_kernel(scale * x)
         y = diag * z
         y[:-1] += upper[1:] * z[1:]
         w = diag * y
         w[1:] += upper[1:] * y[:-1]
-        return scale * (K.T @ w)
+        return scale * omap._apply_kernel(w, transpose=True)
 
     # ARPACK is imported here, not at module level: it adds megabytes to
     # every `import qvar` that never asks for an h1 kernel bound
     from scipy.sparse.linalg import LinearOperator, eigsh
 
-    CtC = LinearOperator(K.shape, matvec=normal_matvec, dtype=np.float64)
-    mu = eigsh(CtC, k=1, which="LA", tol=0, v0=np.ones(K.shape[0]), return_eigenvectors=False)
+    CtC = LinearOperator((m, m), matvec=normal_matvec, dtype=np.float64)
+    mu = eigsh(CtC, k=1, which="LA", tol=0, v0=np.ones(m), return_eigenvectors=False)
     return float(np.sqrt(max(mu[0], 0.0)))
 
 

@@ -6,6 +6,9 @@ parameters) so studies can rescale a problem without re-deriving it.
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 
 from .grid import GridFunction, from_csv, make_mesh
@@ -26,20 +29,41 @@ _DEFAULT_BC = {
 
 def gauss_kernel(sigma: float):
     """Symmetric nonnegative kernel exp(-(x-xi)^2 / (2 sigma^2)), evaluated
-    elementwise on broadcastable numpy arrays."""
-    if sigma <= 0:
-        raise ValueError(f"gauss kernel width must be positive, got {sigma}")
+    elementwise on broadcastable numpy arrays.
+
+    It is stationary: its `profile(d)` attribute is exp(-d^2 / (2 sigma^2)),
+    so kernel maps store it as one Toeplitz column.  sigma must be finite and
+    positive with 2 sigma^2 a finite normal float, so that d^2 / (2 sigma^2) is
+    finite for every distance d <= 1 on the unit interval.
+    """
+    sigma = float(sigma)
     two_s2 = 2.0 * sigma * sigma
+    if not (sigma > 0 and math.isfinite(two_s2) and two_s2 >= sys.float_info.min):
+        raise ValueError(
+            f"gauss kernel width must be positive with 2*sigma^2 finite and >= "
+            f"{sys.float_info.min:.3g}, got {sigma}"
+        )
+
+    def profile(d):
+        return np.exp(-(d**2) / two_s2)
 
     def k(x, xi):
-        return np.exp(-((x - xi) ** 2) / two_s2)
+        return profile(x - xi)
 
+    k.profile = profile
     return k
 
 
 def one_kernel(x, xi):
-    """Constant kernel 1, broadcast to the shape of its arguments."""
+    """Constant kernel 1, broadcast to the shape of its arguments.
+
+    It is stationary: its `profile(d)` attribute is 1 at every distance, so
+    kernel maps store it as one Toeplitz column.
+    """
     return np.ones(np.broadcast(x, xi).shape)
+
+
+one_kernel.profile = lambda d: np.ones(np.shape(d))
 
 
 def _resolve_kernel(spec):

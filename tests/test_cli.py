@@ -145,6 +145,16 @@ class TestTraceAndCertify:
         cfg = write_cfg(tmp_path, "[problem]\nname = example1d\nalpha = 1.5\n")
         assert run_command(["certify", "-c", cfg]) == 2
 
+    @pytest.mark.parametrize("command", ["certify", "solve"])
+    @pytest.mark.parametrize("sigma", ["nan", "1e-200", "inf"])
+    def test_invalid_gauss_width_is_config_error(self, tmp_path, capsys, command, sigma):
+        cfg = write_cfg(
+            tmp_path,
+            f"out = {tmp_path}\n[problem]\nname = kernel_qvi\nn = 16\nkernel = gauss({sigma})\n",
+        )
+        assert run_command([command, "-c", cfg]) == 4
+        assert "config error: gauss kernel width" in capsys.readouterr().err
+
 
 class TestStudies:
     def test_regpath_writes_csv(self, tmp_path):

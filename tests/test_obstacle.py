@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.linalg import eigh
 
 from qvar.grid import GridFunction, _h1_gram_banded, make_mesh, norm
 from qvar.obstacle import ObstacleMap, check_order_preserving, eval_obstacle, lipschitz_bound
-from qvar.problems import gauss_kernel, one_kernel
+from qvar.problems import builtin_problem, gauss_kernel, one_kernel
 
 
 @pytest.fixture
@@ -98,16 +99,29 @@ class TestLipschitzBound:
                 assert gap <= lphi * norm(u - v, "l2") + 1e-9
 
 
-def dense_h1_bound(omap):
+def dense_h1_bound(omap, kernel_fn):
     """l2 -> h1 norm of the coupling part by a dense generalized eigenproblem:
-    the largest mu of B^T G1 B z = mu W z with B = alpha K diag(hw)."""
+    the largest mu of B^T G1 B z = mu W z with B = alpha K diag(hw), K sampled
+    here from kernel_fn on the broadcast dof nodes."""
     mesh = omap.mesh
+    m = mesh.dof_count
+    xs = mesh.dof_nodes()
+    K = np.broadcast_to(kernel_fn(xs[:, None], xs[None, :]), (m, m))
     hw = mesh.h * mesh.weights()
-    B = omap.alpha * omap.kernel_samples * hw[None, :]
+    B = omap.alpha * K * hw[None, :]
     off, diag = _h1_gram_banded(mesh)
     G1 = np.diag(diag) + np.diag(off[1:], -1) + np.diag(off[1:], 1)
     mu = eigh(B.T @ G1 @ B, np.diag(hw), eigvals_only=True)
     return float(np.sqrt(max(mu[-1], 0.0)))
+
+
+def builtin_kernel(spec):
+    return one_kernel if spec == "one" else gauss_kernel(float(spec[6:-1]))
+
+
+def dense_only(kernel_fn):
+    """The same kernel without its `profile`, so maps sample it densely."""
+    return lambda x, xi: kernel_fn(x, xi)
 
 
 class TestH1BoundReference:
@@ -116,9 +130,61 @@ class TestH1BoundReference:
     @pytest.mark.parametrize("kernel", ["gauss(0.25)", "gauss(5.0)", "one"])
     def test_matches_dense_eigh(self, n, bc, kernel):
         mesh = make_mesh(n, bc)
-        kernel_fn = one_kernel if kernel == "one" else gauss_kernel(float(kernel[6:-1]))
+        kernel_fn = builtin_kernel(kernel)
         omap = ObstacleMap.kernel(mesh, GridFunction.constant(mesh, 0.5), 0.25, kernel_fn)
-        assert lipschitz_bound(omap, "h1") == pytest.approx(dense_h1_bound(omap), rel=1e-12, abs=0.0)
+        want = dense_h1_bound(omap, kernel_fn)
+        assert lipschitz_bound(omap, "h1") == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 64])
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_asymmetric_dense_kernel(self, n, bc):
+        # a causal Volterra kernel: K is strictly lower triangular, so the
+        # bound must apply K^T, not K, on its way back (K K would be nilpotent)
+        mesh = make_mesh(n, bc)
+
+        def causal(x, xi):
+            return (xi < x) * 1.0
+
+        omap = ObstacleMap.kernel(mesh, GridFunction.constant(mesh, 0.5), 0.25, causal)
+        want = dense_h1_bound(omap, causal)
+        assert lipschitz_bound(omap, "h1") == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+class TestToeplitzPath:
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 64, 256, 2048])
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("kernel", ["gauss(0.05)", "gauss(0.25)", "gauss(5.0)", "one"])
+    def test_matches_dense_path(self, n, bc, kernel):
+        mesh = make_mesh(n, bc)
+        psi = GridFunction.constant(mesh, 0.5)
+        kernel_fn = builtin_kernel(kernel)
+        toeplitz = ObstacleMap.kernel(mesh, psi, 0.25, kernel_fn)
+        dense = ObstacleMap.kernel(mesh, psi, 0.25, dense_only(kernel_fn))
+        assert toeplitz.kernel_samples is None and toeplitz.kernel_column is not None
+        assert dense.kernel_column is None and dense.kernel_samples is not None
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            y = GridFunction(mesh, rng.standard_normal(mesh.dof_count))
+            got = eval_obstacle(toeplitz, y).values
+            want = eval_obstacle(dense, y).values
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        for tag in ("l2", "h1"):
+            want = lipschitz_bound(dense, tag)
+            assert lipschitz_bound(toeplitz, tag) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_no_square_storage(self):
+        # the dense m x m samples alone would be 32 MiB at n=2048
+        tracemalloc.start()
+        try:
+            problem = builtin_problem("kernel_qvi", n=2048)
+            omap = problem.obstacle_map
+            eval_obstacle(omap, GridFunction.constant(omap.mesh, 0.1))
+            lipschitz_bound(omap, "l2")
+            lipschitz_bound(omap, "h1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestKernelSampling:
@@ -131,7 +197,20 @@ class TestKernelSampling:
         for i, xi in enumerate(xs):
             for j, xj in enumerate(xs):
                 want = math.exp(-((xi - xj) ** 2) / (2.0 * sigma * sigma))
-                assert abs(omap.kernel_samples[i, j] - want) <= 2.0 * math.ulp(want)
+                assert abs(omap.kernel_column[abs(i - j)] - want) <= 2.0 * math.ulp(want)
+
+    @pytest.mark.parametrize(
+        "sigma", [math.nan, math.inf, -math.inf, 1e-200, 1e155, np.float64(1e200), 0.0, -0.25]
+    )
+    def test_gauss_rejects_invalid_width(self, sigma):
+        with pytest.raises(ValueError, match="gauss kernel width"):
+            gauss_kernel(sigma)
+
+    def test_gauss_tiny_width_samples_without_warnings(self):
+        # 2 sigma^2 = 2e-300 is a normal float, so no distance overflows
+        mesh = make_mesh(16, "dirichlet")
+        omap = ObstacleMap.kernel(mesh, GridFunction.zeros(mesh), 0.25, gauss_kernel(1e-150))
+        assert omap.kernel_column[0] == 1.0 and np.all(omap.kernel_column[1:] == 0.0)
 
 
 class TestOrderPreservation:
@@ -145,8 +224,9 @@ class TestOrderPreservation:
 
     def test_injected_negative_entry(self, mesh):
         psi = GridFunction.constant(mesh, 0.5)
-        omap = ObstacleMap.kernel(mesh, psi, 0.25, one_kernel)
-        omap.kernel_samples[3, 5] = -500.0
+        K = np.ones((mesh.dof_count, mesh.dof_count))
+        K[3, 5] = -500.0
+        omap = ObstacleMap(mesh, "kernel", alpha=0.25, psi_base=psi, kernel_samples=K)
         # explicit violating pair: raising node 5 lowers the obstacle at node 3
         y1 = GridFunction.zeros(mesh)
         bump = np.zeros(mesh.dof_count)
@@ -172,3 +252,24 @@ class TestShift:
         omap = ObstacleMap.fixed(mesh, psi).shifted(0.05)
         out = eval_obstacle(omap, GridFunction.zeros(mesh))
         assert np.all(out.values == pytest.approx(0.25))
+
+    @pytest.mark.parametrize("storage", ["kernel_column", "kernel_samples"])
+    def test_kernel_shift_shares_storage(self, storage):
+        # raising the base level must not copy the kernel: robust studies
+        # shift the map once per point
+        mesh = make_mesh(2048 if storage == "kernel_column" else 512, "dirichlet")
+        kernel_fn = gauss_kernel(0.25)
+        if storage == "kernel_samples":
+            kernel_fn = dense_only(kernel_fn)
+        omap = ObstacleMap.kernel(mesh, GridFunction.constant(mesh, 0.05), 0.25, kernel_fn)
+        tracemalloc.start()
+        try:
+            moved = omap.shifted(0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert getattr(moved, storage) is getattr(omap, storage)
+        y = GridFunction(mesh, np.linspace(-1.0, 1.0, mesh.dof_count))
+        gap = eval_obstacle(moved, y).values - eval_obstacle(omap, y).values
+        assert np.max(np.abs(gap - 0.01)) <= 1e-14
