@@ -344,7 +344,7 @@ def _cmd_certify(cfg: ExperimentConfig) -> int:
     return 0 if cert.smallness_ok else 2
 
 
-def _cmd_study(cfg: ExperimentConfig, kind: str, jobs: int) -> int:
+def _cmd_study(cfg: ExperimentConfig, kind: str) -> int:
     problem = cfg.build_problem()
     outer, inner = cfg.outer_params(), cfg.inner_params()
     if kind == "regpath":
@@ -352,14 +352,14 @@ def _cmd_study(cfg: ExperimentConfig, kind: str, jobs: int) -> int:
             problem,
             cfg.study.get("eps_list", [0.5 / 2**k for k in range(6)]),
             _study_reference(cfg, problem),
-            outer, inner, seed=cfg.seed, jobs=jobs,
+            outer, inner, seed=cfg.seed,
         )
     elif kind == "perturb":
         result = run_operator_perturbation(
             problem,
             cfg.study.get("family", "scaled_identity"),
             cfg.study.get("delta_list", [0.4, 0.2, 0.1, 0.05, 0.025]),
-            outer, inner, seed=cfg.seed, jobs=jobs,
+            outer, inner, seed=cfg.seed,
         )
     elif kind == "refine":
         overrides = dict(cfg.overrides)
@@ -368,14 +368,14 @@ def _cmd_study(cfg: ExperimentConfig, kind: str, jobs: int) -> int:
         result = run_mesh_refinement(
             lambda n: builtin_problem(cfg.problem_name, n=n, **overrides),
             cfg.study.get("n_list", [8, 16, 32, 64, 128, 256]),
-            outer, inner, seed=cfg.seed, jobs=jobs,
+            outer, inner, seed=cfg.seed,
         )
     elif kind == "robust":
         result = run_data_robustness(
             problem,
             cfg.study.get("f_deltas", [0.2, 0.1, 0.05, 0.025]),
             cfg.study.get("phi_deltas"),
-            outer, inner, seed=cfg.seed, jobs=jobs,
+            outer, inner, seed=cfg.seed,
         )
     else:
         raise ConfigError(f"unknown study kind {kind!r}")
@@ -434,7 +434,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("-c", "--config", metavar="FILE", help="experiment configuration file")
         sp.add_argument("--seed", type=int, help="override the config seed")
         sp.add_argument("--out", metavar="DIR", help="output directory (default from config)")
-        sp.add_argument("--jobs", type=int, default=1, help="parallel parameter points (default 1)")
+        sp.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; parameter points always run in list order")
 
     for name, help_text in (
         ("solve", "one solve, writes solution and report CSV"),
@@ -475,7 +476,7 @@ def run_command(argv) -> int:
             return _cmd_solve(cfg, trace_mode=args.command == "trace")
         if args.command == "certify":
             return _cmd_certify(cfg)
-        return _cmd_study(cfg, args.command, max(1, args.jobs))
+        return _cmd_study(cfg, args.command)
     except (ConfigError, InsufficientDataError, NestingError, GridMismatchError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 4

@@ -356,7 +356,9 @@ def _pencil_extremes(K_off, K_diag, G_off, G_diag):
     factorization of +-(K - mu G) succeeds (Sylvester's law of inertia),
     carried to the resolution of floating point, then refined by three
     inverse-iteration steps with the last positive definite factor and a
-    Rayleigh quotient.  c is reported as 0 when K is not positive definite.
+    Rayleigh quotient.  c is reported as 0 when K is not positive definite
+    or when c is at most m * eps * L, below what the factorizations resolve:
+    a singular K can pass a Cholesky test by rounding alone.
     """
 
     def factor(sign, mu):
@@ -397,7 +399,8 @@ def _pencil_extremes(K_off, K_diag, G_off, G_diag):
     if fac is None:
         return 0.0, L
     _, fac = bisect(1.0, 0.0, hi, fac)
-    return refine(fac), L
+    c = refine(fac)
+    return (c if c > K_diag.size * np.finfo(float).eps * L else 0.0), L
 
 
 def estimate_constants(op, norm_tag: str = "h1", trials: int = 100, seed: int = 0) -> OperatorConstants:

@@ -165,18 +165,6 @@ def problem_certificate(
     return contraction_certificate(constants, lipschitz_bound(problem.obstacle_map, norm_tag), l_n)
 
 
-def _classify_trace(iterates) -> str:
-    nondecreasing = all(
-        np.min(b.values - a.values) >= -_ORDER_TOL for a, b in zip(iterates, iterates[1:])
-    )
-    if nondecreasing:
-        return "increasing"
-    nonincreasing = all(
-        np.max(b.values - a.values) <= _ORDER_TOL for a, b in zip(iterates, iterates[1:])
-    )
-    return "decreasing" if nonincreasing else "none"
-
-
 def solve_qvi_fixed_point(
     problem: QVIProblem,
     y0: GridFunction,
@@ -193,18 +181,19 @@ def solve_qvi_fixed_point(
     outer = outer or OuterParams()
     inner = inner or VIParams()
     y = y0.copy()
-    iterates = [y]
     step_norms: list[float] = []
     inner_total = 0
     converged = False
-    for _ in range(outer.max_iter):
+    # whether every step so far was non-decreasing / non-increasing
+    rising = falling = True
+    for k in range(1, outer.max_iter + 1):
         psi = eval_obstacle(problem.obstacle_map, y)
         rep = solve_vi(problem.operator, problem.f, psi, inner)
         inner_total += rep.iterations
         if not rep.converged:
             raise SolverError(
-                f"inner solve stalled at residual {rep.kkt_residual:.3e} "
-                f"after {rep.iterations} iterations"
+                f"inner solve stalled in outer iteration {k} at residual "
+                f"{rep.kkt_residual:.3e} after {rep.iterations} iterations"
             )
         ynew = rep.solution
         if _order_check == "increasing" and not leq(y, ynew, _ORDER_TOL):
@@ -215,8 +204,10 @@ def solve_qvi_fixed_point(
             raise OrderingViolationError(
                 "iterates failed to decrease from the supersolution"
             )
-        step_norms.append(float(np.max(np.abs(ynew.values - y.values))))
-        iterates.append(ynew)
+        step = ynew.values - y.values
+        rising = rising and np.min(step) >= -_ORDER_TOL
+        falling = falling and np.max(step) <= _ORDER_TOL
+        step_norms.append(float(np.max(np.abs(step))))
         y = ynew
         if step_norms[-1] <= outer.tol:
             converged = True
@@ -234,7 +225,7 @@ def solve_qvi_fixed_point(
         ratios=ratios,
         rho_observed=float(rho_observed),
         converged=converged,
-        monotone_trace=_classify_trace(iterates),
+        monotone_trace="increasing" if rising else "decreasing" if falling else "none",
         inner_iterations=inner_total,
     )
 
@@ -275,7 +266,10 @@ def unconstrained_supersolution(op, F: GridFunction, inner: VIParams | None = No
     huge = GridFunction.constant(op.mesh, 1e300)
     rep = solve_vi(op, F, huge, inner)
     if not rep.converged:
-        raise SolverError("unconstrained nonlinear solve did not converge")
+        raise SolverError(
+            f"unconstrained nonlinear solve did not converge: residual "
+            f"{rep.kkt_residual:.3e} after {rep.iterations} iterations"
+        )
     return rep.solution
 
 

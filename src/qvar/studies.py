@@ -6,12 +6,13 @@ log-log rate fit, and named boolean verdicts.  Exactly reproduced solutions
 of fits: the log of zero is undefined and exactness is a stronger statement
 than any rate.  Reference solutions are the exact one when known, else the
 finest-parameter solve (self-convergence); the choice is recorded in the
-output metadata.
+output metadata.  Parameter points are solved one after another in list
+order, the order of the sequences (eps -> 0, h -> 0, A_n -> A) the studies
+walk.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,25 +120,19 @@ def _fit_or_none(points) -> RateFit | None:
         return None
 
 
-def _map_indexed(fn, items, jobs: int, what: str = "study"):
-    """Solve every parameter point, preserving list order regardless of
-    scheduling; a failing point aborts the study with its position flagged
-    (the first failing point in list order, on either path)."""
-    items = list(items)
-
-    def point(k):
+def _map_indexed(fn, items: list, what: str = "study"):
+    """Solve every parameter point in list order; the first failing point
+    aborts the study with its position flagged."""
+    results = []
+    for k, item in enumerate(items):
         try:
-            return fn(items[k])
+            results.append(fn(item))
         except SolverError as exc:
             raise SolverError(
                 f"{what} aborted at parameter point {k + 1} of {len(items)} "
                 f"({k} rows completed): {exc}"
             ) from exc
-
-    if jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(point, range(len(items))))
-    return [point(k) for k in range(len(items))]
+    return results
 
 
 def _check_decreasing(values, what: str) -> None:
@@ -167,7 +162,6 @@ def run_regularization_path(
     outer: OuterParams | None = None,
     inner: VIParams | None = None,
     seed: int = 0,
-    jobs: int = 1,
 ) -> StudyResult:
     """Solve the eps-regularized problem along a decreasing path.
 
@@ -176,14 +170,11 @@ def run_regularization_path(
     """
     eps_list = [float(e) for e in eps_list]
     _check_decreasing(eps_list, "eps_list")
-    outer = outer or OuterParams()
-    inner = inner or VIParams()
     ref, ref_kind = _resolve_reference(problem, reference, eps_list, outer, inner)
 
     reports = _map_indexed(
         lambda e: solve_qvi_regularized(problem, e, outer=outer, inner=inner),
         eps_list,
-        jobs,
         what="regularization path",
     )
     rows = []
@@ -215,7 +206,6 @@ def run_operator_perturbation(
     inner: VIParams | None = None,
     reference: GridFunction | None = None,
     seed: int = 0,
-    jobs: int = 1,
 ) -> StudyResult:
     """Minimal solutions of perturbed operators against the unperturbed one.
 
@@ -225,8 +215,6 @@ def run_operator_perturbation(
     """
     delta_list = [float(d) for d in delta_list]
     _check_decreasing(delta_list, "delta_list")
-    outer = outer or OuterParams()
-    inner = inner or VIParams()
 
     def perturbed(delta):
         if family == "scaled_identity":
@@ -247,7 +235,6 @@ def run_operator_perturbation(
     reports = _map_indexed(
         lambda d: solve_qvi_minimal(problem.with_operator(perturbed(d)), outer, inner),
         delta_list,
-        jobs,
         what="perturbation study",
     )
     rows = [
@@ -276,7 +263,6 @@ def run_mesh_refinement(
     outer: OuterParams | None = None,
     inner: VIParams | None = None,
     seed: int = 0,
-    jobs: int = 1,
 ) -> StudyResult:
     """Self-convergence under mesh refinement: the finest entry of n_list is
     the reference; coarse solutions are compared at shared nodes (discrete l2)."""
@@ -289,13 +275,11 @@ def run_mesh_refinement(
             raise NestingError(f"{n} does not divide the reference cell count {n_ref}")
     if len(n_list) < 4:
         raise InsufficientDataError(f"n_list needs at least 4 entries, got {len(n_list)}")
-    outer = outer or OuterParams()
-    inner = inner or VIParams()
 
     def solve_on(n):
         return n, solve_qvi_minimal(problem_template(n), outer, inner)
 
-    results = _map_indexed(solve_on, n_list, jobs, what="mesh refinement")
+    results = _map_indexed(solve_on, n_list, what="mesh refinement")
     n_fine, rep_fine = results[-1]
     fine_full = rep_fine.solution.with_boundary()
     bc = rep_fine.solution.mesh.bc
@@ -331,7 +315,6 @@ def run_data_robustness(
     outer: OuterParams | None = None,
     inner: VIParams | None = None,
     seed: int = 0,
-    jobs: int = 1,
 ) -> StudyResult:
     """Perturb the force by +delta and/or the obstacle base level by +delta.
 
@@ -353,8 +336,6 @@ def run_data_robustness(
     _check_decreasing(totals, "perturbation magnitudes")
     if totals[-1] <= 0:
         raise ValueError("perturbation magnitudes must be positive")
-    outer = outer or OuterParams()
-    inner = inner or VIParams()
 
     base = solve_qvi_minimal(problem, outer, inner).solution
 
@@ -366,7 +347,7 @@ def run_data_robustness(
         return solve_qvi_minimal(pert, outer, inner)
 
     reports = _map_indexed(
-        solve_pair, list(zip(f_deltas, phi_deltas)), jobs, what="robustness study"
+        solve_pair, list(zip(f_deltas, phi_deltas)), what="robustness study"
     )
     rows = [
         (tot, norm(rep.solution - base, "h1"), df, dphi, rep.outer_iterations)
@@ -395,7 +376,6 @@ def run_stability_bound_check(
     outer: OuterParams | None = None,
     inner: VIParams | None = None,
     seed: int = 0,
-    jobs: int = 1,
 ) -> StudyResult:
     """Verify the global Lipschitz bound on the solution map in the smallness
     regime: distance <= ||f1 - f2||_dual / (c - gamma - (L_A + L_N) L_phi)."""
@@ -405,8 +385,6 @@ def run_stability_bound_check(
     denom = cert.c - cert.gamma - (cert.L_A + cert.L_N) * cert.L_phi
     if denom <= 0:
         raise ValueError("stability denominator is not positive")
-    outer = outer or OuterParams()
-    inner = inner or VIParams()
     y0 = GridFunction.zeros(problem.operator.mesh)
 
     def solve_pair(pair):
@@ -419,7 +397,8 @@ def run_stability_bound_check(
         )
         return r1, r2
 
-    solved = _map_indexed(solve_pair, list(force_pairs), jobs, what="stability check")
+    force_pairs = list(force_pairs)
+    solved = _map_indexed(solve_pair, force_pairs, what="stability check")
     rows = []
     ratios = []
     for k, ((f1, f2), (r1, r2)) in enumerate(zip(force_pairs, solved)):

@@ -38,23 +38,16 @@ _STEP_FLOOR = 1e-12
 
 @dataclass
 class VIParams:
-    """Inner-solver controls.
-
-    max_iter caps Newton iterations (sweeps for PSOR); omega is the relaxation
-    of the PSOR reference only (None picks 2/(1+sin(pi*h)) per mesh).
-    """
+    """Inner-solver controls: max_iter caps Newton iterations (sweeps for PSOR)."""
 
     tol: float = 1e-10
     max_iter: int = 10000
-    omega: float | None = None
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
         if self.max_iter <= 0:
             raise ValueError(f"max_iter must be positive, got {self.max_iter}")
-        if self.omega is not None and not (0.0 < self.omega < 2.0):
-            raise ValueError(f"relaxation omega must lie in (0,2), got {self.omega}")
 
 
 @dataclass
@@ -85,13 +78,14 @@ def _feasible_start(psi: np.ndarray) -> np.ndarray:
 def solve_vi_psor(
     op: LinearEllipticOperator, f: GridFunction, psi: GridFunction, params: VIParams
 ) -> VISolveReport:
-    """Projected SOR in ascending dof order from the feasible start min(0, psi):
-    the plain-loop reference the Newton solver is checked against."""
+    """Projected SOR in ascending dof order from the feasible start min(0, psi),
+    relaxed by omega = 2/(1+sin(pi*h)): the plain-loop reference the Newton
+    solver is checked against."""
     if not getattr(op, "is_linear", False):
         raise SolverError("PSOR requires a linear (tridiagonal) operator")
     if f.mesh != op.mesh or psi.mesh != op.mesh:
         raise GridMismatchError("force/obstacle live on a different mesh")
-    omega = params.omega if params.omega is not None else 2.0 / (1.0 + math.sin(math.pi * op.mesh.h))
+    omega = 2.0 / (1.0 + math.sin(math.pi * op.mesh.h))
     lower, diag, upper = op.lower, op.diag, op.upper
     fv, pv = f.values, psi.values
     y = _feasible_start(pv)

@@ -1,9 +1,13 @@
+import threading
+
 import numpy as np
 import pytest
 
 from qvar.cli import ExperimentConfig, parse_config, run_command
 from qvar.errors import ConfigError
 from qvar.grid import from_csv
+from qvar.problems import builtin_problem
+from qvar.studies import run_mesh_refinement
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -189,6 +193,26 @@ class TestStudies:
         seq = (tmp_path / "regpath.csv").read_bytes()
         assert run_command(["regpath", "-c", cfg, "--jobs", "4"]) == 0
         assert (tmp_path / "regpath.csv").read_bytes() == seq
+
+    def test_jobs_starts_no_thread(self, tmp_path, monkeypatch):
+        cfg = write_cfg(
+            tmp_path,
+            f"out = {tmp_path}\n[problem]\nname = example1d\nn = 32\n"
+            "[study]\nkind = regpath\neps_list = 0.5,0.25,0.125,0.0625\n",
+        )
+        assert run_command(["regpath", "-c", cfg, "--jobs", "1"]) == 0
+        seq = (tmp_path / "regpath.csv").read_bytes()
+        n_list = [8, 16, 32, 64]
+        refine_seq = run_mesh_refinement(lambda n: builtin_problem("kernel_qvi", n=n), n_list)
+
+        def no_threads(self):
+            raise RuntimeError("a study started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        assert run_command(["regpath", "-c", cfg, "--jobs", "2"]) == 0
+        assert (tmp_path / "regpath.csv").read_bytes() == seq
+        refine = run_mesh_refinement(lambda n: builtin_problem("kernel_qvi", n=n), n_list)
+        assert refine.to_csv() == refine_seq.to_csv()
 
     def test_refine_on_builtin(self, tmp_path):
         cfg = write_cfg(

@@ -330,6 +330,14 @@ class TestPencilConstants:
         assert con.c == 0.0
         assert con.L == pytest.approx(self.lumped_extremes(16)[1] - 20.0, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 8, 16, 128, 512, 2048])
+    def test_singular_neumann_stiffness_has_zero_coercivity(self, n):
+        # a0 = 0 on a neumann mesh: K annihilates constants, whatever the
+        # rounding of the Cholesky test at mu = 0 says
+        cert = problem_certificate(builtin_problem("fixed_obstacle", n=n, bc="neumann"))
+        assert cert.c == 0.0
+        assert not cert.smallness_ok
+
 
 class TestRegularization:
     def test_zero_is_identity(self):

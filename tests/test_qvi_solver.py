@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qvar.errors import OrderingViolationError
+from qvar.errors import OrderingViolationError, SolverError
 from qvar.grid import GridFunction, leq, make_mesh, norm
 from qvar.obstacle import ObstacleMap
 from qvar.operators import OperatorConstants, assemble_linear
@@ -18,6 +18,7 @@ from qvar.qvi_solver import (
     unconstrained_supersolution,
     uniform_bound_holds,
 )
+from qvar.vi_solver import VIParams
 
 
 def golden_problem(n=64):
@@ -120,6 +121,36 @@ class TestFixedPoint:
         rep = solve_qvi_minimal(builtin_problem("kernel_qvi", n=32))
         assert rep.converged
         assert rep.monotone_trace == "increasing"
+
+    def test_oscillating_start_has_no_monotone_trace(self):
+        prob = builtin_problem("example1d", n=16)
+        mesh = prob.operator.mesh
+        y0 = GridFunction(mesh, 0.6 + 0.1 * (-1.0) ** np.arange(mesh.dof_count))
+        rep = solve_qvi_fixed_point(prob, y0)
+        assert rep.converged
+        assert rep.outer_iterations == 13
+        assert rep.monotone_trace == "none"
+
+
+class TestErrorContext:
+    def test_inner_stall_names_first_outer_iteration(self):
+        with pytest.raises(SolverError) as info:
+            solve_qvi_minimal(builtin_problem("fixed_obstacle", n=64), inner=VIParams(max_iter=2))
+        assert str(info.value) == (
+            "inner solve stalled in outer iteration 1 at residual 1.776e+01 after 2 iterations"
+        )
+
+    def test_inner_stall_names_later_outer_iteration(self):
+        with pytest.raises(SolverError, match="stalled in outer iteration 2 at residual"):
+            solve_qvi_minimal(builtin_problem("kernel_qvi", n=32), inner=VIParams(max_iter=7))
+
+    def test_supersolution_failure_gives_residual_and_iterations(self):
+        with pytest.raises(SolverError) as info:
+            solve_qvi_maximal(builtin_problem("plaplacian", n=64), inner=VIParams(max_iter=2))
+        assert str(info.value) == (
+            "unconstrained nonlinear solve did not converge: residual 3.619e+00 "
+            "after 2 iterations"
+        )
 
 
 class TestValidation:

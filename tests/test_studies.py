@@ -209,6 +209,13 @@ class TestStabilityBoundCheck:
         res = run_stability_bound_check(prob, [(prob.f, f2)])
         assert res.verdicts["bound_holds"]
 
+    def test_pairs_from_an_iterator(self):
+        prob = builtin_problem("example1d", n=32)
+        pairs = [(prob.f, GridFunction.constant(prob.f.mesh, level)) for level in (1.1, 1.2)]
+        res = run_stability_bound_check(prob, iter(pairs))
+        assert [row[0] for row in res.rows] == [1, 2]
+        assert res.rows == run_stability_bound_check(prob, pairs).rows
+
     def test_sine_seeded_pairs(self):
         prob = builtin_problem("nonmonotone_sine", n=32)
         rng = np.random.default_rng(29)
@@ -235,21 +242,14 @@ class TestDeterminismAndFormat:
         b = run_regularization_path(prob, EXAMPLE_EPS, **kwargs).to_csv()
         assert a == b
 
-    def test_jobs_parallel_same_bytes(self):
-        prob = builtin_problem("example1d")
-        a = run_regularization_path(prob, EXAMPLE_EPS, golden_exact(), jobs=1).to_csv()
-        b = run_regularization_path(prob, EXAMPLE_EPS, golden_exact(), jobs=4).to_csv()
-        assert a == b
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_failing_point_position(self, jobs):
+    def test_failing_point_position(self):
         def template(n):
             if n == 32:
                 raise SolverError("planted failure")
             return variable_fixed_obstacle(n)
 
         with pytest.raises(SolverError) as info:
-            run_mesh_refinement(template, [8, 16, 32, 64], jobs=jobs)
+            run_mesh_refinement(template, [8, 16, 32, 64])
         assert str(info.value) == (
             "mesh refinement aborted at parameter point 3 of 4 (2 rows completed): "
             "planted failure"

@@ -38,12 +38,6 @@ def random_instance(rng, ndof):
 
 
 class TestParams:
-    def test_omega_range(self):
-        with pytest.raises(ValueError):
-            VIParams(omega=2.5)
-        with pytest.raises(ValueError):
-            VIParams(omega=0.0)
-
     def test_tol_positive(self):
         with pytest.raises(ValueError):
             VIParams(tol=0.0)
