@@ -24,14 +24,12 @@ from .errors import (
     SolverError,
 )
 from .grid import GridFunction, make_mesh, to_csv
-from .obstacle import lipschitz_bound
 from .operators import assemble_linear
 from .problems import BUILTIN_NAMES, builtin_problem
 from .qvi_solver import (
     OuterParams,
     QVIProblem,
-    contraction_certificate,
-    operator_structural_constants,
+    problem_certificate,
     solve_qvi_fixed_point,
     solve_qvi_minimal,
 )
@@ -84,20 +82,14 @@ class ExperimentConfig:
     def build_problem(self) -> QVIProblem:
         overrides = dict(self.overrides)
         kind = overrides.pop("obstacle_kind", None)
-        if kind is not None:
-            natural = {
-                "example1d": "constant_mean",
-                "nonmonotone_sine": "constant_mean",
-                "kernel_qvi": "kernel",
-                "plaplacian": "fixed",
-                "fixed_obstacle": "fixed",
-            }[self.problem_name]
-            if kind != natural:
-                raise ConfigError(
-                    f"problem '{self.problem_name}' uses the {natural} obstacle; "
-                    f"got obstacle.kind = {kind}"
-                )
-        return builtin_problem(self.problem_name, **overrides)
+        problem = builtin_problem(self.problem_name, **overrides)
+        variant = problem.obstacle_map.variant
+        if kind is not None and kind != variant:
+            raise ConfigError(
+                f"problem '{self.problem_name}' uses the {variant} obstacle; "
+                f"got obstacle.kind = {kind}"
+            )
+        return problem
 
 
 def _parse_float(raw: str, line_no: int, key: str) -> float:
@@ -332,12 +324,7 @@ def _cmd_solve(cfg: ExperimentConfig, trace_mode: bool) -> int:
 
 
 def _cmd_certify(cfg: ExperimentConfig) -> int:
-    problem = cfg.build_problem()
-    constants, l_n = operator_structural_constants(
-        problem.operator, "h1", trials=100, seed=cfg.seed
-    )
-    l_phi = lipschitz_bound(problem.obstacle_map, "h1")
-    cert = contraction_certificate(constants, l_phi, l_n)
+    cert = problem_certificate(cfg.build_problem(), "h1", seed=cfg.seed)
     print("c,L_A,L_N,gamma,L_phi,rho,smallness_ok")
     print(cert.csv_row())
     print(f"rho = {cert.rho:.6g} ({'ok' if cert.smallness_ok else 'smallness violated'})")
@@ -462,14 +449,10 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return 4 if exc.code not in (0, None) else 0
     try:
-        if args.command == "oracle-check":
-            seed = args.seed
-            if seed is None:
-                env = os.environ.get("QVAR_SEED")
-                seed = int(env) if env is not None else 42
-            return _cmd_oracle_check(args.trials, args.ndof, seed)
-        cfg = _load_config(args.config)
+        cfg = _load_config(getattr(args, "config", None))
         _resolve_seed(cfg, args)
+        if args.command == "oracle-check":
+            return _cmd_oracle_check(args.trials, args.ndof, cfg.seed)
         if args.out is not None:
             cfg.out = args.out
         if args.command in ("solve", "trace"):

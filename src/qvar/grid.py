@@ -9,10 +9,10 @@ pairings, so discrete symmetry statements hold exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import cholesky_banded, cho_solve_banded
+from scipy.linalg import LinAlgError, cholesky_banded, cho_solve_banded
 
 from .errors import GridMismatchError, MeshError
 
@@ -53,6 +53,14 @@ class Mesh:
             w[-1] = 0.5
         return w
 
+    @cached_property
+    def hw(self) -> np.ndarray:
+        """Pairing weights h * w_i of <g, v> = sum_i hw_i g_i v_i, computed
+        once per mesh and read-only."""
+        hw = self.h * self.weights()
+        hw.setflags(write=False)
+        return hw
+
 
 def make_mesh(n: int, bc: str) -> Mesh:
     if n < 2:
@@ -86,10 +94,6 @@ class GridFunction:
     @classmethod
     def constant(cls, mesh: Mesh, c: float) -> "GridFunction":
         return cls(mesh, np.full(mesh.dof_count, float(c)))
-
-    @classmethod
-    def from_callable(cls, mesh: Mesh, fn) -> "GridFunction":
-        return cls(mesh, np.array([fn(x) for x in mesh.dof_nodes()], dtype=np.float64))
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.mesh, self.values)
@@ -177,9 +181,8 @@ def duality_pairing(g: GridFunction, v: GridFunction) -> float:
 def _h1_gram_banded(mesh: Mesh):
     """(offdiag, diag) bands of the h1 Gram matrix W + K1 (a=1 stiffness)."""
     h = mesh.h
-    diag = h * mesh.weights()
     off = np.zeros(mesh.dof_count)
-    diag = diag + 2.0 / h
+    diag = mesh.hw + 2.0 / h
     if mesh.bc == NEUMANN:
         diag[0] -= 1.0 / h
         diag[-1] -= 1.0 / h
@@ -189,12 +192,29 @@ def _h1_gram_banded(mesh: Mesh):
     return off, diag
 
 
+def _norm_gram_bands(mesh: Mesh, norm_tag: str):
+    """(offdiag, diag) bands of the tagged norm Gram matrix."""
+    if norm_tag == "l2":
+        return np.zeros_like(mesh.hw), mesh.hw
+    if norm_tag != "h1":
+        raise ValueError(f"unknown norm tag {norm_tag!r}")
+    return _h1_gram_banded(mesh)
+
+
+def _cholesky_tridiag(off, diag):
+    """Upper banded Cholesky factor of the symmetric tridiagonal matrix with
+    bands (offdiag, diag), offdiag[i] coupling i-1 and i; None when the matrix
+    is not positive definite."""
+    try:
+        return cholesky_banded(np.vstack([off, diag]), lower=False, check_finite=False)
+    except LinAlgError:
+        return None
+
+
 @lru_cache(maxsize=64)
 def _h1_gram_cholesky(mesh: Mesh):
     """Banded Cholesky factor (upper form) of the h1 Gram matrix."""
-    off, diag = _h1_gram_banded(mesh)
-    ab = np.vstack([off, diag])
-    return cholesky_banded(ab, lower=False)
+    return _cholesky_tridiag(*_h1_gram_banded(mesh))
 
 
 def dual_norm(g: GridFunction, kind: str = "h1") -> float:
@@ -207,7 +227,7 @@ def dual_norm(g: GridFunction, kind: str = "h1") -> float:
         return norm(g, "l2")
     if kind != "h1":
         raise ValueError(f"unknown norm kind {kind!r}")
-    wg = g.mesh.h * g.mesh.weights() * g.values
+    wg = g.mesh.hw * g.values
     factor = _h1_gram_cholesky(g.mesh)
     z = cho_solve_banded((factor, False), wg)
     return float(np.sqrt(max(np.dot(wg, z), 0.0)))

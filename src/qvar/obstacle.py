@@ -155,8 +155,7 @@ def eval_obstacle(omap: ObstacleMap, y: GridFunction) -> GridFunction:
         return GridFunction.constant(omap.mesh, level)
     if omap.variant == FIXED:
         return omap.psi_base.copy()
-    hw = omap.mesh.h * omap.mesh.weights()
-    coupled = omap._apply_kernel(hw * np.maximum(y.values, 0.0))
+    coupled = omap._apply_kernel(omap.mesh.hw * np.maximum(y.values, 0.0))
     return GridFunction(omap.mesh, omap.psi_base.values + omap.alpha * coupled)
 
 
@@ -176,7 +175,7 @@ def lipschitz_bound(omap: ObstacleMap, norm_tag: str = "l2") -> float:
         return omap.alpha
     mesh = omap.mesh
     m = mesh.dof_count
-    hw = mesh.h * mesh.weights()
+    hw = mesh.hw
     if norm_tag == "l2":
         if omap.kernel_samples is not None:
             frob_sq = float(np.einsum("i,j,ij->", hw, hw, omap.kernel_samples**2))

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded, cho_solve_banded, solve_banded
+from scipy.linalg import LinAlgError, cho_solve_banded, solve_banded
 
 from .errors import EllipticityError, GridMismatchError, MissingRegularizerError, SolverError
-from .grid import DIRICHLET, GridFunction, Mesh, dual_norm, _h1_gram_banded
+from .grid import DIRICHLET, GridFunction, Mesh, dual_norm, _cholesky_tridiag, _norm_gram_bands
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,41 @@ class OperatorConstants:
         return f"{self.c:.17g},{self.L:.17g},{self.gamma:.17g},{self.norm_tag},{self.method}"
 
 
+def _tridiag_apply(sub, diag, sup, x):
+    """Tridiagonal product: (sub, sup) are the m-1 entries below and above
+    the diagonal, sub[i] in row i+1 and sup[i] in row i."""
+    y = diag * x
+    y[1:] += sub * x[:-1]
+    y[:-1] += sup * x[1:]
+    return y
+
+
+def _tridiag_solve(sub, diag, sup, rhs, what: str):
+    """Solve the tridiagonal system in the `_tridiag_apply` layout with
+    `solve_banded`; a singular matrix raises a SolverError prefixed by `what`."""
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = sup
+    ab[1] = diag
+    ab[2, :-1] = sub
+    try:
+        return solve_banded((1, 1), ab, rhs)
+    except LinAlgError as exc:
+        raise SolverError(f"{what}: {exc}") from exc
+
+
+def _regularized_bands(bands, eps: float, delta: float, R):
+    """(lower, diag, upper) bands of A + eps*I + delta*R from those of A."""
+    lower, diag, upper = bands
+    diag = diag + eps
+    if delta > 0.0:
+        lower = lower + delta * R.lower
+        diag = diag + delta * R.diag
+        upper = upper + delta * R.upper
+    return lower, diag, upper
+
+
 class LinearEllipticOperator:
     """Tridiagonal operator (1/h^2 flux stencil + reaction term)."""
-
-    is_linear = True
 
     def __init__(self, mesh: Mesh, lower, diag, upper, a=None, a0=None):
         self.mesh = mesh
@@ -58,10 +89,7 @@ class LinearEllipticOperator:
         self.a0 = None if a0 is None else np.asarray(a0, dtype=np.float64).copy()
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
-        y = self.diag * u
-        y[1:] += self.lower[1:] * u[:-1]
-        y[:-1] += self.upper[:-1] * u[1:]
-        return y
+        return _tridiag_apply(self.lower[1:], self.diag, self.upper[:-1], u)
 
     def jacobian_bands(self, u: np.ndarray):
         """Tridiagonal Jacobian at u as (lower, diag, upper) rows."""
@@ -76,7 +104,7 @@ class LinearEllipticOperator:
 
     def gram_tridiag(self):
         """Symmetric pairing matrix K = W A as (offdiag, diag) bands."""
-        hw = self.mesh.h * self.mesh.weights()
+        hw = self.mesh.hw
         diag = hw * self.diag
         off = np.zeros_like(diag)
         off[1:] = hw[:-1] * self.upper[:-1]
@@ -84,8 +112,7 @@ class LinearEllipticOperator:
 
     def energy(self, u: np.ndarray) -> float:
         """Quadratic potential 0.5 <A u, u> in the weighted pairing."""
-        hw = self.mesh.h * self.mesh.weights()
-        return float(0.5 * np.dot(u, hw * self.matvec(u)))
+        return float(0.5 * np.dot(u, self.mesh.hw * self.matvec(u)))
 
 
 def _samples(spec, xs) -> np.ndarray:
@@ -137,8 +164,6 @@ def assemble_linear(mesh: Mesh, a, a0) -> LinearEllipticOperator:
 
 class PLaplacianOperator:
     """Plain (eps=0) or regularized p-Laplacian with edge-midpoint fluxes."""
-
-    is_linear = False
 
     def __init__(self, mesh: Mesh, p: float, eps: float = 0.0):
         if mesh.bc != DIRICHLET:
@@ -195,8 +220,6 @@ class NonMonotoneOperator:
     condition checkable in closed form.
     """
 
-    is_linear = False
-
     def __init__(self, base: LinearEllipticOperator, lam: float, func=np.sin):
         if not np.isfinite(lam):
             raise ValueError("nonlinearity amplitude must be finite")
@@ -223,14 +246,11 @@ class NonMonotoneOperator:
         """Potential of the composite; only the sine nonlinearity has one here."""
         if not self.is_sine:
             raise NotImplementedError("no potential known for a custom nonlinearity")
-        hw = self.mesh.h * self.mesh.weights()
-        return self.base.energy(u) - self.lam * float(np.dot(hw, np.cos(u)))
+        return self.base.energy(u) - self.lam * float(np.dot(self.mesh.hw, np.cos(u)))
 
 
 class RegularizedOperator:
     """Wrapper op(u) + eps*u + delta*R(u) for nonlinear inner operators."""
-
-    is_linear = False
 
     def __init__(self, inner, eps: float, delta: float = 0.0, R: LinearEllipticOperator | None = None):
         self.inner = inner
@@ -247,17 +267,10 @@ class RegularizedOperator:
 
     def jacobian_bands(self, u: np.ndarray):
         """Inner bands plus eps on the diagonal plus delta times the bands of R."""
-        lower, diag, upper = self.inner.jacobian_bands(u)
-        diag = diag + self.eps
-        if self.delta > 0.0:
-            lower = lower + self.delta * self.R.lower
-            diag = diag + self.delta * self.R.diag
-            upper = upper + self.delta * self.R.upper
-        return lower, diag, upper
+        return _regularized_bands(self.inner.jacobian_bands(u), self.eps, self.delta, self.R)
 
     def energy(self, u: np.ndarray) -> float:
-        hw = self.mesh.h * self.mesh.weights()
-        e = self.inner.energy(u) + 0.5 * self.eps * float(np.dot(u, hw * u))
+        e = self.inner.energy(u) + 0.5 * self.eps * float(np.dot(u, self.mesh.hw * u))
         if self.delta > 0.0:
             e += self.delta * self.R.energy(u)
         return e
@@ -285,16 +298,11 @@ def add_regularization(op, eps: float, delta: float = 0.0, R: LinearEllipticOper
         raise GridMismatchError("regularizer lives on a different mesh")
     if eps == 0 and delta == 0:
         return op
-    if getattr(op, "is_linear", False):
-        lower = op.lower.copy()
-        diag = op.diag + eps
-        upper = op.upper.copy()
+    if isinstance(op, LinearEllipticOperator):
+        lower, diag, upper = _regularized_bands((op.lower, op.diag, op.upper), eps, delta, R)
         a = op.a
         a0 = None if op.a0 is None else op.a0 + eps
         if delta > 0:
-            lower += delta * R.lower
-            diag = diag + delta * R.diag
-            upper += delta * R.upper
             if a is not None and R.a is not None:
                 a = a + delta * R.a
             else:
@@ -309,19 +317,12 @@ def add_regularization(op, eps: float, delta: float = 0.0, R: LinearEllipticOper
 
 def solve_unconstrained(op: LinearEllipticOperator, f: GridFunction) -> GridFunction:
     """Direct tridiagonal solve A u = f with a residual check."""
-    if not getattr(op, "is_linear", False):
+    if not isinstance(op, LinearEllipticOperator):
         raise SolverError("direct solve requires a linear (tridiagonal) operator")
     if op.mesh != f.mesh:
         raise GridMismatchError("operator and force live on different meshes")
     m = op.mesh.dof_count
-    ab = np.zeros((3, m))
-    ab[0, 1:] = op.upper[:-1]
-    ab[1] = op.diag
-    ab[2, :-1] = op.lower[1:]
-    try:
-        u = solve_banded((1, 1), ab, f.values)
-    except LinAlgError as exc:
-        raise SolverError(f"tridiagonal solve failed: {exc}") from exc
+    u = _tridiag_solve(op.lower[1:], op.diag, op.upper[:-1], f.values, "tridiagonal solve failed")
     if not np.all(np.isfinite(u)):
         raise SolverError("tridiagonal solve produced non-finite values")
     resid = np.max(np.abs(op.matvec(u) - f.values))
@@ -329,23 +330,6 @@ def solve_unconstrained(op: LinearEllipticOperator, f: GridFunction) -> GridFunc
     if resid > 1e-10 * max(fsup, 1e-300):
         raise SolverError(f"residual {resid:.3e} exceeds 1e-10 * ||f||_sup")
     return GridFunction(op.mesh, u)
-
-
-def _norm_gram_bands(mesh: Mesh, norm_tag: str):
-    """(offdiag, diag) bands of the tagged norm Gram matrix."""
-    if norm_tag == "l2":
-        hw = mesh.h * mesh.weights()
-        return np.zeros_like(hw), hw
-    if norm_tag != "h1":
-        raise ValueError(f"unknown norm tag {norm_tag!r}")
-    return _h1_gram_banded(mesh)
-
-
-def _tridiag_matvec(off, diag, x):
-    y = diag * x
-    y[1:] += off[1:] * x[:-1]
-    y[:-1] += off[1:] * x[1:]
-    return y
 
 
 def _pencil_extremes(K_off, K_diag, G_off, G_diag):
@@ -362,11 +346,10 @@ def _pencil_extremes(K_off, K_diag, G_off, G_diag):
     """
 
     def factor(sign, mu):
-        ab = np.vstack([sign * (K_off - mu * G_off), sign * (K_diag - mu * G_diag)])
-        try:
-            return cholesky_banded(ab, lower=False, check_finite=False)
-        except LinAlgError:
-            return None
+        return _cholesky_tridiag(sign * (K_off - mu * G_off), sign * (K_diag - mu * G_diag))
+
+    def G_apply(x):
+        return _tridiag_apply(G_off[1:], G_diag, G_off[1:], x)
 
     def bisect(sign, definite, other, fac):
         # `definite` keeps a point where sign * (K - mu G) is positive definite
@@ -381,10 +364,10 @@ def _pencil_extremes(K_off, K_diag, G_off, G_diag):
     def refine(fac):
         x = np.ones_like(K_diag)
         for _ in range(3):
-            x = cho_solve_banded((fac, False), _tridiag_matvec(G_off, G_diag, x))
+            x = cho_solve_banded((fac, False), G_apply(x))
             x /= np.linalg.norm(x)
-        kx = _tridiag_matvec(K_off, K_diag, x)
-        return float(np.dot(x, kx) / np.dot(x, _tridiag_matvec(G_off, G_diag, x)))
+        kx = _tridiag_apply(K_off[1:], K_diag, K_off[1:], x)
+        return float(np.dot(x, kx) / np.dot(x, G_apply(x)))
 
     # L: mu G - K turns positive definite above the largest eigenvalue
     lo, hi = 0.0, 1.0
@@ -417,26 +400,24 @@ def estimate_constants(op, norm_tag: str = "h1", trials: int = 100, seed: int = 
     m = mesh.dof_count
     G_off, G_diag = _norm_gram_bands(mesh, norm_tag)
 
-    if getattr(op, "is_linear", False):
+    if isinstance(op, LinearEllipticOperator):
         c, L = _pencil_extremes(*op.gram_tridiag(), G_off, G_diag)
         c = max(c, 0.0)
         L = max(L, c)
         return OperatorConstants(c=c, L=L, gamma=0.0, norm_tag=norm_tag, method="eig")
 
     rng = np.random.default_rng(seed)
-
-    hw = mesh.h * mesh.weights()
     mono_min = np.inf
     lip_max = 0.0
     for _ in range(trials):
         u = rng.standard_normal(m)
         v = rng.standard_normal(m)
         du = u - v
-        nd = float(np.sqrt(np.dot(du, _tridiag_matvec(G_off, G_diag, du))))
+        nd = float(np.sqrt(np.dot(du, _tridiag_apply(G_off[1:], G_diag, G_off[1:], du))))
         if nd < 1e-14:
             continue
         dop = op.matvec(u) - op.matvec(v)
-        mono = float(np.dot(hw * dop, du)) / nd**2
+        mono = float(np.dot(mesh.hw * dop, du)) / nd**2
         lip = dual_norm(GridFunction(mesh, dop), norm_tag) / nd
         mono_min = min(mono_min, mono)
         lip_max = max(lip_max, lip)

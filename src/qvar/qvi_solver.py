@@ -139,29 +139,27 @@ def contraction_certificate(
     )
 
 
-def operator_structural_constants(op, norm_tag: str = "h1", trials: int = 100, seed: int = 0):
+def operator_structural_constants(op, norm_tag: str = "h1", seed: int = 0):
     """Constants and nonlinear Lipschitz split used for certificates.
 
     Linear: eigenvalue-accurate.  Sine composites: eigenvalue-accurate base
     plus the closed-form |lam| bounds.  Anything else: sampled bounds.
     """
     if isinstance(op, NonMonotoneOperator) and op.is_sine:
-        base = estimate_constants(op.base, norm_tag, trials=trials, seed=seed)
+        base = estimate_constants(op.base, norm_tag, seed=seed)
         lam = abs(op.lam)
         constants = OperatorConstants(
             c=base.c, L=base.L + lam, gamma=lam, norm_tag=norm_tag, method="eig"
         )
         return constants, lam
-    constants = estimate_constants(op, norm_tag, trials=trials, seed=seed)
+    constants = estimate_constants(op, norm_tag, seed=seed)
     return constants, 0.0
 
 
 def problem_certificate(
-    problem: QVIProblem, norm_tag: str = "h1", trials: int = 100, seed: int = 0
+    problem: QVIProblem, norm_tag: str = "h1", seed: int = 0
 ) -> ContractionCertificate:
-    constants, l_n = operator_structural_constants(
-        problem.operator, norm_tag, trials=trials, seed=seed
-    )
+    constants, l_n = operator_structural_constants(problem.operator, norm_tag, seed=seed)
     return contraction_certificate(constants, lipschitz_bound(problem.obstacle_map, norm_tag), l_n)
 
 
@@ -196,17 +194,17 @@ def solve_qvi_fixed_point(
                 f"{rep.kkt_residual:.3e} after {rep.iterations} iterations"
             )
         ynew = rep.solution
-        if _order_check == "increasing" and not leq(y, ynew, _ORDER_TOL):
-            raise OrderingViolationError(
-                "iterates failed to increase; obstacle map or force violates the monotone hypotheses"
-            )
-        if _order_check == "decreasing" and not leq(ynew, y, _ORDER_TOL):
-            raise OrderingViolationError(
-                "iterates failed to decrease from the supersolution"
-            )
         step = ynew.values - y.values
         rising = rising and np.min(step) >= -_ORDER_TOL
         falling = falling and np.max(step) <= _ORDER_TOL
+        if _order_check == "increasing" and not rising:
+            raise OrderingViolationError(
+                "iterates failed to increase; obstacle map or force violates the monotone hypotheses"
+            )
+        if _order_check == "decreasing" and not falling:
+            raise OrderingViolationError(
+                "iterates failed to decrease from the supersolution"
+            )
         step_norms.append(float(np.max(np.abs(step))))
         y = ynew
         if step_norms[-1] <= outer.tol:

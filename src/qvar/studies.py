@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, NestingError, SolverError
 from .grid import GridFunction, dual_norm, leq, norm
-from .operators import assemble_linear, add_regularization
+from .operators import LinearEllipticOperator, assemble_linear, add_regularization
 from .qvi_solver import (
     OuterParams,
     QVIProblem,
@@ -221,7 +221,7 @@ def run_operator_perturbation(
             return add_regularization(problem.operator, delta)
         if family == "coefficient":
             op = problem.operator
-            if not getattr(op, "is_linear", False) or op.a is None or op.a0 is None:
+            if not isinstance(op, LinearEllipticOperator) or op.a is None or op.a0 is None:
                 raise ValueError("the coefficient family needs an assembled linear operator")
             return assemble_linear(op.mesh, op.a, op.a0 + delta)
         raise ValueError(f"unknown perturbation family {family!r}")

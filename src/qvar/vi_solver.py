@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
 
 from .errors import (
     GridMismatchError,
@@ -27,7 +26,7 @@ from .errors import (
     StagnationError,
 )
 from .grid import GridFunction
-from .operators import LinearEllipticOperator
+from .operators import LinearEllipticOperator, _tridiag_solve
 
 _ORACLE_MAX_DOF = 20
 # nodes this close to the obstacle, with a positive multiplier, are held on it
@@ -66,8 +65,11 @@ def kkt_residual(op, f: GridFunction, psi: GridFunction, y: GridFunction) -> flo
     for g in (f, psi, y):
         if g.mesh != op.mesh:
             raise GridMismatchError("kkt residual inputs live on different meshes")
-    r = f.values - op.matvec(y.values)
-    gap = psi.values - y.values
+    return _kkt(psi.values - y.values, f.values - op.matvec(y.values))
+
+
+def _kkt(gap: np.ndarray, r: np.ndarray) -> float:
+    """max | min(gap, r) | for the obstacle gap psi - y and the residual f - A(y)."""
     return float(np.max(np.abs(np.minimum(gap, r))))
 
 
@@ -81,7 +83,7 @@ def solve_vi_psor(
     """Projected SOR in ascending dof order from the feasible start min(0, psi),
     relaxed by omega = 2/(1+sin(pi*h)): the plain-loop reference the Newton
     solver is checked against."""
-    if not getattr(op, "is_linear", False):
+    if not isinstance(op, LinearEllipticOperator):
         raise SolverError("PSOR requires a linear (tridiagonal) operator")
     if f.mesh != op.mesh or psi.mesh != op.mesh:
         raise GridMismatchError("force/obstacle live on a different mesh")
@@ -98,7 +100,7 @@ def solve_vi_psor(
             if i < n - 1:
                 r -= upper[i] * y[i + 1]
             y[i] = min(y[i] + omega * r / diag[i], pv[i])
-        kkt = float(np.max(np.abs(np.minimum(pv - y, fv - op.matvec(y)))))
+        kkt = _kkt(pv - y, fv - op.matvec(y))
         if kkt <= params.tol:
             break
     return VISolveReport(GridFunction(op.mesh, y), sweep, kkt, kkt <= params.tol)
@@ -107,14 +109,13 @@ def solve_vi_psor(
 def _newton_step(bands, held: np.ndarray, gap: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Solve J dy = r on free rows and dy = gap on held rows."""
     lower, diag, upper = bands
-    ab = np.zeros((3, gap.size))
-    ab[0, 1:] = np.where(held[:-1], 0.0, upper[:-1])
-    ab[1] = np.where(held, 1.0, diag)
-    ab[2, :-1] = np.where(held[1:], 0.0, lower[1:])
-    try:
-        return solve_banded((1, 1), ab, np.where(held, gap, r))
-    except LinAlgError as exc:
-        raise SolverError(f"singular Newton system: {exc}") from exc
+    return _tridiag_solve(
+        np.where(held[1:], 0.0, lower[1:]),
+        np.where(held, 1.0, diag),
+        np.where(held[:-1], 0.0, upper[:-1]),
+        np.where(held, gap, r),
+        "singular Newton system",
+    )
 
 
 def solve_vi(op, f: GridFunction, psi: GridFunction, params: VIParams) -> VISolveReport:
@@ -134,22 +135,18 @@ def solve_vi(op, f: GridFunction, psi: GridFunction, params: VIParams) -> VISolv
     if f.mesh != op.mesh or psi.mesh != op.mesh:
         raise GridMismatchError("force/obstacle live on a different mesh")
     fv, pv = f.values, psi.values
-    hw = op.mesh.h * op.mesh.weights()
     y = _feasible_start(pv)
 
     def merit(v):
-        return op.energy(v) - float(np.dot(hw * fv, v))
+        return op.energy(v) - float(np.dot(op.mesh.hw * fv, v))
 
     try:
         e = merit(y)
     except (AttributeError, NotImplementedError):
         merit = None
 
-    def kkt_of(v, r):
-        return float(np.max(np.abs(np.minimum(pv - v, r))))
-
     r = fv - op.matvec(y)
-    kkt = kkt_of(y, r)
+    kkt = _kkt(pv - y, r)
     iters = 0
     while kkt > params.tol and iters < params.max_iter:
         iters += 1
@@ -164,7 +161,7 @@ def solve_vi(op, f: GridFunction, psi: GridFunction, params: VIParams) -> VISolv
             with np.errstate(over="ignore", invalid="ignore"):
                 yt = np.minimum(pv, y + t * dy)
                 rt = fv - op.matvec(yt)
-                kkt_t = kkt_of(yt, rt)
+                kkt_t = _kkt(pv - yt, rt)
                 if merit is not None:
                     et = merit(yt)
                     accept = math.isfinite(et) and et <= e + 1e-14 * (abs(e) + 1.0)

@@ -6,7 +6,8 @@ import pytest
 from qvar.cli import ExperimentConfig, parse_config, run_command
 from qvar.errors import ConfigError
 from qvar.grid import from_csv
-from qvar.problems import builtin_problem
+from qvar.problems import BUILTIN_NAMES, builtin_problem
+from qvar.qvi_solver import problem_certificate
 from qvar.studies import run_mesh_refinement
 
 
@@ -89,6 +90,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="constant_mean"):
             cfg.build_problem()
 
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_obstacle_kind_per_builtin(self, name):
+        own = builtin_problem(name, n=8).obstacle_map.variant
+        other = "fixed" if own != "fixed" else "kernel"
+        cfg = parse_config(f"[problem]\nname = {name}\nn = 8\nobstacle.kind = {own}\n")
+        assert cfg.build_problem().obstacle_map.variant == own
+        cfg = parse_config(f"[problem]\nname = {name}\nn = 8\nobstacle.kind = {other}\n")
+        message = f"problem '{name}' uses the {own} obstacle; got obstacle.kind = {other}"
+        with pytest.raises(ConfigError) as info:
+            cfg.build_problem()
+        assert str(info.value) == message
+
 
 class TestSolveCommand:
     def test_golden_solution_written(self, tmp_path):
@@ -130,6 +143,16 @@ class TestSolveCommand:
     def test_missing_config_file(self):
         assert run_command(["solve", "-c", "/nonexistent/path.cfg"]) == 4
 
+    def test_singular_newton_system(self, tmp_path, capsys):
+        # the a0 = 0 stiffness on a neumann mesh is singular on the free rows
+        cfg = write_cfg(
+            tmp_path,
+            f"out = {tmp_path}\n[problem]\nname = fixed_obstacle\nbc = neumann\nn = 16\n",
+        )
+        assert run_command(["solve", "-c", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err == "solver error: singular Newton system: singular matrix\n"
+
 
 class TestTraceAndCertify:
     def test_trace_reports_quarter_ratio(self, tmp_path, capsys):
@@ -144,6 +167,13 @@ class TestTraceAndCertify:
         out = capsys.readouterr().out
         rho = float(out.splitlines()[1].split(",")[5])
         assert rho == pytest.approx(0.25, abs=0.01)
+
+    def test_certify_prints_problem_certificate(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "seed = 3\n[problem]\nname = plaplacian\nn = 16\n")
+        run_command(["certify", "-c", cfg])
+        row = capsys.readouterr().out.splitlines()[1]
+        cert = problem_certificate(builtin_problem("plaplacian", n=16), "h1", seed=3)
+        assert row == cert.csv_row()
 
     def test_certify_smallness_failure(self, tmp_path):
         cfg = write_cfg(tmp_path, "[problem]\nname = example1d\nalpha = 1.5\n")
@@ -265,6 +295,22 @@ class TestSeedPrecedence:
         monkeypatch.setenv("QVAR_SEED", "77")
         assert run_command(["regpath", "-c", cfg]) == 0
         assert "seed=77" in (tmp_path / "regpath.csv").read_text()
+
+    @pytest.mark.parametrize("command", ["oracle-check", "certify", "regpath"])
+    def test_malformed_env_seed_is_config_error(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("QVAR_SEED", "abc")
+        assert run_command([command]) == 4
+        assert capsys.readouterr().err == "config error: QVAR_SEED must be an integer, got 'abc'\n"
+
+    def test_oracle_check_seed_precedence(self, monkeypatch, capsys):
+        argv = ["oracle-check", "--trials", "2", "--ndof", "3"]
+        assert run_command(argv) == 0
+        assert "seed=42" in capsys.readouterr().out
+        monkeypatch.setenv("QVAR_SEED", "77")
+        assert run_command(argv) == 0
+        assert "seed=77" in capsys.readouterr().out
+        assert run_command(argv + ["--seed", "5"]) == 0
+        assert "seed=5" in capsys.readouterr().out
 
     def test_flag_overrides_env(self, tmp_path, monkeypatch):
         cfg = write_cfg(

@@ -45,6 +45,14 @@ class TestMesh:
         with pytest.raises(MeshError):
             make_mesh(4, "periodic")
 
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_pairing_weights(self, bc):
+        mesh = make_mesh(8, bc)
+        assert np.array_equal(mesh.hw, mesh.h * mesh.weights())
+        assert mesh.hw is mesh.hw
+        with pytest.raises(ValueError):
+            mesh.hw[0] = 1.0
+
     @pytest.mark.parametrize("n", [2, 3, 7, 64, 100, 256, 1000])
     def test_spacing_consistency(self, n):
         mesh = make_mesh(n, "dirichlet")

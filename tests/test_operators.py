@@ -185,6 +185,14 @@ class TestSolveUnconstrained:
         with pytest.raises(SolverError):
             solve_unconstrained(plap, GridFunction.constant(mesh, 1.0))
 
+    def test_singular_matrix(self):
+        # the a0 = 0 stiffness on a neumann mesh annihilates constants
+        mesh = make_mesh(16, "neumann")
+        op = assemble_linear(mesh, 1.0, 0.0)
+        with pytest.raises(SolverError) as info:
+            solve_unconstrained(op, GridFunction.constant(mesh, 1.0))
+        assert str(info.value) == "tridiagonal solve failed: singular matrix"
+
 
 class TestJacobianBands:
     def operators(self):

@@ -181,8 +181,17 @@ class TestValidation:
     def test_ordering_violation_surfaces(self):
         # a negative base level makes the first iterate drop below zero
         prob = builtin_problem("example1d", c0=-1.0)
-        with pytest.raises(OrderingViolationError):
+        with pytest.raises(OrderingViolationError, match="^iterates failed to increase; obstacle map"):
             solve_qvi_minimal(prob)
+
+    def test_decreasing_check_rejects_a_rising_step(self):
+        # from 0 the iterates of example1d rise towards 2/3
+        prob = builtin_problem("example1d", n=16)
+        y0 = GridFunction.zeros(prob.f.mesh)
+        with pytest.raises(
+            OrderingViolationError, match="^iterates failed to decrease from the supersolution$"
+        ):
+            solve_qvi_fixed_point(prob, y0, _order_check="decreasing")
 
 
 class TestRegularized:
