@@ -41,21 +41,8 @@ from .studies import (
 )
 from .vi_solver import VIParams, kkt_residual, solve_vi_active_set_oracle, solve_vi_psor
 
-_SECTIONS = ("problem", "solver", "study")
-
-_PROBLEM_KEYS = {
-    "name", "n", "bc", "p", "eps_op", "lambda", "alpha", "c0", "kernel",
-    "psi", "psi_file", "f", "F",
-    "obstacle.kind", "obstacle.c0", "obstacle.alpha", "obstacle.kernel", "obstacle.psi_file",
-}
-_SOLVER_KEYS = {"tol_outer", "tol_inner", "max_outer", "max_inner"}
 # keys of inner solvers the CLI no longer runs (PSOR relaxation, projected damping)
 _REMOVED_SOLVER_KEYS = {"omega", "tau"}
-_STUDY_KEYS = {
-    "kind", "eps_list", "delta_list", "n_list", "f_deltas", "phi_deltas",
-    "family", "reference",
-}
-_TOP_KEYS = {"seed", "out"}
 
 _STUDY_KINDS = ("regpath", "perturb", "refine", "robust")
 
@@ -64,24 +51,18 @@ _STUDY_KINDS = ("regpath", "perturb", "refine", "robust")
 class ExperimentConfig:
     problem_name: str = "example1d"
     overrides: dict = field(default_factory=dict)
-    tol_outer: float = 1e-8
-    tol_inner: float = 1e-10
-    max_outer: int = 200
-    max_inner: int = 10000
-    study_kind: str | None = None
+    outer: OuterParams = field(default_factory=OuterParams)
+    inner: VIParams = field(default_factory=VIParams)
     study: dict = field(default_factory=dict)
     seed: int = 42
     out: str = "."
 
-    def outer_params(self) -> OuterParams:
-        return OuterParams(tol=self.tol_outer, max_iter=self.max_outer)
-
-    def inner_params(self) -> VIParams:
-        return VIParams(tol=self.tol_inner, max_iter=self.max_inner)
-
-    def build_problem(self) -> QVIProblem:
+    def build_problem(self, n: int | None = None) -> QVIProblem:
+        """The named builtin with the [problem] overrides, on n cells if given."""
         overrides = dict(self.overrides)
         kind = overrides.pop("obstacle_kind", None)
+        if n is not None:
+            overrides["n"] = n
         problem = builtin_problem(self.problem_name, **overrides)
         variant = problem.obstacle_map.variant
         if kind is not None and kind != variant:
@@ -129,40 +110,34 @@ def parse_config(text: str) -> ExperimentConfig:
     out-of-range values all raise a ConfigError naming line and key.
     """
     cfg = ExperimentConfig()
-    section = None
+    apply = _apply_top_key
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SECTIONS:
+            apply = _SECTION_PARSERS.get(section)
+            if apply is None:
                 raise ConfigError(f"line {line_no}: unknown section [{section}]")
             continue
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {raw_line!r}")
         key, _, raw = line.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if section is None:
-            if key not in _TOP_KEYS:
-                raise ConfigError(f"line {line_no}: unknown top-level key '{key}'")
-            if key == "seed":
-                cfg.seed = _parse_int(raw, line_no, key)
-            else:
-                cfg.out = raw
-        elif section == "problem":
-            _apply_problem_key(cfg, key, raw, line_no)
-        elif section == "solver":
-            _apply_solver_key(cfg, key, raw, line_no)
-        else:
-            _apply_study_key(cfg, key, raw, line_no)
+        apply(cfg, key.strip(), raw.strip(), line_no)
     return cfg
 
 
+def _apply_top_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -> None:
+    if key == "seed":
+        cfg.seed = _parse_int(raw, line_no, key)
+    elif key == "out":
+        cfg.out = raw
+    else:
+        raise ConfigError(f"line {line_no}: unknown top-level key '{key}'")
+
+
 def _apply_problem_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -> None:
-    if key not in _PROBLEM_KEYS:
-        raise ConfigError(f"line {line_no}: unknown key '{key}' in [problem]")
     ov = cfg.overrides
     if key == "name":
         if raw not in BUILTIN_NAMES:
@@ -211,6 +186,8 @@ def _apply_problem_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) 
         ov["f_level"] = _parse_float(raw, line_no, key)
     elif key == "F":
         ov["F_level"] = _parse_float(raw, line_no, key)
+    else:
+        raise ConfigError(f"line {line_no}: unknown key '{key}' in [problem]")
 
 
 def _apply_solver_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -> None:
@@ -219,47 +196,53 @@ def _apply_solver_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -
             f"line {line_no}: key '{key}' in [solver] was removed; "
             "the inner solver is semismooth Newton for every operator"
         )
-    if key not in _SOLVER_KEYS:
+    targets = {
+        "tol_outer": (cfg.outer, "tol", _parse_float),
+        "tol_inner": (cfg.inner, "tol", _parse_float),
+        "max_outer": (cfg.outer, "max_iter", _parse_int),
+        "max_inner": (cfg.inner, "max_iter", _parse_int),
+    }
+    if key not in targets:
         raise ConfigError(f"line {line_no}: unknown key '{key}' in [solver]")
-    if key == "tol_outer":
-        v = _parse_float(raw, line_no, key)
-        _require_range(v > 0, line_no, key, "must be positive")
-        cfg.tol_outer = v
-    elif key == "tol_inner":
-        v = _parse_float(raw, line_no, key)
-        _require_range(v > 0, line_no, key, "must be positive")
-        cfg.tol_inner = v
-    elif key == "max_outer":
-        v = _parse_int(raw, line_no, key)
-        _require_range(v > 0, line_no, key, "must be positive")
-        cfg.max_outer = v
-    elif key == "max_inner":
-        v = _parse_int(raw, line_no, key)
-        _require_range(v > 0, line_no, key, "must be positive")
-        cfg.max_inner = v
+    params, attr, parse = targets[key]
+    value = parse(raw, line_no, key)
+    _require_range(value > 0, line_no, key, "must be positive")
+    setattr(params, attr, value)
 
 
 def _apply_study_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -> None:
-    if key not in _STUDY_KEYS:
-        raise ConfigError(f"line {line_no}: unknown key '{key}' in [study]")
     if key == "kind":
+        # the subcommand picks the study; the key is checked, not used
         _require_range(raw in _STUDY_KINDS, line_no, key,
                        f"must be one of {', '.join(_STUDY_KINDS)}, got {raw!r}")
-        cfg.study_kind = raw
-    elif key in ("eps_list", "delta_list", "f_deltas", "phi_deltas"):
-        values = _parse_list(raw, line_no, key, float)
-        _require_range(all(v > 0 for v in values), line_no, key, "entries must be positive")
-        cfg.study[key] = values
+        return
+    value = raw
+    if key in ("eps_list", "delta_list", "f_deltas", "phi_deltas"):
+        value = _parse_list(raw, line_no, key, float)
+        _require_range(all(v > 0 for v in value), line_no, key, "entries must be positive")
     elif key == "n_list":
-        values = _parse_list(raw, line_no, key, int)
-        _require_range(all(v >= 2 for v in values), line_no, key, "entries must be >= 2")
-        cfg.study[key] = values
+        value = _parse_list(raw, line_no, key, int)
+        _require_range(all(v >= 2 for v in value), line_no, key, "entries must be >= 2")
     elif key == "family":
         _require_range(raw in ("scaled_identity", "coefficient"), line_no, key,
                        f"must be scaled_identity or coefficient, got {raw!r}")
-        cfg.study[key] = raw
     elif key == "reference":
-        cfg.study[key] = raw
+        # smallest-eps, const:<finite number>, or the eps >= 0 of a reference solve
+        if raw.startswith("const:"):
+            _parse_float(raw[6:], line_no, key)
+        elif raw != "smallest-eps":
+            eps = _parse_float(raw, line_no, key)
+            _require_range(eps >= 0, line_no, key, f"must be nonnegative, got {eps}")
+    else:
+        raise ConfigError(f"line {line_no}: unknown key '{key}' in [study]")
+    cfg.study[key] = value
+
+
+_SECTION_PARSERS = {
+    "problem": _apply_problem_key,
+    "solver": _apply_solver_key,
+    "study": _apply_study_key,
+}
 
 
 def _load_config(path: str | None) -> ExperimentConfig:
@@ -296,21 +279,18 @@ def _solution_path(cfg: ExperimentConfig, suffix: str) -> str:
 
 def _study_reference(cfg: ExperimentConfig, problem: QVIProblem):
     raw = cfg.study.get("reference", "smallest-eps")
-    if raw == "smallest-eps":
-        return "smallest-eps"
     if isinstance(raw, str) and raw.startswith("const:"):
         return GridFunction.constant(problem.f.mesh, float(raw[6:]))
-    return float(raw)
+    return raw
 
 
 def _cmd_solve(cfg: ExperimentConfig, trace_mode: bool) -> int:
     problem = cfg.build_problem()
-    outer, inner = cfg.outer_params(), cfg.inner_params()
     if trace_mode or np.min(problem.f.values) < 0:
         y0 = GridFunction.zeros(problem.operator.mesh)
-        report = solve_qvi_fixed_point(problem, y0, outer, inner)
+        report = solve_qvi_fixed_point(problem, y0, cfg.outer, cfg.inner)
     else:
-        report = solve_qvi_minimal(problem, outer, inner)
+        report = solve_qvi_minimal(problem, cfg.outer, cfg.inner)
     sol_path = _solution_path(cfg, "solution")
     rep_path = _solution_path(cfg, "report")
     _write(sol_path, to_csv(report.solution))
@@ -332,8 +312,9 @@ def _cmd_certify(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_study(cfg: ExperimentConfig, kind: str) -> int:
+    # built for every study, refine included, so a bad [problem] fails before any solve
     problem = cfg.build_problem()
-    outer, inner = cfg.outer_params(), cfg.inner_params()
+    outer, inner = cfg.outer, cfg.inner
     if kind == "regpath":
         result = run_regularization_path(
             problem,
@@ -349,23 +330,18 @@ def _cmd_study(cfg: ExperimentConfig, kind: str) -> int:
             outer, inner, seed=cfg.seed,
         )
     elif kind == "refine":
-        overrides = dict(cfg.overrides)
-        overrides.pop("n", None)
-        overrides.pop("obstacle_kind", None)
         result = run_mesh_refinement(
-            lambda n: builtin_problem(cfg.problem_name, n=n, **overrides),
+            lambda n: cfg.build_problem(n=n),
             cfg.study.get("n_list", [8, 16, 32, 64, 128, 256]),
             outer, inner, seed=cfg.seed,
         )
-    elif kind == "robust":
+    else:  # robust
         result = run_data_robustness(
             problem,
             cfg.study.get("f_deltas", [0.2, 0.1, 0.05, 0.025]),
             cfg.study.get("phi_deltas"),
             outer, inner, seed=cfg.seed,
         )
-    else:
-        raise ConfigError(f"unknown study kind {kind!r}")
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, f"{result.name}.csv")
     result.write(path)
@@ -382,6 +358,8 @@ def _cmd_study(cfg: ExperimentConfig, kind: str) -> int:
 
 
 def _cmd_oracle_check(trials: int, ndof: int, seed: int) -> int:
+    if trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {trials}")
     if ndof < 1 or ndof > 16:
         raise ConfigError(f"--ndof must lie in [1, 16], got {ndof}")
     rng = np.random.default_rng(seed)

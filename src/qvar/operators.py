@@ -36,9 +36,6 @@ class OperatorConstants:
         if self.c < 0 or self.gamma < 0 or self.L < self.c:
             raise ValueError("constants must satisfy 0 <= c <= L and gamma >= 0")
 
-    def csv_row(self) -> str:
-        return f"{self.c:.17g},{self.L:.17g},{self.gamma:.17g},{self.norm_tag},{self.method}"
-
 
 def _tridiag_apply(sub, diag, sup, x):
     """Tridiagonal product: (sub, sup) are the m-1 entries below and above

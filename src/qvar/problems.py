@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 
+from .errors import ConfigError
 from .grid import GridFunction, from_csv, make_mesh
 from .obstacle import ObstacleMap
 from .operators import NonMonotoneOperator, PLaplacianOperator, assemble_linear
@@ -100,8 +101,12 @@ def builtin_problem(
 
     def psi(default: float) -> GridFunction:
         if psi_file is not None:
-            with open(psi_file, "r", encoding="utf-8") as fh:
-                return from_csv(fh.read(), mesh.bc)
+            try:
+                with open(psi_file, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise ConfigError(f"cannot read psi_file {psi_file}: {exc}") from exc
+            return from_csv(text, mesh.bc)
         return GridFunction.constant(mesh, psi_level if psi_level is not None else default)
 
     if name == "example1d":

@@ -142,15 +142,12 @@ def _check_decreasing(values, what: str) -> None:
         raise ValueError(f"{what} must be strictly decreasing")
 
 
-def _resolve_reference(problem, reference, eps_list, outer, inner):
-    """Reference solution for a regularization path: exact grid function,
-    a solve at an explicit eps, or the smallest-eps entry of the path."""
+def _resolve_reference(problem, reference, outer, inner):
+    """Reference solution for a regularization path given as an exact grid
+    function or as the eps of a separate solve."""
     if isinstance(reference, GridFunction):
         return reference, "exact"
-    if reference == "smallest-eps":
-        eps_ref = eps_list[-1]
-    else:
-        eps_ref = float(reference)
+    eps_ref = float(reference)
     rep = solve_qvi_regularized(problem, eps_ref, outer=outer, inner=inner)
     return rep.solution, f"eps={eps_ref:g}"
 
@@ -165,18 +162,24 @@ def run_regularization_path(
 ) -> StudyResult:
     """Solve the eps-regularized problem along a decreasing path.
 
-    Verdicts: `eps_monotone` (solutions non-increasing in eps) and
+    `reference` is an exact grid function, the eps of a separate reference
+    solve, or "smallest-eps", which takes the path's last solve.  Verdicts: `eps_monotone` (solutions non-increasing in eps) and
     `errors_nonincreasing` (error against the reference shrinks with eps).
     """
     eps_list = [float(e) for e in eps_list]
     _check_decreasing(eps_list, "eps_list")
-    ref, ref_kind = _resolve_reference(problem, reference, eps_list, outer, inner)
+    smallest = reference == "smallest-eps"
+    if not smallest:
+        ref, ref_kind = _resolve_reference(problem, reference, outer, inner)
 
     reports = _map_indexed(
         lambda e: solve_qvi_regularized(problem, e, outer=outer, inner=inner),
         eps_list,
         what="regularization path",
     )
+    if smallest:
+        # the path's last solve is the smallest-eps reference
+        ref, ref_kind = reports[-1].solution, f"eps={eps_list[-1]:g}"
     rows = []
     for eps, rep in zip(eps_list, reports):
         err = norm(rep.solution - ref, "h1")

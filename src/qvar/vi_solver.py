@@ -56,9 +56,6 @@ class VISolveReport:
     kkt_residual: float
     converged: bool
 
-    def csv_row(self) -> str:
-        return f"{self.iterations},{self.kkt_residual:.17g},{self.converged}"
-
 
 def kkt_residual(op, f: GridFunction, psi: GridFunction, y: GridFunction) -> float:
     """Complementarity residual max | min(psi - y, f - A(y)) |."""
@@ -137,13 +134,18 @@ def solve_vi(op, f: GridFunction, psi: GridFunction, params: VIParams) -> VISolv
     fv, pv = f.values, psi.values
     y = _feasible_start(pv)
 
-    def merit(v):
-        return op.energy(v) - float(np.dot(op.mesh.hw * fv, v))
+    # a missing energy, or one that raises NotImplementedError, means no potential
+    energy = getattr(op, "energy", None)
+    merit = None
+    if energy is not None:
 
-    try:
-        e = merit(y)
-    except (AttributeError, NotImplementedError):
-        merit = None
+        def merit(v):
+            return energy(v) - float(np.dot(op.mesh.hw * fv, v))
+
+        try:
+            e = merit(y)
+        except NotImplementedError:
+            merit = None
 
     r = fv - op.matvec(y)
     kkt = _kkt(pv - y, r)

@@ -21,10 +21,10 @@ class TestParseConfig:
     def test_minimal_document_defaults(self):
         cfg = parse_config("[problem]\nname = example1d\n")
         assert cfg.problem_name == "example1d"
-        assert cfg.tol_outer == 1e-8
-        assert cfg.tol_inner == 1e-10
-        assert cfg.max_outer == 200
-        assert cfg.max_inner == 10000
+        assert cfg.outer.tol == 1e-8
+        assert cfg.inner.tol == 1e-10
+        assert cfg.outer.max_iter == 200
+        assert cfg.inner.max_iter == 10000
         assert cfg.seed == 42
         assert cfg.overrides == {}
 
@@ -37,8 +37,16 @@ class TestParseConfig:
             parse_config("[problem]\nname = example1d\nalpha = -0.5\n")
 
     def test_unknown_key_names_line(self):
-        with pytest.raises(ConfigError, match="line 2"):
-            parse_config("[problem]\nbogus = 1\n")
+        cases = {
+            "bogus = 1\n": "line 1: unknown top-level key 'bogus'",
+            "[problem]\nbogus = 1\n": "line 2: unknown key 'bogus' in [problem]",
+            "[solver]\ntol_outer = 1e-6\nbogus = abc\n": "line 3: unknown key 'bogus' in [solver]",
+            "seed = 1\n[study]\n\nbogus = 1\n": "line 4: unknown key 'bogus' in [study]",
+        }
+        for text, message in cases.items():
+            with pytest.raises(ConfigError) as info:
+                parse_config(text)
+            assert str(info.value) == message
 
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match="unknown section"):
@@ -74,9 +82,23 @@ class TestParseConfig:
 
     def test_solver_overrides(self):
         cfg = parse_config("[solver]\ntol_outer = 1e-6\nmax_inner = 500\nmax_outer = 50\n")
-        assert cfg.tol_outer == 1e-6
-        assert cfg.max_inner == 500
-        assert cfg.max_outer == 50
+        assert cfg.outer.tol == 1e-6
+        assert cfg.inner.max_iter == 500
+        assert cfg.outer.max_iter == 50
+
+    def test_reference_forms(self):
+        for raw in ("smallest-eps", "1e-6", "0", "const:0.5", "const:-1"):
+            assert parse_config(f"[study]\nreference = {raw}\n").study["reference"] == raw
+        cases = {
+            "abc": "line 2: key 'reference' expects a number, got 'abc'",
+            "const:abc": "line 2: key 'reference' expects a number, got 'abc'",
+            "const:inf": "line 2: key 'reference' must be finite, got 'inf'",
+            "-1e-3": "line 2: key 'reference' must be nonnegative, got -0.001",
+        }
+        for raw, message in cases.items():
+            with pytest.raises(ConfigError) as info:
+                parse_config(f"[study]\nreference = {raw}\n")
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("key", ["omega", "tau"])
     def test_removed_solver_keys(self, tmp_path, key):
@@ -191,6 +213,15 @@ class TestTraceAndCertify:
 
 
 class TestStudies:
+    def test_malformed_reference_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path, f"out = {tmp_path}\n[study]\nkind = regpath\nreference = const:abc\n"
+        )
+        assert run_command(["regpath", "-c", cfg]) == 4
+        err = capsys.readouterr().err
+        assert err == "config error: line 4: key 'reference' expects a number, got 'abc'\n"
+        assert not (tmp_path / "regpath.csv").exists()
+
     def test_regpath_writes_csv(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
@@ -329,6 +360,11 @@ class TestOracleCheck:
         out = capsys.readouterr().out
         assert "verdict oracle_equivalence=True" in out
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_is_config_error(self, trials, capsys):
+        assert run_command(["oracle-check", "--trials", str(trials)]) == 4
+        assert capsys.readouterr().err == f"config error: --trials must be >= 1, got {trials}\n"
+
     def test_bad_argv_is_config_error(self):
         assert run_command(["frobnicate"]) == 4
 
@@ -362,6 +398,16 @@ class TestExperimentConfigHelpers:
         sol = from_csv((tmp_path / "fixed_obstacle_solution.csv").read_text(), "dirichlet")
         assert np.max(sol.values) <= 0.07 + 1e-9
         assert np.max(sol.values) >= 0.07 - 1e-9  # obstacle binds in the middle
+
+    def test_psi_file_missing_is_config_error(self, tmp_path, capsys):
+        psi_path = tmp_path / "absent.csv"
+        cfg = write_cfg(
+            tmp_path, f"[problem]\nname = fixed_obstacle\nn = 16\npsi_file = {psi_path}\n"
+        )
+        assert run_command(["solve", "-c", cfg]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read psi_file {psi_path}: ")
+        assert "No such file" in err
 
     def test_psi_file_wrong_resolution_is_config_error(self, tmp_path):
         from qvar.grid import GridFunction, make_mesh, to_csv

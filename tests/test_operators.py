@@ -243,6 +243,7 @@ class TestConstants:
         con = estimate_constants(assemble_linear(mesh, 1.0, 1.0), "h1", seed=1)
         assert con.c == pytest.approx(1.0, abs=1e-9)
         assert con.L == pytest.approx(1.0, abs=1e-9)
+        assert con.norm_tag == "h1" and con.method == "eig"
 
     def test_scaled_identity(self):
         mesh = make_mesh(8, "dirichlet")
@@ -275,13 +276,6 @@ class TestConstants:
         assert con.gamma == pytest.approx(0.1)
         assert con.c == pytest.approx(1.0, abs=1e-8)
         assert con.L == pytest.approx(1.1, abs=1e-8)
-
-    def test_csv_row_format(self):
-        mesh = make_mesh(16, "neumann")
-        con = estimate_constants(assemble_linear(mesh, 1.0, 1.0), "h1", seed=1)
-        c, L, gamma, tag, method = con.csv_row().split(",")
-        assert float(c) == con.c and float(L) == con.L and float(gamma) == con.gamma
-        assert tag == "h1" and method == "eig"
 
     def test_invalid_constants_rejected(self):
         from qvar.operators import OperatorConstants

@@ -101,9 +101,22 @@ class TestRegularizationPath:
         assert res.fit.slope >= 0.9
         assert res.verdicts["eps_monotone"]
 
-    def test_smallest_eps_reference(self):
+    def test_smallest_eps_reference(self, monkeypatch):
+        import qvar.studies
+
+        solves = []
+        original = qvar.studies.solve_qvi_regularized
+
+        def counted(problem, eps, **kwargs):
+            solves.append(eps)
+            return original(problem, eps, **kwargs)
+
+        # the path's last solve is the reference: no extra solve at the smallest eps
+        monkeypatch.setattr(qvar.studies, "solve_qvi_regularized", counted)
         prob = builtin_problem("example1d")
-        res = run_regularization_path(prob, [0.5, 0.25, 0.125, 0.0625], "smallest-eps")
+        eps_list = [0.5, 0.25, 0.125, 0.0625]
+        res = run_regularization_path(prob, eps_list, "smallest-eps")
+        assert solves == eps_list
         assert res.reference == "eps=0.0625"
         assert res.rows[-1][1] <= 1e-12
 

@@ -296,6 +296,24 @@ class TestNewton:
             solve_vi(op, f, GridFunction.constant(mesh, 1.0), VIParams())
 
 
+    def test_error_inside_energy_propagates(self):
+        class BrokenPotential:
+            def __init__(self, base):
+                self.mesh = base.mesh
+                self.matvec = base.matvec
+                self.jacobian_bands = base.jacobian_bands
+
+            def energy(self, u):
+                return self.missing_attribute
+
+        # a bug inside energy is not taken for a missing potential
+        mesh = make_mesh(64, "dirichlet")
+        op = BrokenPotential(assemble_linear(mesh, 1.0, 0.0))
+        f = GridFunction.constant(mesh, 1.0)
+        with pytest.raises(AttributeError, match="missing_attribute"):
+            solve_vi(op, f, GridFunction.constant(mesh, 0.05), VIParams())
+
+
 class TestOrderProperties:
     def test_comparison_principle_in_f(self):
         rng = np.random.default_rng(41)
@@ -361,14 +379,3 @@ class TestDispatch:
         f = GridFunction.zeros(mesh)
         with pytest.raises(SolverError):
             solve_vi_psor(plap, f, f, VIParams())
-
-    def test_report_csv_row(self):
-        mesh = make_mesh(16, "neumann")
-        op = assemble_linear(mesh, 1.0, 1.0)
-        rep = solve_vi_psor(
-            op, GridFunction.constant(mesh, 1.0), GridFunction.constant(mesh, 0.5), VIParams()
-        )
-        fields = rep.csv_row().split(",")
-        assert int(fields[0]) == rep.iterations
-        assert float(fields[1]) == rep.kkt_residual
-        assert fields[2] == "True"
