@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded, cho_solve_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import GridMismatchError, MeshError
 
@@ -201,20 +201,48 @@ def _norm_gram_bands(mesh: Mesh, norm_tag: str):
     return _h1_gram_banded(mesh)
 
 
+def _check_finite(*arrays) -> None:
+    """Raise ValueError when an array holds an inf or NaN, as scipy.linalg
+    does with check_finite=True."""
+    for arr in arrays:
+        if not np.isfinite(arr).all():
+            raise ValueError("array must not contain infs or NaNs")
+
+
 def _cholesky_tridiag(off, diag):
-    """Upper banded Cholesky factor of the symmetric tridiagonal matrix with
-    bands (offdiag, diag), offdiag[i] coupling i-1 and i; None when the matrix
-    is not positive definite."""
-    try:
-        return cholesky_banded(np.vstack([off, diag]), lower=False, check_finite=False)
-    except LinAlgError:
+    """LDL^T factor (d, e) of the symmetric tridiagonal matrix with bands
+    (offdiag, diag), offdiag[i] coupling i-1 and i, by LAPACK dpttrf:
+    D = diag(d) and L unit lower bidiagonal with L[i+1, i] = e[i].  None when
+    the matrix is not positive definite: dpttrf stops at the first pivot
+    d_i <= 0.  It does not test for NaN, which spreads to the last pivot, so
+    a NaN band counts as not definite there."""
+    if diag.size == 1:
+        # the f2py wrapper rejects an empty off-diagonal
+        return (diag.copy(), np.zeros(0)) if diag[0] > 0.0 else None
+    d, e, info = dpttrf(diag, off[1:])
+    if info != 0 or np.isnan(d[-1]):
         return None
+    return d, e
+
+
+def _cholesky_solve(factor, b):
+    """Solve A x = b with the factor (d, e) of `_cholesky_tridiag` by LAPACK
+    dpttrs; a non-finite factor or right-hand side raises ValueError."""
+    d, e = factor
+    _check_finite(d, e, b)
+    if d.size == 1:
+        return b / d
+    x, _ = dpttrs(d, e, b)
+    return x
 
 
 @lru_cache(maxsize=64)
 def _h1_gram_cholesky(mesh: Mesh):
-    """Banded Cholesky factor (upper form) of the h1 Gram matrix."""
-    return _cholesky_tridiag(*_h1_gram_banded(mesh))
+    """Read-only LDL^T factor (d, e) of the h1 Gram matrix."""
+    d, e = _cholesky_tridiag(*_h1_gram_banded(mesh))
+    d.setflags(write=False)
+    e.setflags(write=False)
+    return d, e
 
 
 def dual_norm(g: GridFunction, kind: str = "h1") -> float:
@@ -228,8 +256,7 @@ def dual_norm(g: GridFunction, kind: str = "h1") -> float:
     if kind != "h1":
         raise ValueError(f"unknown norm kind {kind!r}")
     wg = g.mesh.hw * g.values
-    factor = _h1_gram_cholesky(g.mesh)
-    z = cho_solve_banded((factor, False), wg)
+    z = _cholesky_solve(_h1_gram_cholesky(g.mesh), wg)
     return float(np.sqrt(max(np.dot(wg, z), 0.0)))
 
 

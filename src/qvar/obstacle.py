@@ -190,8 +190,11 @@ def lipschitz_bound(omap: ObstacleMap, norm_tag: str = "l2") -> float:
     # h1 tag: sup ||B z||_h1 / ||z||_l2 with B z = alpha * K (hw z).  With the
     # h1 Gram matrix G1 = U^T U (bidiagonal U) and z = w / sqrt(hw) this is the
     # largest singular value of C = alpha U K diag(sqrt(hw)), applied to
-    # vectors without forming C.
-    upper, diag = _h1_gram_cholesky(mesh)
+    # vectors without forming C.  From G1 = L D L^T, U = sqrt(D) L^T has the
+    # diagonal sqrt(d) and the superdiagonal sqrt(d_i) e_i.
+    d, e = _h1_gram_cholesky(mesh)
+    diag = np.sqrt(d)
+    upper = diag[:-1] * e
     scale = omap.alpha * np.sqrt(hw)
     if m == 1:
         return float(abs(diag[0] * omap._apply_kernel(scale)[0]))
@@ -200,9 +203,9 @@ def lipschitz_bound(omap: ObstacleMap, norm_tag: str = "l2") -> float:
         # C^T C x, with U and U^T applied from their two bands
         z = omap._apply_kernel(scale * x)
         y = diag * z
-        y[:-1] += upper[1:] * z[1:]
+        y[:-1] += upper * z[1:]
         w = diag * y
-        w[1:] += upper[1:] * y[:-1]
+        w[1:] += upper * y[:-1]
         return scale * omap._apply_kernel(w, transpose=True)
 
     # ARPACK is imported here, not at module level: it adds megabytes to

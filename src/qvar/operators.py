@@ -13,10 +13,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import EllipticityError, GridMismatchError, MissingRegularizerError, SolverError
-from .grid import DIRICHLET, GridFunction, Mesh, dual_norm, _cholesky_tridiag, _norm_gram_bands
+from .grid import (
+    DIRICHLET,
+    GridFunction,
+    Mesh,
+    dual_norm,
+    _check_finite,
+    _cholesky_solve,
+    _cholesky_tridiag,
+    _norm_gram_bands,
+)
+
+# componentwise backward error that a stable tridiagonal solve stays below
+_BACKWARD_TOL = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -47,16 +59,21 @@ def _tridiag_apply(sub, diag, sup, x):
 
 
 def _tridiag_solve(sub, diag, sup, rhs, what: str):
-    """Solve the tridiagonal system in the `_tridiag_apply` layout with
-    `solve_banded`; a singular matrix raises a SolverError prefixed by `what`."""
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:] = sup
-    ab[1] = diag
-    ab[2, :-1] = sub
-    try:
-        return solve_banded((1, 1), ab, rhs)
-    except LinAlgError as exc:
-        raise SolverError(f"{what}: {exc}") from exc
+    """Solve the tridiagonal system in the `_tridiag_apply` layout with LAPACK
+    dgtsv (Gaussian elimination with partial pivoting), the routine
+    `scipy.linalg.solve_banded` calls for one band on each side.  A singular
+    matrix raises a SolverError prefixed by `what`; an inf or NaN entry
+    raises ValueError."""
+    _check_finite(sub, diag, sup, rhs)
+    if diag.size == 1:
+        # the f2py wrapper rejects empty off-diagonals
+        if diag[0] == 0.0:
+            raise SolverError(f"{what}: singular matrix")
+        return rhs / diag
+    *_, x, info = dgtsv(sub, diag, sup, rhs)
+    if info > 0:
+        raise SolverError(f"{what}: singular matrix")
+    return x
 
 
 def _regularized_bands(bands, eps: float, delta: float, R):
@@ -313,33 +330,48 @@ def add_regularization(op, eps: float, delta: float = 0.0, R: LinearEllipticOper
 
 
 def solve_unconstrained(op: LinearEllipticOperator, f: GridFunction) -> GridFunction:
-    """Direct tridiagonal solve A u = f with a residual check."""
+    """Direct tridiagonal solve A u = f, accepted when its componentwise
+    backward error is at most 64 * eps."""
     if not isinstance(op, LinearEllipticOperator):
         raise SolverError("direct solve requires a linear (tridiagonal) operator")
     if op.mesh != f.mesh:
         raise GridMismatchError("operator and force live on different meshes")
-    m = op.mesh.dof_count
     u = _tridiag_solve(op.lower[1:], op.diag, op.upper[:-1], f.values, "tridiagonal solve failed")
     if not np.all(np.isfinite(u)):
         raise SolverError("tridiagonal solve produced non-finite values")
-    resid = np.max(np.abs(op.matvec(u) - f.values))
-    fsup = np.max(np.abs(f.values)) if m else 0.0
-    if resid > 1e-10 * max(fsup, 1e-300):
-        raise SolverError(f"residual {resid:.3e} exceeds 1e-10 * ||f||_sup")
+    berr = _backward_error(op, u, f.values)
+    if not berr <= _BACKWARD_TOL:  # a NaN, from A u overflowing, fails too
+        raise SolverError(f"componentwise backward error {berr:.3e} exceeds 64 * eps")
     return GridFunction(op.mesh, u)
+
+
+def _backward_error(op: LinearEllipticOperator, u: np.ndarray, fv: np.ndarray) -> float:
+    """Componentwise backward error max_i |A u - f|_i / (|A| |u| + |f|)_i of u
+    as a solution of A u = f (Oettli & Prager, 1964).  Unlike max |A u - f|,
+    whose round-off grows like 1/h^2, it stays near eps at every mesh size
+    for a backward stable solve.  A nonzero residual over a zero denominator
+    counts as inf."""
+    resid = np.abs(op.matvec(u) - fv)
+    scale = _tridiag_apply(
+        np.abs(op.lower[1:]), np.abs(op.diag), np.abs(op.upper[:-1]), np.abs(u)
+    ) + np.abs(fv)
+    ratio = np.divide(resid, scale, out=np.where(resid > 0.0, np.inf, 0.0), where=scale > 0.0)
+    return float(np.max(ratio))
 
 
 def _pencil_extremes(K_off, K_diag, G_off, G_diag):
     """Smallest and largest eigenvalue (c, L) of the symmetric tridiagonal
     pencil K x = mu G x with G positive definite.
 
-    Each extreme is bracketed by bisection on whether a banded Cholesky
-    factorization of +-(K - mu G) succeeds (Sylvester's law of inertia),
-    carried to the resolution of floating point, then refined by three
-    inverse-iteration steps with the last positive definite factor and a
-    Rayleigh quotient.  c is reported as 0 when K is not positive definite
-    or when c is at most m * eps * L, below what the factorizations resolve:
-    a singular K can pass a Cholesky test by rounding alone.
+    Each extreme is bracketed by bisection on whether +-(K - mu G) is
+    positive definite (Sylvester's law of inertia), carried to the resolution
+    of floating point.  The test is an LDL^T factorization by LAPACK dpttrf,
+    which succeeds exactly when every pivot d_i is positive.  Each extreme is
+    then refined by three inverse-iteration steps with the last definite
+    factor (dpttrs) and a Rayleigh quotient.  c is reported as 0 when K is
+    not positive definite or when c is at most m * eps * L, below what the
+    factorizations resolve: a singular K can pass the pivot test by rounding
+    alone.
     """
 
     def factor(sign, mu):
@@ -361,7 +393,7 @@ def _pencil_extremes(K_off, K_diag, G_off, G_diag):
     def refine(fac):
         x = np.ones_like(K_diag)
         for _ in range(3):
-            x = cho_solve_banded((fac, False), G_apply(x))
+            x = _cholesky_solve(fac, G_apply(x))
             x /= np.linalg.norm(x)
         kx = _tridiag_apply(K_off[1:], K_diag, K_off[1:], x)
         return float(np.dot(x, kx) / np.dot(x, G_apply(x)))

@@ -106,7 +106,13 @@ def builtin_problem(
                     text = fh.read()
             except OSError as exc:
                 raise ConfigError(f"cannot read psi_file {psi_file}: {exc}") from exc
-            return from_csv(text, mesh.bc)
+            parsed = from_csv(text, mesh.bc)
+            if parsed.mesh.n != mesh.n:
+                raise ConfigError(
+                    f"psi_file {psi_file} has {parsed.mesh.n + 1} nodes, "
+                    f"the mesh has {mesh.n + 1}"
+                )
+            return parsed
         return GridFunction.constant(mesh, psi_level if psi_level is not None else default)
 
     if name == "example1d":

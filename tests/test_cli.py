@@ -409,7 +409,7 @@ class TestExperimentConfigHelpers:
         assert err.startswith(f"config error: cannot read psi_file {psi_path}: ")
         assert "No such file" in err
 
-    def test_psi_file_wrong_resolution_is_config_error(self, tmp_path):
+    def test_psi_file_wrong_resolution_is_config_error(self, tmp_path, capsys):
         from qvar.grid import GridFunction, make_mesh, to_csv
 
         psi_path = tmp_path / "psi.csv"
@@ -422,3 +422,6 @@ class TestExperimentConfigHelpers:
             f"obstacle.psi_file = {psi_path}\n",
         )
         assert run_command(["solve", "-c", cfg]) == 4
+        assert capsys.readouterr().err == (
+            f"config error: psi_file {psi_path} has 9 nodes, the mesh has 17\n"
+        )

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cholesky_banded
 
 from qvar.errors import GridMismatchError, MeshError
 from qvar.grid import (
     GridFunction,
+    _cholesky_solve,
+    _cholesky_tridiag,
+    _h1_gram_cholesky,
     dual_norm,
     duality_pairing,
     from_csv,
@@ -221,6 +225,59 @@ class TestDualNorm:
             g = gf(mesh, rng.standard_normal(mesh.dof_count))
             v = gf(mesh, rng.standard_normal(mesh.dof_count))
             assert duality_pairing(g, v) <= dual_norm(g, "h1") * norm(v, "h1") + 1e-10
+
+
+class TestTridiagCholesky:
+    """The dpttrf factor against scipy's banded Cholesky, which serves here
+    only as the reference for the definiteness decision."""
+
+    @pytest.mark.parametrize("value, definite", [(2.0, True), (0.0, False), (-1.0, False)])
+    def test_one_by_one(self, value, definite):
+        fac = _cholesky_tridiag(np.zeros(1), np.array([value]))
+        if not definite:
+            assert fac is None
+            return
+        d, e = fac
+        assert d.tolist() == [value] and e.size == 0
+        assert _cholesky_solve(fac, np.array([3.0])).tolist() == [1.5]
+
+    @pytest.mark.parametrize("m", [2, 3, 64, 2047])
+    def test_definiteness_and_solve(self, m):
+        rng = np.random.default_rng(m)
+        for shift in np.linspace(-1.0, 3.0, 9):
+            off = rng.standard_normal(m)
+            diag = 2.0 * np.abs(off) + shift
+            fac = _cholesky_tridiag(off, diag)
+            try:
+                cholesky_banded(np.vstack([off, diag]), lower=False)
+            except LinAlgError:
+                assert fac is None
+                continue
+            assert fac is not None
+            dense = np.diag(diag) + np.diag(off[1:], 1) + np.diag(off[1:], -1)
+            b = rng.standard_normal(m)
+            x = _cholesky_solve(fac, b)
+            # componentwise backward error
+            berr = np.abs(dense @ x - b) / (np.abs(dense) @ np.abs(x) + np.abs(b))
+            assert np.max(berr) <= 64 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_nan_band_is_not_definite(self, m):
+        diag = np.full(m, 4.0)
+        diag[0] = np.nan
+        assert _cholesky_tridiag(np.full(m, -1.0), diag) is None
+
+    def test_nan_right_hand_side_is_value_error(self):
+        fac = _cholesky_tridiag(np.full(4, -1.0), np.full(4, 4.0))
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            _cholesky_solve(fac, np.array([1.0, np.nan, 1.0, 1.0]))
+
+    def test_cached_h1_factor_is_read_only(self):
+        d, e = _h1_gram_cholesky(make_mesh(64, "dirichlet"))
+        with pytest.raises(ValueError):
+            d[0] = 1.0
+        with pytest.raises(ValueError):
+            e[0] = 1.0
 
 
 class TestCsv:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
+from qvar import operators
 from qvar.errors import EllipticityError, MissingRegularizerError, SolverError
 from qvar.grid import GridFunction, dual_norm, duality_pairing, make_mesh, norm
-from qvar.problems import builtin_problem
+from qvar.obstacle import ObstacleMap, lipschitz_bound
+from qvar.problems import builtin_problem, gauss_kernel
 from qvar.qvi_solver import operator_structural_constants, problem_certificate
 from qvar.operators import (
     LinearEllipticOperator,
@@ -14,7 +17,9 @@ from qvar.operators import (
     assemble_linear,
     estimate_constants,
     solve_unconstrained,
+    _tridiag_solve,
 )
+from qvar.vi_solver import _newton_step
 
 
 def dense_bands(bands):
@@ -192,6 +197,103 @@ class TestSolveUnconstrained:
         with pytest.raises(SolverError) as info:
             solve_unconstrained(op, GridFunction.constant(mesh, 1.0))
         assert str(info.value) == "tridiagonal solve failed: singular matrix"
+
+    @pytest.mark.parametrize("n", [16, 64, 4096])
+    def test_backward_error_rejects_wrong_solve(self, n, monkeypatch):
+        # u from the system with one diagonal entry changed by 1e-8 relative
+        exact_solve = operators._tridiag_solve
+
+        def perturbed_solve(sub, diag, sup, rhs, what):
+            diag = diag.copy()
+            diag[diag.size // 2] *= 1.0 + 1e-8
+            return exact_solve(sub, diag, sup, rhs, what)
+
+        prob = builtin_problem("example1d", n=n)
+        assert solve_unconstrained(prob.operator, prob.f) is not None
+        monkeypatch.setattr(operators, "_tridiag_solve", perturbed_solve)
+        with pytest.raises(SolverError, match=r"^componentwise backward error \S+ exceeds 64 \* eps$"):
+            solve_unconstrained(prob.operator, prob.f)
+
+
+class TestTridiagSolve:
+    """The dgtsv solve against scipy.linalg.solve_banded, which calls the same
+    routine and serves here only as the reference."""
+
+    @staticmethod
+    def reference(sub, diag, sup, rhs):
+        ab = np.zeros((3, diag.size))
+        ab[0, 1:] = sup
+        ab[1] = diag
+        ab[2, :-1] = sub
+        return solve_banded((1, 1), ab, rhs)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 64, 2047])
+    def test_random_nonsymmetric_bitwise(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(5):
+            sub, sup = rng.standard_normal(m - 1), rng.standard_normal(m - 1)
+            diag, rhs = rng.standard_normal(m), rng.standard_normal(m)
+            x = _tridiag_solve(sub, diag, sup, rhs, "test")
+            np.testing.assert_array_equal(x, self.reference(sub, diag, sup, rhs))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 64, 2047])
+    def test_newton_systems_with_held_rows_bitwise(self, m, monkeypatch):
+        rng = np.random.default_rng(100 + m)
+        op = PLaplacianOperator(make_mesh(m + 1, "dirichlet"), 3.0, 1e-3)
+        systems = []
+
+        def recording_solve(sub, diag, sup, rhs, what):
+            systems.append((sub, diag, sup, rhs))
+            return _tridiag_solve(sub, diag, sup, rhs, what)
+
+        monkeypatch.setattr("qvar.vi_solver._tridiag_solve", recording_solve)
+        for _ in range(5):
+            y = rng.standard_normal(m)
+            held = rng.random(m) < 0.3
+            x = _newton_step(op.jacobian_bands(y), held, rng.standard_normal(m), rng.standard_normal(m))
+            np.testing.assert_array_equal(x, self.reference(*systems[-1]))
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_singular_message(self, m):
+        diag = np.ones(m)
+        diag[m // 2] = 0.0
+        with pytest.raises(SolverError) as info:
+            _tridiag_solve(np.zeros(m - 1), diag, np.zeros(m - 1), np.ones(m), "what")
+        assert str(info.value) == "what: singular matrix"
+
+    # (m, index of the NaN among sub, diag, sup, rhs); one dof has no off-diagonals
+    @pytest.mark.parametrize("m, slot", [(1, 1), (1, 3)] + [(4, slot) for slot in range(4)])
+    def test_nan_entry_is_value_error(self, m, slot):
+        args = [np.ones(m - 1), np.full(m, 4.0), np.ones(m - 1), np.ones(m)]
+        args[slot][0] = np.nan
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            _tridiag_solve(*args, "what")
+
+
+class TestOneDof:
+    """Closed forms on the dirichlet mesh n=2: one dof at x = 1/2 with pairing
+    weight hw = 1/2 and h1 Gram entry hw + 2/h = 9/2."""
+
+    mesh = make_mesh(2, "dirichlet")
+
+    @pytest.mark.parametrize("a0", [0.0, 1.0])
+    def test_estimate_constants(self, a0):
+        op = assemble_linear(self.mesh, 1.0, a0)
+        k = 0.5 * (8.0 + a0)  # hw times the stiffness 2/h^2 + a0
+        for tag, g in (("h1", 4.5), ("l2", 0.5)):
+            con = estimate_constants(op, tag)
+            assert con.c == pytest.approx(k / g, rel=1e-15)
+            assert con.L == pytest.approx(k / g, rel=1e-15)
+
+    def test_dual_norm(self):
+        g = GridFunction.constant(self.mesh, 3.0)
+        assert dual_norm(g, "h1") == pytest.approx(1.5 / np.sqrt(4.5), rel=1e-15)
+
+    def test_h1_lipschitz_bound(self):
+        # alpha * sqrt(9/2) * k(1/2, 1/2) * sqrt(hw) = 0.25 * 3/2
+        psi = GridFunction.constant(self.mesh, 0.05)
+        omap = ObstacleMap.kernel(self.mesh, psi, 0.25, gauss_kernel(0.25))
+        assert lipschitz_bound(omap, "h1") == pytest.approx(0.375, rel=1e-15)
 
 
 class TestJacobianBands:

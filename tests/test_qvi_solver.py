@@ -263,6 +263,15 @@ class TestFineMeshes:
         assert rep.converged
         assert np.max(np.abs(rep.solution.values - 2.0 / 3.0)) <= 1e-6
 
+    @pytest.mark.parametrize("n", [512, 1024, 4096, 16384])
+    @pytest.mark.parametrize("name", ["example1d", "nonmonotone_sine"])
+    def test_maximal_mode_golden(self, name, n):
+        # the direct supersolution solve is accepted on its componentwise
+        # backward error, whose round-off does not grow with n
+        rep = solve_qvi_maximal(builtin_problem(name, n=n))
+        assert rep.converged
+        assert np.max(np.abs(rep.solution.values - 2.0 / 3.0)) <= 1e-7
+
 
 class TestNonlinearSupersolution:
     def test_plaplacian_maximal_mode(self):
