@@ -270,14 +270,25 @@ def to_csv(u: GridFunction) -> str:
 
 
 def from_csv(text: str, bc: str) -> GridFunction:
-    """Parse the `x,value` format back into a grid function."""
-    rows = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if rows and rows[0].replace(" ", "").lower().startswith("x,value"):
+    """Parse the `x,value` format back into a grid function.  Row i of n+1
+    must hold two numbers with x within 1e-3 h of the node i/n; a row that
+    does not raises a ValueError naming its line."""
+    lines = enumerate(text.splitlines(), start=1)
+    rows = [(k, ln) for k, ln in lines if ln.strip() and not ln.startswith("#")]
+    if rows and rows[0][1].replace(" ", "").lower().startswith("x,value"):
         rows = rows[1:]
-    data = np.array([[float(c) for c in ln.split(",")] for ln in rows])
-    if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 3:
+    if len(rows) < 3:
         raise ValueError("expected at least three x,value rows")
-    n = data.shape[0] - 1
-    mesh = make_mesh(n, bc)
-    vals = data[:, 1]
-    return GridFunction(mesh, vals[1:-1] if bc == DIRICHLET else vals)
+    n = len(rows) - 1
+    vals = np.empty(n + 1)
+    for i, (k, ln) in enumerate(rows):
+        try:
+            x, vals[i] = (float(c) for c in ln.split(","))
+        except ValueError:
+            raise ValueError(f"line {k}: expected two numbers x,value, got {ln!r}") from None
+        if not abs(x - i / n) <= 1e-3 / n:
+            raise ValueError(
+                f"line {k}: x = {x:g}, but node {i} of a uniform {n + 1}-node mesh "
+                f"sits at x = {i / n:g}"
+            )
+    return GridFunction(make_mesh(n, bc), vals[1:-1] if bc == DIRICHLET else vals)

@@ -90,7 +90,7 @@ def _regularized_bands(bands, eps: float, delta: float, R):
 class LinearEllipticOperator:
     """Tridiagonal operator (1/h^2 flux stencil + reaction term)."""
 
-    def __init__(self, mesh: Mesh, lower, diag, upper, a=None, a0=None):
+    def __init__(self, mesh: Mesh, lower, diag, upper):
         self.mesh = mesh
         m = mesh.dof_count
         self.lower = np.asarray(lower, dtype=np.float64).copy()
@@ -99,8 +99,6 @@ class LinearEllipticOperator:
         for arr in (self.lower, self.diag, self.upper):
             if arr.shape != (m,):
                 raise GridMismatchError("tridiagonal rows must have one entry per dof")
-        self.a = None if a is None else np.asarray(a, dtype=np.float64).copy()
-        self.a0 = None if a0 is None else np.asarray(a0, dtype=np.float64).copy()
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         return _tridiag_apply(self.lower[1:], self.diag, self.upper[:-1], u)
@@ -173,7 +171,7 @@ def assemble_linear(mesh: Mesh, a, a0) -> LinearEllipticOperator:
         upper[0] = -2.0 * a_e[0] / h2
         diag[-1] = 2.0 * a_e[-1] / h2 + a0_n[-1]
         lower[-1] = -2.0 * a_e[-1] / h2
-    return LinearEllipticOperator(mesh, lower, diag, upper, a=a_e, a0=a0_n)
+    return LinearEllipticOperator(mesh, lower, diag, upper)
 
 
 class PLaplacianOperator:
@@ -313,19 +311,9 @@ def add_regularization(op, eps: float, delta: float = 0.0, R: LinearEllipticOper
     if eps == 0 and delta == 0:
         return op
     if isinstance(op, LinearEllipticOperator):
-        lower, diag, upper = _regularized_bands((op.lower, op.diag, op.upper), eps, delta, R)
-        a = op.a
-        a0 = None if op.a0 is None else op.a0 + eps
-        if delta > 0:
-            if a is not None and R.a is not None:
-                a = a + delta * R.a
-            else:
-                a = None
-            if a0 is not None and R.a0 is not None:
-                a0 = a0 + delta * R.a0
-            else:
-                a0 = None
-        return LinearEllipticOperator(op.mesh, lower, diag, upper, a=a, a0=a0)
+        return LinearEllipticOperator(
+            op.mesh, *_regularized_bands((op.lower, op.diag, op.upper), eps, delta, R)
+        )
     return RegularizedOperator(op, eps, delta, R)
 
 

@@ -106,7 +106,10 @@ def builtin_problem(
                     text = fh.read()
             except OSError as exc:
                 raise ConfigError(f"cannot read psi_file {psi_file}: {exc}") from exc
-            parsed = from_csv(text, mesh.bc)
+            try:
+                parsed = from_csv(text, mesh.bc)
+            except ValueError as exc:
+                raise ConfigError(f"psi_file {psi_file}: {exc}") from exc
             if parsed.mesh.n != mesh.n:
                 raise ConfigError(
                     f"psi_file {psi_file} has {parsed.mesh.n + 1} nodes, "

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, NestingError, SolverError
 from .grid import GridFunction, dual_norm, leq, norm
-from .operators import LinearEllipticOperator, assemble_linear, add_regularization
+from .operators import LinearEllipticOperator, add_regularization
 from .qvi_solver import (
     OuterParams,
     QVIProblem,
@@ -113,11 +113,15 @@ def fit_rate(points, exclude_zero_below: float = _EXACT_HIT) -> RateFit:
     return RateFit(float(slope), float(intercept), float(r2), tuple(usable), exact)
 
 
-def _fit_or_none(points) -> RateFit | None:
+def _result(name, rows, aux_names, verdicts, seed, reference, reports, fit=True) -> StudyResult:
+    """A study's table with the rate fit of its (parameter, error) columns;
+    no fit when `fit` is false or fewer than 3 errors are above the exact-hit
+    threshold."""
     try:
-        return fit_rate(points)
+        rate = fit_rate([row[:2] for row in rows]) if fit else None
     except InsufficientDataError:
-        return None
+        rate = None
+    return StudyResult(name, rows, aux_names, rate, verdicts, seed, reference, reports)
 
 
 def _map_indexed(fn, items: list, what: str = "study"):
@@ -135,21 +139,33 @@ def _map_indexed(fn, items: list, what: str = "study"):
     return results
 
 
-def _check_decreasing(values, what: str) -> None:
+def _check_path(values, what: str) -> None:
+    """Study points must be at least 4, strictly decreasing and positive;
+    checked before any solve."""
     if len(values) < 4:
         raise InsufficientDataError(f"{what} needs at least 4 entries, got {len(values)}")
     if any(b >= a for a, b in zip(values, values[1:])):
         raise ValueError(f"{what} must be strictly decreasing")
+    if values[-1] <= 0:
+        raise ValueError(f"{what} must be positive")
 
 
-def _resolve_reference(problem, reference, outer, inner):
-    """Reference solution for a regularization path given as an exact grid
-    function or as the eps of a separate solve."""
-    if isinstance(reference, GridFunction):
-        return reference, "exact"
-    eps_ref = float(reference)
-    rep = solve_qvi_regularized(problem, eps_ref, outer=outer, inner=inner)
-    return rep.solution, f"eps={eps_ref:g}"
+_PATH_AUX = ("solution_sup", "outer_iterations")
+
+
+def _path_rows(params, reports, ref):
+    """(parameter, h1 error against ref, solution_sup, outer_iterations) rows
+    of a regularization or perturbation path."""
+    return [
+        (p, norm(rep.solution - ref, "h1"), float(np.max(rep.solution.values)), rep.outer_iterations)
+        for p, rep in zip(params, reports)
+    ]
+
+
+def _ordered(reports) -> bool:
+    """Each solution lies below the next one, up to _ORDER_TOL."""
+    sols = [r.solution for r in reports]
+    return all(leq(a, b, _ORDER_TOL) for a, b in zip(sols, sols[1:]))
 
 
 def run_regularization_path(
@@ -167,10 +183,14 @@ def run_regularization_path(
     `errors_nonincreasing` (error against the reference shrinks with eps).
     """
     eps_list = [float(e) for e in eps_list]
-    _check_decreasing(eps_list, "eps_list")
+    _check_path(eps_list, "eps_list")
     smallest = reference == "smallest-eps"
-    if not smallest:
-        ref, ref_kind = _resolve_reference(problem, reference, outer, inner)
+    if isinstance(reference, GridFunction):
+        ref, ref_kind = reference, "exact"
+    elif not smallest:
+        eps_ref = float(reference)
+        ref = solve_qvi_regularized(problem, eps_ref, outer=outer, inner=inner).solution
+        ref_kind = f"eps={eps_ref:g}"
 
     reports = _map_indexed(
         lambda e: solve_qvi_regularized(problem, e, outer=outer, inner=inner),
@@ -180,25 +200,13 @@ def run_regularization_path(
     if smallest:
         # the path's last solve is the smallest-eps reference
         ref, ref_kind = reports[-1].solution, f"eps={eps_list[-1]:g}"
-    rows = []
-    for eps, rep in zip(eps_list, reports):
-        err = norm(rep.solution - ref, "h1")
-        rows.append((eps, err, float(np.max(rep.solution.values)), rep.outer_iterations))
-
-    sols = [r.solution for r in reports]
-    eps_monotone = all(leq(a, b, _ORDER_TOL) for a, b in zip(sols, sols[1:]))
+    rows = _path_rows(eps_list, reports, ref)
     errors = [row[1] for row in rows]
-    errors_nonincreasing = all(b <= a + 1e-10 for a, b in zip(errors, errors[1:]))
-    return StudyResult(
-        name="regpath",
-        rows=rows,
-        aux_names=("solution_sup", "outer_iterations"),
-        fit=_fit_or_none([(row[0], row[1]) for row in rows]),
-        verdicts={"eps_monotone": eps_monotone, "errors_nonincreasing": errors_nonincreasing},
-        seed=seed,
-        reference=ref_kind,
-        reports=reports,
-    )
+    verdicts = {
+        "eps_monotone": _ordered(reports),
+        "errors_nonincreasing": all(b <= a + 1e-10 for a, b in zip(errors, errors[1:])),
+    }
+    return _result("regpath", rows, _PATH_AUX, verdicts, seed, ref_kind, reports)
 
 
 def run_operator_perturbation(
@@ -210,24 +218,19 @@ def run_operator_perturbation(
     reference: GridFunction | None = None,
     seed: int = 0,
 ) -> StudyResult:
-    """Minimal solutions of perturbed operators against the unperturbed one.
+    """Minimal solutions of A + delta*I, the operators a regularization path
+    walks (add_regularization), against the unperturbed one.
 
-    family 'scaled_identity' adds delta times the weighted identity (the same
-    family a regularization path walks); 'coefficient' shifts the reaction
-    coefficient a0 by delta and reassembles.
-    """
+    'scaled_identity' takes any operator and has the `ordered_solutions`
+    verdict.  'coefficient' shifts the reaction coefficient a0, which enters
+    every diagonal entry of a linear operator unweighted, so it solves the
+    same operators; it refuses nonlinear operators and has no verdict."""
     delta_list = [float(d) for d in delta_list]
-    _check_decreasing(delta_list, "delta_list")
-
-    def perturbed(delta):
-        if family == "scaled_identity":
-            return add_regularization(problem.operator, delta)
-        if family == "coefficient":
-            op = problem.operator
-            if not isinstance(op, LinearEllipticOperator) or op.a is None or op.a0 is None:
-                raise ValueError("the coefficient family needs an assembled linear operator")
-            return assemble_linear(op.mesh, op.a, op.a0 + delta)
+    _check_path(delta_list, "delta_list")
+    if family not in ("scaled_identity", "coefficient"):
         raise ValueError(f"unknown perturbation family {family!r}")
+    if family == "coefficient" and not isinstance(problem.operator, LinearEllipticOperator):
+        raise ValueError("the coefficient family needs an assembled linear operator")
 
     if reference is None:
         ref = solve_qvi_minimal(problem, outer, inner).solution
@@ -236,27 +239,17 @@ def run_operator_perturbation(
         ref, ref_kind = reference, "exact"
 
     reports = _map_indexed(
-        lambda d: solve_qvi_minimal(problem.with_operator(perturbed(d)), outer, inner),
+        lambda d: solve_qvi_minimal(
+            problem.with_operator(add_regularization(problem.operator, d)), outer, inner
+        ),
         delta_list,
         what="perturbation study",
     )
-    rows = [
-        (d, norm(rep.solution - ref, "h1"), float(np.max(rep.solution.values)), rep.outer_iterations)
-        for d, rep in zip(delta_list, reports)
-    ]
     verdicts = {}
     if family == "scaled_identity":
-        sols = [r.solution for r in reports]
-        verdicts["ordered_solutions"] = all(leq(a, b, _ORDER_TOL) for a, b in zip(sols, sols[1:]))
-    return StudyResult(
-        name="perturb",
-        rows=rows,
-        aux_names=("solution_sup", "outer_iterations"),
-        fit=_fit_or_none([(row[0], row[1]) for row in rows]),
-        verdicts=verdicts,
-        seed=seed,
-        reference=ref_kind,
-        reports=reports,
+        verdicts["ordered_solutions"] = _ordered(reports)
+    return _result(
+        "perturb", _path_rows(delta_list, reports, ref), _PATH_AUX, verdicts, seed, ref_kind, reports
     )
 
 
@@ -285,30 +278,17 @@ def run_mesh_refinement(
     results = _map_indexed(solve_on, n_list, what="mesh refinement")
     n_fine, rep_fine = results[-1]
     fine_full = rep_fine.solution.with_boundary()
-    bc = rep_fine.solution.mesh.bc
 
     rows = []
-    reports = []
     for n, rep in results[:-1]:
         sol = rep.solution
         fine_at_coarse = fine_full[np.arange(0, n + 1) * (n_fine // n)]
-        if bc == "dirichlet":
-            diff = sol.values - fine_at_coarse[1:-1]
-        else:
-            diff = sol.values - fine_at_coarse
-        err = norm(GridFunction(sol.mesh, diff), "l2")
+        if sol.mesh.bc == "dirichlet":
+            fine_at_coarse = fine_at_coarse[1:-1]
+        err = norm(GridFunction(sol.mesh, sol.values - fine_at_coarse), "l2")
         rows.append((1.0 / n, err, n, rep.outer_iterations))
-        reports.append(rep)
-    return StudyResult(
-        name="refine",
-        rows=rows,
-        aux_names=("n", "outer_iterations"),
-        fit=_fit_or_none([(row[0], row[1]) for row in rows]),
-        verdicts={},
-        seed=seed,
-        reference=f"n={n_fine}",
-        reports=reports + [rep_fine],
-    )
+    reports = [rep for _, rep in results]
+    return _result("refine", rows, ("n", "outer_iterations"), {}, seed, f"n={n_fine}", reports)
 
 
 def run_data_robustness(
@@ -336,9 +316,7 @@ def run_data_robustness(
     if len(f_deltas) != len(phi_deltas):
         raise ValueError("perturbation lists must have equal length")
     totals = [a + b for a, b in zip(f_deltas, phi_deltas)]
-    _check_decreasing(totals, "perturbation magnitudes")
-    if totals[-1] <= 0:
-        raise ValueError("perturbation magnitudes must be positive")
+    _check_path(totals, "perturbation magnitudes")
 
     base = solve_qvi_minimal(problem, outer, inner).solution
 
@@ -349,9 +327,7 @@ def run_data_robustness(
         pert = QVIProblem(problem.operator, f, omap, None)
         return solve_qvi_minimal(pert, outer, inner)
 
-    reports = _map_indexed(
-        solve_pair, list(zip(f_deltas, phi_deltas)), what="robustness study"
-    )
+    reports = _map_indexed(solve_pair, list(zip(f_deltas, phi_deltas)), what="robustness study")
     rows = [
         (tot, norm(rep.solution - base, "h1"), df, dphi, rep.outer_iterations)
         for tot, df, dphi, rep in zip(totals, f_deltas, phi_deltas, reports)
@@ -361,16 +337,9 @@ def run_data_robustness(
         for df, rep in zip(f_deltas, reports)
         if df > 0
     )
-    return StudyResult(
-        name="robust",
-        rows=rows,
-        aux_names=("f_delta", "phi_delta", "outer_iterations"),
-        fit=_fit_or_none([(row[0], row[1]) for row in rows]),
-        verdicts={"monotone_in_f": monotone_in_f},
-        seed=seed,
-        reference="delta=0",
-        reports=reports,
-    )
+    aux_names = ("f_delta", "phi_delta", "outer_iterations")
+    verdicts = {"monotone_in_f": monotone_in_f}
+    return _result("robust", rows, aux_names, verdicts, seed, "delta=0", reports)
 
 
 def run_stability_bound_check(
@@ -390,33 +359,22 @@ def run_stability_bound_check(
         raise ValueError("stability denominator is not positive")
     y0 = GridFunction.zeros(problem.operator.mesh)
 
-    def solve_pair(pair):
-        f1, f2 = pair
-        r1 = solve_qvi_fixed_point(
-            QVIProblem(problem.operator, f1, problem.obstacle_map, None), y0, outer, inner
+    def solve(f):
+        return solve_qvi_fixed_point(
+            QVIProblem(problem.operator, f, problem.obstacle_map, None), y0, outer, inner
         )
-        r2 = solve_qvi_fixed_point(
-            QVIProblem(problem.operator, f2, problem.obstacle_map, None), y0, outer, inner
-        )
-        return r1, r2
 
     force_pairs = list(force_pairs)
-    solved = _map_indexed(solve_pair, force_pairs, what="stability check")
+    solved = _map_indexed(
+        lambda pair: (solve(pair[0]), solve(pair[1])), force_pairs, what="stability check"
+    )
     rows = []
-    ratios = []
     for k, ((f1, f2), (r1, r2)) in enumerate(zip(force_pairs, solved)):
         dist = norm(r1.solution - r2.solution, "h1")
         bound = dual_norm(f1 - f2, "h1") / denom
-        ratio = dist / bound if bound > 0 else 0.0
-        ratios.append(ratio)
-        rows.append((k + 1, dist, bound, ratio))
-    return StudyResult(
-        name="stability",
-        rows=rows,
-        aux_names=("bound", "ratio"),
-        fit=None,
-        verdicts={"bound_holds": all(r <= 1.05 for r in ratios)},
-        seed=seed,
-        reference="pairwise",
-        reports=[rep for pair in solved for rep in pair],
+        rows.append((k + 1, dist, bound, dist / bound if bound > 0 else 0.0))
+    verdicts = {"bound_holds": all(row[3] <= 1.05 for row in rows)}
+    reports = [rep for pair in solved for rep in pair]
+    return _result(
+        "stability", rows, ("bound", "ratio"), verdicts, seed, "pairwise", reports, fit=False
     )

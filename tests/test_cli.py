@@ -294,6 +294,80 @@ class TestStudies:
         assert "# verdict monotone_in_f=True" in (tmp_path / "robust.csv").read_text()
 
 
+def _uniform(gf):
+    return tuple(np.unique(gf.values))
+
+
+class TestConfigKeysReachTheRun:
+    @pytest.mark.parametrize(
+        "text, command, seen, expected",
+        [
+            (
+                "[problem]\nname = plaplacian\np = 4.5",
+                "perturb",
+                lambda prob, a: prob.operator.p,
+                4.5,
+            ),
+            (
+                "[problem]\nname = plaplacian\neps_op = 0.02",
+                "perturb",
+                lambda prob, a: prob.operator.eps,
+                0.02,
+            ),
+            (
+                "[problem]\nname = nonmonotone_sine\nlambda = 0.3",
+                "perturb",
+                lambda prob, a: prob.operator.lam,
+                0.3,
+            ),
+            (
+                "[problem]\nname = example1d\nc0 = 0.7",
+                "perturb",
+                lambda prob, a: prob.obstacle_map.c0,
+                0.7,
+            ),
+            (
+                "[problem]\nname = fixed_obstacle\npsi = 0.03",
+                "perturb",
+                lambda prob, a: _uniform(prob.obstacle_map.psi_base),
+                (0.03,),
+            ),
+            (
+                "[problem]\nname = example1d\nf = 0.8",
+                "perturb",
+                lambda prob, a: _uniform(prob.f),
+                (0.8,),
+            ),
+            (
+                "[problem]\nname = example1d\nF = 1.5",
+                "perturb",
+                lambda prob, a: _uniform(prob.F),
+                (1.5,),
+            ),
+            ("[study]\nfamily = coefficient", "perturb", lambda prob, a: a[0], "coefficient"),
+            ("[study]\nreference = const:0.25", "regpath", lambda prob, a: _uniform(a[1]), (0.25,)),
+        ],
+    )
+    def test_value_reaches_problem_or_study(
+        self, tmp_path, monkeypatch, text, command, seen, expected
+    ):
+        from qvar import cli
+        from qvar.studies import StudyResult
+
+        calls = []
+
+        def record(problem, *args, **kwargs):
+            calls.append((problem, args))
+            return StudyResult(command, [], (), None, {})
+
+        monkeypatch.setattr(cli, "run_operator_perturbation", record)
+        monkeypatch.setattr(cli, "run_regularization_path", record)
+        cfg = write_cfg(tmp_path, f"out = {tmp_path}\n{text}\n")
+        assert run_command([command, "-c", cfg]) == 0
+        [(problem, args)] = calls
+        assert seen(problem, args) == expected
+
+
 class TestCrossProcessDeterminism:
     def test_study_bytes_identical_across_processes(self, tmp_path):
         import subprocess
@@ -424,4 +498,16 @@ class TestExperimentConfigHelpers:
         assert run_command(["solve", "-c", cfg]) == 4
         assert capsys.readouterr().err == (
             f"config error: psi_file {psi_path} has 9 nodes, the mesh has 17\n"
+        )
+
+    def test_psi_file_malformed_row_is_config_error(self, tmp_path, capsys):
+        psi_path = tmp_path / "psi.csv"
+        psi_path.write_text("x,value\n0,0\n0.5,0.07,1\n1,0\n", encoding="utf-8")
+        cfg = write_cfg(
+            tmp_path, f"[problem]\nname = fixed_obstacle\nn = 2\npsi_file = {psi_path}\n"
+        )
+        assert run_command(["solve", "-c", cfg]) == 4
+        assert capsys.readouterr().err == (
+            f"config error: psi_file {psi_path}: line 3: expected two numbers x,value, "
+            "got '0.5,0.07,1'\n"
         )

@@ -297,3 +297,43 @@ class TestCsv:
         assert rows[0] == "x,value"
         assert rows[1].startswith("0,") and rows[1].endswith(",0")
         assert rows[-1].split(",")[1] == "0"
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # x = 0, 5, -3, 1 used to load as an n=3 mesh
+            (
+                ["0,1", "5,2", "-3,1", "1,0"],
+                "line 3: x = 5, but node 1 of a uniform 4-node mesh sits at x = 0.333333",
+            ),
+            (
+                ["0,0", "0.5,1", "0.25,2", "0.75,2", "1,0"],
+                "line 3: x = 0.5, but node 1 of a uniform 5-node mesh sits at x = 0.25",
+            ),
+            (["0,0", "0.5,1,2", "1,0"], "line 3: expected two numbers x,value, got '0.5,1,2'"),
+            (["0,0", "0.5", "1,0"], "line 3: expected two numbers x,value, got '0.5'"),
+            (["0,0", "0.5,one", "1,0"], "line 3: expected two numbers x,value, got '0.5,one'"),
+        ],
+        ids=["shifted", "shuffled", "three_fields", "one_field", "not_a_number"],
+    )
+    def test_malformed_rows_name_their_line(self, rows, message):
+        text = "x,value\n" + "\n".join(rows) + "\n"
+        with pytest.raises(ValueError) as exc:
+            from_csv(text, "neumann")
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "shift, ok", [(0.9e-3, True), (-0.9e-3, True), (1.1e-3, False), (-1.1e-3, False)]
+    )
+    def test_node_tolerance_is_a_thousandth_of_h(self, shift, ok):
+        n = 16
+        mesh = make_mesh(n, "dirichlet")
+        lines = to_csv(GridFunction.constant(mesh, 0.5)).splitlines()
+        x, v = lines[5].split(",")
+        lines[5] = f"{float(x) + shift / n!r},{v}"
+        text = "\n".join(lines) + "\n"
+        if ok:
+            assert np.array_equal(from_csv(text, "dirichlet").values, np.full(n - 1, 0.5))
+        else:
+            with pytest.raises(ValueError, match="^line 6: x = "):
+                from_csv(text, "dirichlet")

@@ -487,6 +487,20 @@ class TestRegularization:
         scale = np.max(np.abs(direct.matvec(u)))
         assert np.max(np.abs(combined.matvec(u) - direct.matvec(u))) <= 1e-14 * scale
 
+    def test_delta_regularized_sine_energy_gradient(self):
+        # the gradient of the potential in the weighted pairing is the operator
+        mesh = make_mesh(32, "neumann")
+        base = assemble_linear(mesh, 1.0, 1.0)
+        R = assemble_linear(mesh, 2.0, 1.0)
+        op = add_regularization(NonMonotoneOperator(base, 0.1), 0.1, 0.2, R)
+        u = np.random.default_rng(3).uniform(-0.5, 0.5, mesh.dof_count)
+        t = 1e-5
+        grad = np.array(
+            [(op.energy(u + t * e) - op.energy(u - t * e)) / (2 * t) for e in np.eye(u.size)]
+        )
+        want = mesh.hw * op.matvec(u)
+        assert np.max(np.abs(grad - want)) <= 1e-8 * np.max(np.abs(want))
+
     def test_nonlinear_wrapper(self):
         mesh = make_mesh(16, "dirichlet")
         plap = PLaplacianOperator(mesh, 3.0, 1e-3)

@@ -291,6 +291,23 @@ class TestNonlinearSupersolution:
         assert rep_min.converged and rep_max.converged
         assert norm(rep_max.solution - rep_min.solution, "sup") <= 1e-8
 
+    def test_delta_regularized_sine_maximal_mode(self):
+        # the supersolution of op + eps I + delta R comes from its linear part
+        from qvar.operators import add_regularization, solve_unconstrained
+
+        prob = builtin_problem("nonmonotone_sine", n=32)
+        mesh = prob.f.mesh
+        base = prob.operator.base
+        R = assemble_linear(mesh, 2.0, 1.0)
+        reg = prob.with_operator(add_regularization(prob.operator, 0.1, 0.2, R))
+        ybar = unconstrained_supersolution(reg.operator, reg.F)
+        direct = solve_unconstrained(add_regularization(base, 0.1, 0.2, R), reg.F)
+        assert np.array_equal(ybar.values, direct.values)
+        rep_min = solve_qvi_minimal(reg)
+        rep_max = solve_qvi_maximal(reg, minimal=rep_min.solution)
+        assert rep_min.converged and rep_max.converged
+        assert leq(rep_min.solution, rep_max.solution, 1e-8)
+
     def test_supersolution_solves_operator(self):
         from qvar.operators import apply as op_apply
 

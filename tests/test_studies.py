@@ -138,6 +138,27 @@ class TestOperatorPerturbation:
         assert res.fit.slope >= 0.9
         assert res.fit.r2 >= 0.98
 
+    def test_coefficient_family_is_scaled_identity(self):
+        prob = builtin_problem("example1d", n=32)
+        deltas = [0.4, 0.2, 0.1, 0.05, 0.025]
+        a = run_operator_perturbation(prob, "coefficient", deltas)
+        b = run_operator_perturbation(prob, "scaled_identity", deltas)
+        assert a.rows == b.rows
+        assert a.verdicts == {}
+
+    @pytest.mark.parametrize("name", ["plaplacian", "nonmonotone_sine"])
+    def test_coefficient_family_refuses_nonlinear_before_any_solve(self, monkeypatch, name):
+        import qvar.studies
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a study solved before checking its operator")
+
+        monkeypatch.setattr(qvar.studies, "solve_qvi_minimal", no_solve)
+        with pytest.raises(ValueError, match="needs an assembled linear operator"):
+            run_operator_perturbation(
+                builtin_problem(name, n=16), "coefficient", [0.4, 0.2, 0.1, 0.05]
+            )
+
     def test_single_delta_rejected(self):
         prob = builtin_problem("example1d")
         with pytest.raises(InsufficientDataError):
@@ -147,6 +168,37 @@ class TestOperatorPerturbation:
         prob = builtin_problem("example1d")
         with pytest.raises(ValueError):
             run_operator_perturbation(prob, "rotation", [0.4, 0.2, 0.1, 0.05])
+
+
+_STUDIES = {
+    "regpath": lambda prob, pts: run_regularization_path(prob, pts, "smallest-eps"),
+    "regpath_eps_reference": lambda prob, pts: run_regularization_path(prob, pts, 1e-6),
+    "scaled_identity": lambda prob, pts: run_operator_perturbation(prob, "scaled_identity", pts),
+    "coefficient": lambda prob, pts: run_operator_perturbation(prob, "coefficient", pts),
+}
+
+
+class TestNonPositivePoints:
+    @pytest.mark.parametrize(
+        "study, points",
+        [
+            ("regpath", [0.4, 0.2, 0.1, 0.0]),
+            ("regpath_eps_reference", [0.4, 0.2, 0.1, -0.1]),
+            ("scaled_identity", [0.4, 0.2, 0.1, 0.0]),
+            # used to raise EllipticityError at the fourth point, after three solves
+            ("coefficient", [0.4, 0.2, 0.1, -2.0]),
+        ],
+    )
+    def test_rejected_before_any_solve(self, monkeypatch, study, points):
+        import qvar.studies
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a study solved before checking its points")
+
+        monkeypatch.setattr(qvar.studies, "solve_qvi_minimal", no_solve)
+        monkeypatch.setattr(qvar.studies, "solve_qvi_regularized", no_solve)
+        with pytest.raises(ValueError, match="must be positive"):
+            _STUDIES[study](builtin_problem("fixed_obstacle", n=16), points)
 
 
 class TestMeshRefinement:
