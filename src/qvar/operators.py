@@ -6,6 +6,11 @@ Under this convention the linear assembly reduces to the familiar 3-point
 stencil on interior nodes, neumann boundary rows carry half weights (so the
 flux part annihilates constants exactly), and the eps-regularization term is
 plain addition of eps*u.
+
+Every operator has a `mesh`, `matvec(u)` (the nodal values of A(u)),
+`jacobian_bands(u)` (the tridiagonal Jacobian at u as (lower, diag, upper)
+rows) and `energy(u)` (a potential whose gradient in the weighted pairing is
+A, the merit that globalizes the inner Newton solver).
 """
 
 from __future__ import annotations
@@ -217,7 +222,7 @@ class PLaplacianOperator:
         upper[-1] = 0.0
         return lower, dflux[:-1] + dflux[1:], upper
 
-    def energy(self, u: np.ndarray) -> np.ndarray:
+    def energy(self, u: np.ndarray) -> float:
         """Convex potential whose gradient (in the weighted pairing) is the operator."""
         g = self._edge_gradients(u)
         s = g * g + self.eps
@@ -225,39 +230,28 @@ class PLaplacianOperator:
 
 
 class NonMonotoneOperator:
-    """Composite A(y) + N(y) with a pointwise bounded nonlinearity.
+    """Composite A(y) + lam*sin(y) with the bounded nonlinearity lam*sin.
 
-    The reference nonlinearity is lam*sin(y): its Lipschitz constant and
-    one-sided monotonicity defect both equal |lam|, which makes the smallness
-    condition checkable in closed form.
+    Its Lipschitz constant and one-sided monotonicity defect both equal
+    |lam|, which makes the smallness condition checkable in closed form.
     """
 
-    def __init__(self, base: LinearEllipticOperator, lam: float, func=np.sin):
+    def __init__(self, base: LinearEllipticOperator, lam: float):
         if not np.isfinite(lam):
             raise ValueError("nonlinearity amplitude must be finite")
         self.base = base
         self.mesh = base.mesh
         self.lam = float(lam)
-        self.func = func
-
-    @property
-    def is_sine(self) -> bool:
-        return self.func is np.sin
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
-        return self.base.matvec(u) + self.lam * self.func(u)
+        return self.base.matvec(u) + self.lam * np.sin(u)
 
     def jacobian_bands(self, u: np.ndarray):
-        """Base bands plus lam*cos(u) on the diagonal for the sine; the base
-        bands alone (a chord step) for a custom nonlinearity."""
-        if not self.is_sine:
-            return self.base.jacobian_bands(u)
+        """Base bands plus lam*cos(u) on the diagonal."""
         return self.base.lower, self.base.diag + self.lam * np.cos(u), self.base.upper
 
     def energy(self, u: np.ndarray) -> float:
-        """Potential of the composite; only the sine nonlinearity has one here."""
-        if not self.is_sine:
-            raise NotImplementedError("no potential known for a custom nonlinearity")
+        """Potential 0.5 <A u, u> - lam <cos(u), 1> of the composite."""
         return self.base.energy(u) - self.lam * float(np.dot(self.mesh.hw, np.cos(u)))
 
 

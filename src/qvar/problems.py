@@ -67,9 +67,7 @@ def one_kernel(x, xi):
 one_kernel.profile = lambda d: np.ones(np.shape(d))
 
 
-def _resolve_kernel(spec):
-    if callable(spec):
-        return spec
+def _resolve_kernel(spec: str):
     if spec == "one":
         return one_kernel
     if isinstance(spec, str) and spec.startswith("gauss(") and spec.endswith(")"):

@@ -145,15 +145,14 @@ def operator_structural_constants(op, norm_tag: str = "h1", seed: int = 0):
     Linear: eigenvalue-accurate.  Sine composites: eigenvalue-accurate base
     plus the closed-form |lam| bounds.  Anything else: sampled bounds.
     """
-    if isinstance(op, NonMonotoneOperator) and op.is_sine:
+    if isinstance(op, NonMonotoneOperator):
         base = estimate_constants(op.base, norm_tag, seed=seed)
         lam = abs(op.lam)
         constants = OperatorConstants(
             c=base.c, L=base.L + lam, gamma=lam, norm_tag=norm_tag, method="eig"
         )
         return constants, lam
-    constants = estimate_constants(op, norm_tag, seed=seed)
-    return constants, 0.0
+    return estimate_constants(op, norm_tag, seed=seed), 0.0
 
 
 def problem_certificate(

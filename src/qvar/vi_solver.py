@@ -116,47 +116,33 @@ def _newton_step(bands, held: np.ndarray, gap: np.ndarray, r: np.ndarray) -> np.
 
 
 def solve_vi(op, f: GridFunction, psi: GridFunction, params: VIParams) -> VISolveReport:
-    """Semismooth Newton on min(psi - y, f - A(y)) = 0 from min(0, psi).
+    """Projected Newton method (Bertsekas, SIAM J. Control Optim. 20, 1982) on
+    min(psi - y, f - A(y)) = 0 from min(0, psi).
 
-    Each iteration solves one tridiagonal system with the Jacobian bands of
-    the operator at y on free rows and moves held rows onto the obstacle.
-    With a potential (op.energy) this is a projected Newton method: nodes on
-    the obstacle with a positive multiplier are held, and the projected path
-    min(psi, y + t dy) is backtracked until the energy minus <f, y> does not
-    rise beyond round-off.  Without one, the primal-dual active set
-    {psi - y <= f - A(y)} is held and a trial is accepted when it lowers the
-    complementarity residual.  A non-finite trial is rejected; a step scaled
-    below 1e-12 raises a stagnation error.  The residual is the termination
-    test throughout.
+    Each iteration holds the nodes on the obstacle with a positive multiplier
+    there, solves one tridiagonal system with the Jacobian bands at y on the
+    free rows, and backtracks the projected path min(psi, y + t dy) until the
+    energy minus <f, y> does not rise beyond round-off.  A non-finite trial
+    is rejected; a step scaled below 1e-12 raises a stagnation error.  The
+    residual is the termination test.
     """
     if f.mesh != op.mesh or psi.mesh != op.mesh:
         raise GridMismatchError("force/obstacle live on a different mesh")
     fv, pv = f.values, psi.values
+    hwf = op.mesh.hw * fv
+
+    def merit(v):
+        return op.energy(v) - float(np.dot(hwf, v))
+
     y = _feasible_start(pv)
-
-    # a missing energy, or one that raises NotImplementedError, means no potential
-    energy = getattr(op, "energy", None)
-    merit = None
-    if energy is not None:
-
-        def merit(v):
-            return energy(v) - float(np.dot(op.mesh.hw * fv, v))
-
-        try:
-            e = merit(y)
-        except NotImplementedError:
-            merit = None
-
+    e = merit(y)
     r = fv - op.matvec(y)
     kkt = _kkt(pv - y, r)
     iters = 0
     while kkt > params.tol and iters < params.max_iter:
         iters += 1
         gap = pv - y
-        if merit is not None:
-            held = (gap <= _HOLD_TOL * (1.0 + np.abs(pv))) & (r > 0.0)
-        else:
-            held = gap <= r
+        held = (gap <= _HOLD_TOL * (1.0 + np.abs(pv))) & (r > 0.0)
         dy = _newton_step(op.jacobian_bands(y), held, gap, r)
         t = 1.0
         while True:
@@ -164,25 +150,18 @@ def solve_vi(op, f: GridFunction, psi: GridFunction, params: VIParams) -> VISolv
                 yt = np.minimum(pv, y + t * dy)
                 rt = fv - op.matvec(yt)
                 kkt_t = _kkt(pv - yt, rt)
-                if merit is not None:
-                    et = merit(yt)
-                    accept = math.isfinite(et) and et <= e + 1e-14 * (abs(e) + 1.0)
-                else:
-                    accept = kkt_t < kkt
-            if accept and math.isfinite(kkt_t):
+                et = merit(yt)
+            if math.isfinite(et) and et <= e + 1e-14 * (abs(e) + 1.0) and math.isfinite(kkt_t):
                 break
             t *= 0.5
             if t < _STEP_FLOOR:
                 raise StagnationError(f"Newton step underflowed at residual {kkt:.3e}")
-        y, r, kkt = yt, rt, kkt_t
-        if merit is not None:
-            e = et
+        y, r, kkt, e = yt, rt, kkt_t, et
     return VISolveReport(GridFunction(op.mesh, y), iters, kkt, kkt <= params.tol)
 
 
 def solve_vi_projected(op, f: GridFunction, psi: GridFunction, params: VIParams) -> VISolveReport:
-    """Former name of the nonlinear inner solve, kept for callers that bind it
-    by name (bench/tracer.py); every operator now uses solve_vi."""
+    """Former name of solve_vi, kept for callers that bind it (bench/tracer.py)."""
     return solve_vi(op, f, psi, params)
 
 

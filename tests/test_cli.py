@@ -293,6 +293,24 @@ class TestStudies:
         assert run_command(["robust", "-c", cfg]) == 0
         assert "# verdict monotone_in_f=True" in (tmp_path / "robust.csv").read_text()
 
+    def test_unconverged_point_exits_3(self, tmp_path):
+        cfg = write_cfg(
+            tmp_path,
+            f"out = {tmp_path}\n[problem]\nname = example1d\nn = 32\n[solver]\nmax_outer = 1\n",
+        )
+        assert run_command(["regpath", "-c", cfg]) == 3
+        assert (tmp_path / "regpath.csv").exists()
+
+    def test_failed_verdict_exits_2(self, tmp_path, capsys):
+        # the error against the reference 0 is the norm of the solution, which grows as eps falls
+        cfg = write_cfg(
+            tmp_path,
+            f"out = {tmp_path}\n[problem]\nname = fixed_obstacle\nn = 32\n"
+            "[study]\nreference = const:0\n",
+        )
+        assert run_command(["regpath", "-c", cfg]) == 2
+        assert "verdict errors_nonincreasing=False" in capsys.readouterr().out
+
 
 def _uniform(gf):
     return tuple(np.unique(gf.values))
@@ -343,6 +361,12 @@ class TestConfigKeysReachTheRun:
                 "perturb",
                 lambda prob, a: _uniform(prob.F),
                 (1.5,),
+            ),
+            (
+                "[problem]\nname = kernel_qvi\nn = 16\nkernel = one",
+                "perturb",
+                lambda prob, a: tuple(np.unique(prob.obstacle_map.kernel_column)),
+                (1.0,),
             ),
             ("[study]\nfamily = coefficient", "perturb", lambda prob, a: a[0], "coefficient"),
             ("[study]\nreference = const:0.25", "regpath", lambda prob, a: _uniform(a[1]), (0.25,)),
@@ -449,6 +473,33 @@ class TestOracleCheck:
             encoding="utf-8",
         )
         assert run_command(["refine", "-c", str(cfg)]) == 4
+
+
+class TestConfigErrorMessages:
+    @pytest.mark.parametrize(
+        "text, argv, message",
+        [
+            (
+                "[study]\neps_list = 0.5,abc\n",
+                ["regpath"],
+                "line 2: key 'eps_list' expects a comma-separated list, got '0.5,abc'",
+            ),
+            ("[problem]\nn 64\n", ["solve"], "line 2: expected 'key = value', got 'n 64'"),
+            (
+                "[problem]\nname = bogus\n",
+                ["solve"],
+                "line 2: key 'name' must be one of example1d, plaplacian, kernel_qvi, "
+                "nonmonotone_sine, fixed_obstacle, got 'bogus'",
+            ),
+            (None, ["oracle-check", "--ndof", "0"], "--ndof must lie in [1, 16], got 0"),
+            (None, ["oracle-check", "--ndof", "17"], "--ndof must lie in [1, 16], got 17"),
+        ],
+    )
+    def test_message_and_exit_code(self, tmp_path, capsys, text, argv, message):
+        if text is not None:
+            argv = argv + ["-c", write_cfg(tmp_path, text)]
+        assert run_command(argv) == 4
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 class TestExperimentConfigHelpers:

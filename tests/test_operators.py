@@ -322,14 +322,6 @@ class TestJacobianBands:
         fd = fd_jacobian(op, u)
         assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(J))
 
-    def test_custom_nonlinearity_gives_chord(self):
-        mesh = make_mesh(16, "neumann")
-        base = assemble_linear(mesh, 1.0, 1.0)
-        comp = NonMonotoneOperator(base, 0.1, func=np.tanh)
-        u = np.linspace(-1.0, 1.0, mesh.dof_count)
-        for got, want in zip(comp.jacobian_bands(u), base.jacobian_bands(u)):
-            assert np.array_equal(got, want)
-
 
 class TestConstants:
     def test_neumann_reaction_smallest_eigenvalue(self):

@@ -193,6 +193,15 @@ class TestValidation:
         ):
             solve_qvi_fixed_point(prob, y0, _order_check="decreasing")
 
+    def test_minimal_above_maximal_rejected(self):
+        # the maximal solution of example1d is 2/3, below a claimed minimal of 1
+        prob = builtin_problem("example1d", n=16)
+        above = GridFunction.constant(prob.f.mesh, 1.0)
+        with pytest.raises(
+            OrderingViolationError, match="^minimal solution exceeds the maximal solution$"
+        ):
+            solve_qvi_maximal(prob, minimal=above)
+
 
 class TestRegularized:
     @pytest.mark.parametrize(

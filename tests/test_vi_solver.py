@@ -214,19 +214,6 @@ class TestProjected:
         assert rep.converged
         assert kkt_residual(reg, f, psi, rep.solution) <= 1e-10
 
-    def test_custom_nonlinearity_without_potential(self):
-        # tanh composite has no known potential: primal-dual active sets with
-        # chord steps on the base bands, accepted on the residual
-        mesh = make_mesh(32, "neumann")
-        base = assemble_linear(mesh, 1.0, 1.0)
-        comp = NonMonotoneOperator(base, 0.1, func=np.tanh)
-        f = GridFunction.constant(mesh, 1.0)
-        psi = GridFunction(mesh, 0.4 + 0.5 * np.abs(mesh.dof_nodes() - 0.5))
-        rep = solve_vi(comp, f, psi, VIParams(tol=1e-9, max_iter=200000))
-        assert rep.converged
-        assert kkt_residual(comp, f, psi, rep.solution) <= 1e-9
-        assert leq(rep.solution, psi, 1e-12)
-
 
 class TestNewton:
     def test_matches_oracle(self):
@@ -306,7 +293,7 @@ class TestNewton:
             def energy(self, u):
                 return self.missing_attribute
 
-        # a bug inside energy is not taken for a missing potential
+        # energy is called directly, so an error inside it reaches the caller
         mesh = make_mesh(64, "dirichlet")
         op = BrokenPotential(assemble_linear(mesh, 1.0, 0.0))
         f = GridFunction.constant(mesh, 1.0)

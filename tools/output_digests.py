@@ -15,8 +15,9 @@ the whole matrix:
 The matrix:
 - solve, trace and certify for every builtin on both boundary conditions
   (plaplacian on dirichlet only) at n = 2, 8, 16 and 64;
-- regpath, perturb (both families), refine and robust on example1d,
-  fixed_obstacle and kernel_qvi at n = 32;
+- regpath, perturb (both families), refine and robust on every builtin at
+  n = 32 (perturb family=coefficient exits 4 on the nonlinear plaplacian and
+  nonmonotone_sine);
 - oracle-check --trials 10.
 """
 
@@ -33,7 +34,6 @@ import tempfile
 BUILTINS = ("example1d", "plaplacian", "kernel_qvi", "nonmonotone_sine", "fixed_obstacle")
 SOLVE_COMMANDS = ("solve", "trace", "certify")
 SOLVE_SIZES = (2, 8, 16, 64)
-STUDY_PROBLEMS = ("example1d", "fixed_obstacle", "kernel_qvi")
 STUDY_SIZE = 32
 
 
@@ -45,7 +45,7 @@ def _matrix():
                 config = f"[problem]\nname = {name}\nbc = {bc}\nn = {n}\n"
                 for cmd in SOLVE_COMMANDS:
                     yield f"{cmd} {name} bc={bc} n={n}", [cmd], config
-    for name in STUDY_PROBLEMS:
+    for name in BUILTINS:
         problem = f"[problem]\nname = {name}\nn = {STUDY_SIZE}\n"
         yield f"regpath {name}", ["regpath"], problem
         for family in ("scaled_identity", "coefficient"):
