@@ -1,6 +1,6 @@
 """Inner obstacle solvers and the enumeration oracle.
 
-One semismooth Newton solver handles every operator; projected SOR stays as
+One projected Newton solver handles every operator; projected SOR stays as
 a plain linear reference.  On instances small enough to enumerate every
 active set, both are checked against the brute-force oracle.
 """

@@ -172,6 +172,13 @@ def _apply_problem_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) 
     elif key in ("kernel", "obstacle.kernel"):
         _require_range(raw == "one" or (raw.startswith("gauss(") and raw.endswith(")")),
                        line_no, key, f"must be 'one' or 'gauss(sigma)', got {raw!r}")
+        if raw != "one":
+            try:  # nan, inf and too small widths fail later, in gauss_kernel
+                float(raw[6:-1])
+            except ValueError:
+                raise ConfigError(
+                    f"line {line_no}: key '{key}' expects a number as the gauss width, got {raw!r}"
+                ) from None
         ov["kernel"] = raw
     elif key == "psi":
         ov["psi_level"] = _parse_float(raw, line_no, key)
@@ -272,9 +279,11 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _solution_path(cfg: ExperimentConfig, suffix: str) -> str:
-    os.makedirs(cfg.out, exist_ok=True)
-    return os.path.join(cfg.out, f"{cfg.problem_name}_{suffix}.csv")
+def _make_out_dir(out: str) -> None:
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from None
 
 
 def _study_reference(cfg: ExperimentConfig, problem: QVIProblem):
@@ -284,15 +293,15 @@ def _study_reference(cfg: ExperimentConfig, problem: QVIProblem):
     return raw
 
 
-def _cmd_solve(cfg: ExperimentConfig, trace_mode: bool) -> int:
-    problem = cfg.build_problem()
+def _cmd_solve(cfg: ExperimentConfig, problem: QVIProblem, trace_mode: bool) -> int:
     if trace_mode or np.min(problem.f.values) < 0:
         y0 = GridFunction.zeros(problem.operator.mesh)
         report = solve_qvi_fixed_point(problem, y0, cfg.outer, cfg.inner)
     else:
         report = solve_qvi_minimal(problem, cfg.outer, cfg.inner)
-    sol_path = _solution_path(cfg, "solution")
-    rep_path = _solution_path(cfg, "report")
+    sol_path, rep_path = (
+        os.path.join(cfg.out, f"{cfg.problem_name}_{kind}.csv") for kind in ("solution", "report")
+    )
     _write(sol_path, to_csv(report.solution))
     _write(rep_path, report.csv_text())
     print(
@@ -303,17 +312,15 @@ def _cmd_solve(cfg: ExperimentConfig, trace_mode: bool) -> int:
     return 0 if report.converged else 3
 
 
-def _cmd_certify(cfg: ExperimentConfig) -> int:
-    cert = problem_certificate(cfg.build_problem(), "h1", seed=cfg.seed)
+def _cmd_certify(cfg: ExperimentConfig, problem: QVIProblem) -> int:
+    cert = problem_certificate(problem, "h1", seed=cfg.seed)
     print("c,L_A,L_N,gamma,L_phi,rho,smallness_ok")
     print(cert.csv_row())
     print(f"rho = {cert.rho:.6g} ({'ok' if cert.smallness_ok else 'smallness violated'})")
     return 0 if cert.smallness_ok else 2
 
 
-def _cmd_study(cfg: ExperimentConfig, kind: str) -> int:
-    # built for every study, refine included, so a bad [problem] fails before any solve
-    problem = cfg.build_problem()
+def _cmd_study(cfg: ExperimentConfig, problem: QVIProblem, kind: str) -> int:
     outer, inner = cfg.outer, cfg.inner
     if kind == "regpath":
         result = run_regularization_path(
@@ -342,7 +349,6 @@ def _cmd_study(cfg: ExperimentConfig, kind: str) -> int:
             cfg.study.get("phi_deltas"),
             outer, inner, seed=cfg.seed,
         )
-    os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, f"{result.name}.csv")
     result.write(path)
     print(f"wrote {path}")
@@ -433,11 +439,15 @@ def run_command(argv) -> int:
             return _cmd_oracle_check(args.trials, args.ndof, cfg.seed)
         if args.out is not None:
             cfg.out = args.out
-        if args.command in ("solve", "trace"):
-            return _cmd_solve(cfg, trace_mode=args.command == "trace")
+        # built for every command, refine included, so a bad [problem] fails
+        # before any solve; so does an output directory that cannot be made
+        problem = cfg.build_problem()
         if args.command == "certify":
-            return _cmd_certify(cfg)
-        return _cmd_study(cfg, args.command)
+            return _cmd_certify(cfg, problem)
+        _make_out_dir(cfg.out)
+        if args.command in ("solve", "trace"):
+            return _cmd_solve(cfg, problem, trace_mode=args.command == "trace")
+        return _cmd_study(cfg, problem, args.command)
     except (ConfigError, InsufficientDataError, NestingError, GridMismatchError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 4

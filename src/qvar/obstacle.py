@@ -2,7 +2,7 @@
 
 Three variants:
   constant_mean  Phi(y) = c0 + alpha * integral of y        (constant output)
-  kernel         Phi(y)_i = psi_i + alpha * sum_j w_j h k(x_i,x_j) max(y_j, 0)
+  kernel         Phi(y)_i = psi_i + alpha * sum_j w_j h k(|x_i - x_j|) max(y_j, 0)
   fixed          Phi(y) = psi  (ordinary obstacle problem)
 
 Kernel evaluation uses the same trapezoid weights as the l2 pairing, so the
@@ -30,11 +30,11 @@ class ObstacleMap:
     iteration downstream requires an increasing map, and a negative alpha
     would break it silently.
 
-    A kernel map stores its matrix K either densely (`kernel_samples`, m x m)
-    or, for a stationary kernel on the uniform mesh, as the first column of
-    the symmetric Toeplitz matrix (`kernel_column`, K_ij = column[|i - j|]),
-    applied through a circulant embedding whose spectrum is computed once.
-    Both are read-only after construction, so `shifted` maps share them.
+    A kernel map stores its stationary kernel on the uniform mesh as the
+    first column of the symmetric Toeplitz matrix K (`kernel_column`,
+    K_ij = column[|i - j|]), applied through a circulant embedding whose
+    spectrum is computed once.  Both are read-only after construction, so
+    `shifted` maps share them.
     """
 
     def __init__(
@@ -44,7 +44,6 @@ class ObstacleMap:
         c0: float = 0.0,
         alpha: float = 0.0,
         psi_base: GridFunction | None = None,
-        kernel_samples: np.ndarray | None = None,
         kernel_column: np.ndarray | None = None,
     ):
         if variant not in (CONSTANT_MEAN, KERNEL, FIXED):
@@ -56,7 +55,6 @@ class ObstacleMap:
         self.c0 = float(c0)
         self.alpha = float(alpha)
         self.psi_base = None
-        self.kernel_samples = None
         self.kernel_column = None
         self._spectrum = None
         self._nfft = 0
@@ -69,17 +67,8 @@ class ObstacleMap:
             self.psi_base = psi_base.copy()
         if variant != KERNEL:
             return
-        if (kernel_samples is None) == (kernel_column is None):
-            raise ValueError(
-                "kernel maps need either kernel samples k(x_i, x_j) or a Toeplitz column"
-            )
-        if kernel_samples is not None:
-            k = np.asarray(kernel_samples, dtype=np.float64).copy()
-            if k.shape != (m, m):
-                raise GridMismatchError(f"kernel samples must be {m}x{m}, got {k.shape}")
-            k.setflags(write=False)
-            self.kernel_samples = k
-            return
+        if kernel_column is None:
+            raise ValueError("kernel maps need a Toeplitz column k(|x_i - x_j|)")
         col = np.asarray(kernel_column, dtype=np.float64).copy()
         if col.shape != (m,):
             raise GridMismatchError(f"kernel column must have {m} entries, got {col.shape}")
@@ -105,28 +94,15 @@ class ObstacleMap:
         return cls(mesh, FIXED, psi_base=psi)
 
     @classmethod
-    def kernel(
-        cls, mesh: Mesh, psi: GridFunction, alpha: float, kernel_fn
-    ) -> "ObstacleMap":
-        """Build a kernel map from kernel_fn(x, xi) at the dof nodes.
+    def kernel(cls, mesh: Mesh, psi: GridFunction, alpha: float, profile) -> "ObstacleMap":
+        """Build a kernel map from a stationary kernel k(x, xi) = profile(|x - xi|).
 
-        A stationary kernel carries a `profile(d)` attribute, the kernel as a
-        function of the distance d = |x - xi| >= 0 on numpy arrays; it is
-        sampled once at the m dof spacings and stored as a Toeplitz column.
-        Any other kernel_fn must accept numpy arrays: it is called once, on a
-        column and a row of the dof nodes, and its result is broadcast to the
-        dense (m, m) matrix.
+        profile maps a numpy array of distances d >= 0 to the array of kernel
+        values; it is sampled once at the m dof spacings and stored as a
+        Toeplitz column.
         """
-        m = mesh.dof_count
-        profile = getattr(kernel_fn, "profile", None)
-        if profile is not None:
-            column = np.asarray(profile(np.arange(m) / mesh.n), dtype=np.float64)
-            column = np.broadcast_to(column, (m,))
-            return cls(mesh, KERNEL, alpha=alpha, psi_base=psi, kernel_column=column)
-        xs = mesh.dof_nodes()
-        samples = kernel_fn(xs[:, None], xs[None, :])
-        k = np.broadcast_to(np.asarray(samples, dtype=np.float64), (m, m))
-        return cls(mesh, KERNEL, alpha=alpha, psi_base=psi, kernel_samples=k)
+        column = profile(np.arange(mesh.dof_count) / mesh.n)
+        return cls(mesh, KERNEL, alpha=alpha, psi_base=psi, kernel_column=column)
 
     def shifted(self, delta: float) -> "ObstacleMap":
         """The map with its base level raised by delta; a kernel map shares
@@ -138,11 +114,8 @@ class ObstacleMap:
             out.psi_base = GridFunction(self.mesh, self.psi_base.values + delta)
         return out
 
-    def _apply_kernel(self, z: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """K z, or K^T z with transpose, for a kernel map.  Dense samples may
-        be asymmetric; a Toeplitz column defines a symmetric K."""
-        if self.kernel_samples is not None:
-            return (self.kernel_samples.T if transpose else self.kernel_samples) @ z
+    def _apply_kernel(self, z: np.ndarray) -> np.ndarray:
+        """K z for a kernel map; K is symmetric, so this is also K^T z."""
         return np.fft.irfft(self._spectrum * np.fft.rfft(z, self._nfft), self._nfft)[: z.size]
 
 
@@ -177,15 +150,11 @@ def lipschitz_bound(omap: ObstacleMap, norm_tag: str = "l2") -> float:
     m = mesh.dof_count
     hw = mesh.hw
     if norm_tag == "l2":
-        if omap.kernel_samples is not None:
-            frob_sq = float(np.einsum("i,j,ij->", hw, hw, omap.kernel_samples**2))
-        else:
-            # a sum over diagonals: sum_d (2 - [d=0]) k_d^2 S_d with the lag
-            # sums S_d = sum_i hw_i hw_{i+d}, an autocorrelation taken by FFT
-            nfft = omap._nfft
-            lags = np.fft.irfft(np.abs(np.fft.rfft(hw, nfft)) ** 2, nfft)[:m]
-            terms = omap.kernel_column**2 * lags
-            frob_sq = float(2.0 * np.sum(terms[1:]) + terms[0])
+        # a sum over diagonals: sum_d (2 - [d=0]) k_d^2 S_d with the lag
+        # sums S_d = sum_i hw_i hw_{i+d}, an autocorrelation taken by FFT
+        lags = np.fft.irfft(np.abs(np.fft.rfft(hw, omap._nfft)) ** 2, omap._nfft)[:m]
+        terms = omap.kernel_column**2 * lags
+        frob_sq = float(2.0 * np.sum(terms[1:]) + terms[0])
         return omap.alpha * float(np.sqrt(frob_sq))
     # h1 tag: sup ||B z||_h1 / ||z||_l2 with B z = alpha * K (hw z).  With the
     # h1 Gram matrix G1 = U^T U (bidiagonal U) and z = w / sqrt(hw) this is the
@@ -206,7 +175,13 @@ def lipschitz_bound(omap: ObstacleMap, norm_tag: str = "l2") -> float:
         y[:-1] += upper * z[1:]
         w = diag * y
         w[1:] += upper * y[:-1]
-        return scale * omap._apply_kernel(w, transpose=True)
+        return scale * omap._apply_kernel(w)
+
+    if m == 2:
+        # ARPACK's result on two dofs moves in the last bits from call to
+        # call; the top eigenvalue of the formed 2 x 2 normal matrix does not
+        normal = np.column_stack([normal_matvec(x) for x in np.eye(2)])
+        return float(np.sqrt(max(np.linalg.eigvalsh(normal)[-1], 0.0)))
 
     # ARPACK is imported here, not at module level: it adds megabytes to
     # every `import qvar` that never asks for an h1 kernel bound

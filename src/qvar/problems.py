@@ -29,13 +29,12 @@ _DEFAULT_BC = {
 
 
 def gauss_kernel(sigma: float):
-    """Symmetric nonnegative kernel exp(-(x-xi)^2 / (2 sigma^2)), evaluated
-    elementwise on broadcastable numpy arrays.
+    """Profile d -> exp(-d^2 / (2 sigma^2)) of the Gaussian kernel, on numpy
+    arrays of distances d = |x - xi|.
 
-    It is stationary: its `profile(d)` attribute is exp(-d^2 / (2 sigma^2)),
-    so kernel maps store it as one Toeplitz column.  sigma must be finite and
-    positive with 2 sigma^2 a finite normal float, so that d^2 / (2 sigma^2) is
-    finite for every distance d <= 1 on the unit interval.
+    sigma must be finite and positive with 2 sigma^2 a finite normal float,
+    so that d^2 / (2 sigma^2) is finite for every distance d <= 1 on the unit
+    interval.
     """
     sigma = float(sigma)
     two_s2 = 2.0 * sigma * sigma
@@ -44,27 +43,12 @@ def gauss_kernel(sigma: float):
             f"gauss kernel width must be positive with 2*sigma^2 finite and >= "
             f"{sys.float_info.min:.3g}, got {sigma}"
         )
-
-    def profile(d):
-        return np.exp(-(d**2) / two_s2)
-
-    def k(x, xi):
-        return profile(x - xi)
-
-    k.profile = profile
-    return k
+    return lambda d: np.exp(-(d**2) / two_s2)
 
 
-def one_kernel(x, xi):
-    """Constant kernel 1, broadcast to the shape of its arguments.
-
-    It is stationary: its `profile(d)` attribute is 1 at every distance, so
-    kernel maps store it as one Toeplitz column.
-    """
-    return np.ones(np.broadcast(x, xi).shape)
-
-
-one_kernel.profile = lambda d: np.ones(np.shape(d))
+def one_kernel(d):
+    """Profile d -> 1 of the constant kernel, on numpy arrays of distances."""
+    return np.ones(np.shape(d))
 
 
 def _resolve_kernel(spec: str):

@@ -1,6 +1,6 @@
 """Inner obstacle-problem solvers for S(f, psi), the map the outer iteration uses.
 
-Every operator goes through one semismooth Newton method on the
+Every operator goes through one projected Newton method on the
 complementarity system min(psi - y, f - A(y)) = 0, with one tridiagonal
 solve per iteration on the operator's Jacobian bands.  Projected SOR stays as
 a short linear reference, and a brute-force active-set enumeration oracle

@@ -493,6 +493,17 @@ class TestConfigErrorMessages:
             ),
             (None, ["oracle-check", "--ndof", "0"], "--ndof must lie in [1, 16], got 0"),
             (None, ["oracle-check", "--ndof", "17"], "--ndof must lie in [1, 16], got 17"),
+            (
+                "[problem]\nname = kernel_qvi\nkernel = gauss()\n",
+                ["solve"],
+                "line 3: key 'kernel' expects a number as the gauss width, got 'gauss()'",
+            ),
+            (
+                "[problem]\nname = kernel_qvi\nobstacle.kernel = gauss(abc)\n",
+                ["certify"],
+                "line 3: key 'obstacle.kernel' expects a number as the gauss width, "
+                "got 'gauss(abc)'",
+            ),
         ],
     )
     def test_message_and_exit_code(self, tmp_path, capsys, text, argv, message):
@@ -500,6 +511,26 @@ class TestConfigErrorMessages:
             argv = argv + ["-c", write_cfg(tmp_path, text)]
         assert run_command(argv) == 4
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["solve", "regpath"])
+    @pytest.mark.parametrize("below, reason", [("", "File exists"), ("/sub", "Not a directory")])
+    def test_unusable_out_dir_fails_before_solving(
+        self, tmp_path, monkeypatch, capsys, command, below, reason
+    ):
+        from qvar import cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the output directory was checked")
+
+        monkeypatch.setattr(cli, "solve_qvi_minimal", no_solve)
+        monkeypatch.setattr(cli, "run_regularization_path", no_solve)
+        (tmp_path / "taken").write_text("", encoding="utf-8")
+        out = f"{tmp_path}/taken{below}"
+        cfg = write_cfg(tmp_path, "[problem]\nname = example1d\nn = 8\n")
+        assert run_command([command, "-c", cfg, "--out", out]) == 4
+        assert capsys.readouterr().err == (
+            f"config error: cannot create output directory {out}: {reason}\n"
+        )
 
 
 class TestExperimentConfigHelpers:

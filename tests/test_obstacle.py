@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from qvar.errors import GridMismatchError
 from qvar.grid import GridFunction, _h1_gram_banded, make_mesh, norm
 from qvar.obstacle import ObstacleMap, check_order_preserving, eval_obstacle, lipschitz_bound
 from qvar.problems import builtin_problem, gauss_kernel, one_kernel
@@ -99,14 +101,18 @@ class TestLipschitzBound:
                 assert gap <= lphi * norm(u - v, "l2") + 1e-9
 
 
-def dense_h1_bound(omap, kernel_fn):
-    """l2 -> h1 norm of the coupling part by a dense generalized eigenproblem:
-    the largest mu of B^T G1 B z = mu W z with B = alpha K diag(hw), K sampled
-    here from kernel_fn on the broadcast dof nodes."""
-    mesh = omap.mesh
-    m = mesh.dof_count
+def dense_kernel(mesh, profile):
+    """The m x m kernel matrix k(|x_i - x_j|), sampled here from profile at
+    the distances of the dof nodes, independently of the map's column."""
     xs = mesh.dof_nodes()
-    K = np.broadcast_to(kernel_fn(xs[:, None], xs[None, :]), (m, m))
+    return profile(np.abs(xs[:, None] - xs[None, :]))
+
+
+def dense_h1_bound(omap, profile):
+    """l2 -> h1 norm of the coupling part by a dense generalized eigenproblem:
+    the largest mu of B^T G1 B z = mu W z with B = alpha K diag(hw)."""
+    mesh = omap.mesh
+    K = dense_kernel(mesh, profile)
     hw = mesh.h * mesh.weights()
     B = omap.alpha * K * hw[None, :]
     off, diag = _h1_gram_banded(mesh)
@@ -119,35 +125,26 @@ def builtin_kernel(spec):
     return one_kernel if spec == "one" else gauss_kernel(float(spec[6:-1]))
 
 
-def dense_only(kernel_fn):
-    """The same kernel without its `profile`, so maps sample it densely."""
-    return lambda x, xi: kernel_fn(x, xi)
-
-
 class TestH1BoundReference:
     @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 64, 256])
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
     @pytest.mark.parametrize("kernel", ["gauss(0.25)", "gauss(5.0)", "one"])
     def test_matches_dense_eigh(self, n, bc, kernel):
         mesh = make_mesh(n, bc)
-        kernel_fn = builtin_kernel(kernel)
-        omap = ObstacleMap.kernel(mesh, GridFunction.constant(mesh, 0.5), 0.25, kernel_fn)
-        want = dense_h1_bound(omap, kernel_fn)
+        profile = builtin_kernel(kernel)
+        omap = ObstacleMap.kernel(mesh, GridFunction.constant(mesh, 0.5), 0.25, profile)
+        want = dense_h1_bound(omap, profile)
         assert lipschitz_bound(omap, "h1") == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("n", [2, 3, 8, 64])
-    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
-    def test_asymmetric_dense_kernel(self, n, bc):
-        # a causal Volterra kernel: K is strictly lower triangular, so the
-        # bound must apply K^T, not K, on its way back (K K would be nilpotent)
-        mesh = make_mesh(n, bc)
-
-        def causal(x, xi):
-            return (xi < x) * 1.0
-
-        omap = ObstacleMap.kernel(mesh, GridFunction.constant(mesh, 0.5), 0.25, causal)
-        want = dense_h1_bound(omap, causal)
-        assert lipschitz_bound(omap, "h1") == pytest.approx(want, rel=1e-12, abs=0.0)
+    @pytest.mark.parametrize("sigma", [0.01, 0.03, 0.05, 0.25])
+    def test_two_dofs_deterministic(self, sigma):
+        # n=3 on dirichlet leaves 2 dofs, mirror images of each other
+        mesh = make_mesh(3, "dirichlet")
+        profile = gauss_kernel(sigma)
+        omap = ObstacleMap.kernel(mesh, GridFunction.constant(mesh, 0.05), 0.25, profile)
+        bounds = {lipschitz_bound(omap, "h1") for _ in range(40)}
+        assert len(bounds) == 1
+        assert bounds.pop() == pytest.approx(dense_h1_bound(omap, profile), rel=1e-12, abs=0.0)
 
 
 class TestToeplitzPath:
@@ -157,20 +154,23 @@ class TestToeplitzPath:
     def test_matches_dense_path(self, n, bc, kernel):
         mesh = make_mesh(n, bc)
         psi = GridFunction.constant(mesh, 0.5)
-        kernel_fn = builtin_kernel(kernel)
-        toeplitz = ObstacleMap.kernel(mesh, psi, 0.25, kernel_fn)
-        dense = ObstacleMap.kernel(mesh, psi, 0.25, dense_only(kernel_fn))
-        assert toeplitz.kernel_samples is None and toeplitz.kernel_column is not None
-        assert dense.kernel_column is None and dense.kernel_samples is not None
+        profile = builtin_kernel(kernel)
+        omap = ObstacleMap.kernel(mesh, psi, 0.25, profile)
+        # the same map with K applied as a dense matrix sampled by the test
+        K = dense_kernel(mesh, profile)
+        dense = copy.copy(omap)
+        dense._apply_kernel = lambda z: K @ z
         rng = np.random.default_rng(n)
         for _ in range(3):
             y = GridFunction(mesh, rng.standard_normal(mesh.dof_count))
-            got = eval_obstacle(toeplitz, y).values
+            got = eval_obstacle(omap, y).values
             want = eval_obstacle(dense, y).values
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        for tag in ("l2", "h1"):
-            want = lipschitz_bound(dense, tag)
-            assert lipschitz_bound(toeplitz, tag) == pytest.approx(want, rel=1e-13, abs=0.0)
+        hw = mesh.hw
+        l2 = 0.25 * math.sqrt(np.einsum("i,j,ij->", hw, hw, K**2))
+        assert lipschitz_bound(omap, "l2") == pytest.approx(l2, rel=1e-13, abs=0.0)
+        h1 = lipschitz_bound(dense, "h1")
+        assert lipschitz_bound(omap, "h1") == pytest.approx(h1, rel=1e-13, abs=0.0)
 
     def test_no_square_storage(self):
         # the dense m x m samples alone would be 32 MiB at n=2048
@@ -213,6 +213,19 @@ class TestKernelSampling:
         assert omap.kernel_column[0] == 1.0 and np.all(omap.kernel_column[1:] == 0.0)
 
 
+
+class TestKernelConstruction:
+    def test_kernel_map_needs_column(self, mesh):
+        psi = GridFunction.zeros(mesh)
+        with pytest.raises(ValueError, match=r"^kernel maps need a Toeplitz column k\(\|x_i - x_j\|\)$"):
+            ObstacleMap(mesh, "kernel", alpha=0.25, psi_base=psi)
+
+    def test_column_length_must_match_dofs(self, mesh):
+        psi = GridFunction.zeros(mesh)
+        with pytest.raises(GridMismatchError, match=r"^kernel column must have 17 entries, got \(16,\)$"):
+            ObstacleMap(mesh, "kernel", alpha=0.25, psi_base=psi, kernel_column=np.ones(16))
+
+
 class TestOrderPreservation:
     def test_constant_mean(self, mesh):
         assert check_order_preserving(ObstacleMap.constant_mean(mesh, 0.5, 0.25), 100, seed=0)
@@ -224,9 +237,9 @@ class TestOrderPreservation:
 
     def test_injected_negative_entry(self, mesh):
         psi = GridFunction.constant(mesh, 0.5)
-        K = np.ones((mesh.dof_count, mesh.dof_count))
-        K[3, 5] = -500.0
-        omap = ObstacleMap(mesh, "kernel", alpha=0.25, psi_base=psi, kernel_samples=K)
+        column = np.ones(mesh.dof_count)
+        column[2] = -500.0
+        omap = ObstacleMap(mesh, "kernel", alpha=0.25, psi_base=psi, kernel_column=column)
         # explicit violating pair: raising node 5 lowers the obstacle at node 3
         y1 = GridFunction.zeros(mesh)
         bump = np.zeros(mesh.dof_count)
@@ -253,15 +266,12 @@ class TestShift:
         out = eval_obstacle(omap, GridFunction.zeros(mesh))
         assert np.all(out.values == pytest.approx(0.25))
 
-    @pytest.mark.parametrize("storage", ["kernel_column", "kernel_samples"])
+    @pytest.mark.parametrize("storage", ["kernel_column", "_spectrum"])
     def test_kernel_shift_shares_storage(self, storage):
         # raising the base level must not copy the kernel: robust studies
         # shift the map once per point
-        mesh = make_mesh(2048 if storage == "kernel_column" else 512, "dirichlet")
-        kernel_fn = gauss_kernel(0.25)
-        if storage == "kernel_samples":
-            kernel_fn = dense_only(kernel_fn)
-        omap = ObstacleMap.kernel(mesh, GridFunction.constant(mesh, 0.05), 0.25, kernel_fn)
+        mesh = make_mesh(2048, "dirichlet")
+        omap = ObstacleMap.kernel(mesh, GridFunction.constant(mesh, 0.05), 0.25, gauss_kernel(0.25))
         tracemalloc.start()
         try:
             moved = omap.shifted(0.01)

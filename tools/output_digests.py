@@ -6,15 +6,18 @@ of its stdout and stderr, followed by one indented line per written file.
 Two source trees give the same output exactly when their CLI bytes agree on
 the whole matrix:
 
-    git worktree add ../qvar-parent HEAD~1
+    mkdir ../qvar-parent && git archive HEAD~1 | tar -x -C ../qvar-parent
     python3 tools/output_digests.py --src ../qvar-parent/src > parent.txt
     python3 tools/output_digests.py --src src > change.txt
     diff parent.txt change.txt
-    git worktree remove ../qvar-parent
+    rm -r ../qvar-parent
 
 The matrix:
 - solve, trace and certify for every builtin on both boundary conditions
-  (plaplacian on dirichlet only) at n = 2, 8, 16 and 64;
+  (plaplacian on dirichlet only) at n = 2, 8, 16, 64 and 100 (where h is
+  inexact and the kernel FFT length is not aligned to the dof count);
+- solve and certify of kernel_qvi with kernel = one, gauss(0.05) and
+  gauss(5.0) on both boundary conditions at n = 8 and 100;
 - regpath, perturb (both families), refine and robust on every builtin at
   n = 32 (perturb family=coefficient exits 4 on the nonlinear plaplacian and
   nonmonotone_sine);
@@ -33,7 +36,9 @@ import tempfile
 
 BUILTINS = ("example1d", "plaplacian", "kernel_qvi", "nonmonotone_sine", "fixed_obstacle")
 SOLVE_COMMANDS = ("solve", "trace", "certify")
-SOLVE_SIZES = (2, 8, 16, 64)
+SOLVE_SIZES = (2, 8, 16, 64, 100)
+KERNELS = ("one", "gauss(0.05)", "gauss(5.0)")
+KERNEL_SIZES = (8, 100)
 STUDY_SIZE = 32
 
 
@@ -45,6 +50,12 @@ def _matrix():
                 config = f"[problem]\nname = {name}\nbc = {bc}\nn = {n}\n"
                 for cmd in SOLVE_COMMANDS:
                     yield f"{cmd} {name} bc={bc} n={n}", [cmd], config
+    for kernel in KERNELS:
+        for bc in ("dirichlet", "neumann"):
+            for n in KERNEL_SIZES:
+                config = f"[problem]\nname = kernel_qvi\nbc = {bc}\nn = {n}\nkernel = {kernel}\n"
+                for cmd in ("solve", "certify"):
+                    yield f"{cmd} kernel_qvi kernel={kernel} bc={bc} n={n}", [cmd], config
     for name in BUILTINS:
         problem = f"[problem]\nname = {name}\nn = {STUDY_SIZE}\n"
         yield f"regpath {name}", ["regpath"], problem
