@@ -8,6 +8,7 @@ non-convergence; 4 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -393,7 +394,9 @@ def _cmd_oracle_check(trials: int, ndof: int, seed: int) -> int:
     return 0 if ok else 2
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qvar",
         description="Obstacle problems with solution-dependent constraints: "

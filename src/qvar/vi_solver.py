@@ -70,10 +70,6 @@ def _kkt(gap: np.ndarray, r: np.ndarray) -> float:
     return float(np.max(np.abs(np.minimum(gap, r))))
 
 
-def _feasible_start(psi: np.ndarray) -> np.ndarray:
-    return np.minimum(0.0, psi)
-
-
 def solve_vi_psor(
     op: LinearEllipticOperator, f: GridFunction, psi: GridFunction, params: VIParams
 ) -> VISolveReport:
@@ -87,7 +83,7 @@ def solve_vi_psor(
     omega = 2.0 / (1.0 + math.sin(math.pi * op.mesh.h))
     lower, diag, upper = op.lower, op.diag, op.upper
     fv, pv = f.values, psi.values
-    y = _feasible_start(pv)
+    y = np.minimum(0.0, pv)
     n = y.size
     for sweep in range(1, params.max_iter + 1):
         for i in range(n):
@@ -115,9 +111,12 @@ def _newton_step(bands, held: np.ndarray, gap: np.ndarray, r: np.ndarray) -> np.
     )
 
 
-def solve_vi(op, f: GridFunction, psi: GridFunction, params: VIParams) -> VISolveReport:
+def solve_vi(
+    op, f: GridFunction, psi: GridFunction, params: VIParams, y0: GridFunction | None = None
+) -> VISolveReport:
     """Projected Newton method (Bertsekas, SIAM J. Control Optim. 20, 1982) on
-    min(psi - y, f - A(y)) = 0 from min(0, psi).
+    min(psi - y, f - A(y)) = 0 from the feasible point min(psi, y0), y0 = 0 by
+    default.  The solution is unique, so the start moves only the Newton path.
 
     Each iteration holds the nodes on the obstacle with a positive multiplier
     there, solves one tridiagonal system with the Jacobian bands at y on the
@@ -128,13 +127,15 @@ def solve_vi(op, f: GridFunction, psi: GridFunction, params: VIParams) -> VISolv
     """
     if f.mesh != op.mesh or psi.mesh != op.mesh:
         raise GridMismatchError("force/obstacle live on a different mesh")
+    if y0 is not None and y0.mesh != op.mesh:
+        raise GridMismatchError("start lives on a different mesh")
     fv, pv = f.values, psi.values
     hwf = op.mesh.hw * fv
 
     def merit(v):
         return op.energy(v) - float(np.dot(hwf, v))
 
-    y = _feasible_start(pv)
+    y = np.minimum(pv, 0.0 if y0 is None else y0.values)
     e = merit(y)
     r = fv - op.matvec(y)
     kkt = _kkt(pv - y, r)

@@ -452,6 +452,33 @@ class TestSeedPrecedence:
         assert "seed=5" in (tmp_path / "regpath.csv").read_text()
 
 
+class TestParserReuse:
+    """run_command reuses one parser; each call must still parse as a fresh one would."""
+
+    def test_parser_built_once(self):
+        from qvar import cli
+
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_seed_flag_does_not_persist(self, capsys):
+        argv = ["oracle-check", "--trials", "2", "--ndof", "3"]
+        assert run_command(argv + ["--seed", "5"]) == 0
+        assert "seed=5" in capsys.readouterr().out
+        assert run_command(argv) == 0
+        assert "seed=42" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "bad", [["frobnicate"], ["solve", "--seed", "abc"], ["oracle-check", "--bogus"]]
+    )
+    def test_rejected_argv_leaves_no_trace(self, tmp_path, capsys, bad):
+        cfg = write_cfg(tmp_path, f"out = {tmp_path}\n[problem]\nname = example1d\nn = 8\n")
+        assert run_command(bad) == 4
+        capsys.readouterr()
+        assert run_command(["solve", "-c", cfg]) == 0
+        assert (tmp_path / "example1d_solution.csv").exists()
+        assert capsys.readouterr().err == ""
+
+
 class TestOracleCheck:
     def test_small_run_passes(self, capsys):
         assert run_command(["oracle-check", "--trials", "25", "--ndof", "6", "--seed", "7"]) == 0

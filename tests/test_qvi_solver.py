@@ -140,9 +140,23 @@ class TestErrorContext:
             "inner solve stalled in outer iteration 1 at residual 1.776e+01 after 2 iterations"
         )
 
-    def test_inner_stall_names_later_outer_iteration(self):
-        with pytest.raises(SolverError, match="stalled in outer iteration 2 at residual"):
-            solve_qvi_minimal(builtin_problem("kernel_qvi", n=32), inner=VIParams(max_iter=7))
+    def test_inner_stall_names_later_outer_iteration(self, monkeypatch):
+        # outer iteration 2 of kernel_qvi n=32 needs 2 Newton iterations from
+        # its warm start; its inner solve is cut to 1
+        import qvar.qvi_solver
+
+        real = qvar.qvi_solver.solve_vi
+        calls = []
+
+        def cut_second(op, f, psi, params, y0=None):
+            calls.append(y0)
+            return real(op, f, psi, VIParams(max_iter=1) if len(calls) == 2 else params, y0=y0)
+
+        monkeypatch.setattr(qvar.qvi_solver, "solve_vi", cut_second)
+        message = r"^inner solve stalled in outer iteration 2 at residual \S+ after 1 iterations$"
+        with pytest.raises(SolverError, match=message):
+            solve_qvi_minimal(builtin_problem("kernel_qvi", n=32))
+        assert len(calls) == 2
 
     def test_supersolution_failure_gives_residual_and_iterations(self):
         with pytest.raises(SolverError) as info:
@@ -280,6 +294,58 @@ class TestFineMeshes:
         rep = solve_qvi_maximal(builtin_problem(name, n=n))
         assert rep.converged
         assert np.max(np.abs(rep.solution.values - 2.0 / 3.0)) <= 1e-7
+
+
+    @pytest.mark.parametrize("n", [16384, 65536])
+    @pytest.mark.parametrize("name", ["example1d", "nonmonotone_sine"])
+    def test_minimal_mode_golden(self, name, n):
+        # the warm start keeps contact nodes on the raised obstacle, where
+        # Newton holds them; min(y^k, psi^{k+1}) frees them and stagnates here
+        rep = solve_qvi_minimal(builtin_problem(name, n=n))
+        assert rep.converged
+        assert np.max(np.abs(rep.solution.values - 2.0 / 3.0)) <= 1e-7
+
+
+class TestWarmStart:
+    def test_inner_iterations_per_outer_iteration(self):
+        rep = solve_qvi_minimal(builtin_problem("kernel_qvi", n=64))
+        assert rep.converged
+        assert len(rep.inner_per_outer) == rep.outer_iterations
+        assert rep.inner_iterations == sum(rep.inner_per_outer)
+        # a cold start in every outer iteration took 125
+        assert rep.inner_iterations <= 30
+        assert "inner" not in rep.csv_text()
+
+    def test_constant_mean_map_needs_one_newton_iteration(self):
+        # the shifted start of outer iteration k >= 2 is already its solution
+        rep = solve_qvi_minimal(builtin_problem("example1d", n=128))
+        assert rep.converged
+        assert rep.inner_iterations == 1
+
+    def test_fixed_obstacle_second_solve_is_free(self):
+        rep = solve_qvi_minimal(builtin_problem("fixed_obstacle", n=128))
+        assert rep.outer_iterations == 2
+        assert rep.inner_per_outer[1] == 0
+
+    def test_starts_move_with_the_obstacle(self, monkeypatch):
+        import qvar.qvi_solver
+
+        real = qvar.qvi_solver.solve_vi
+        calls = []  # (obstacle, start, solution) of each inner solve
+
+        def record(op, f, psi, params, y0=None):
+            rep = real(op, f, psi, params, y0=y0)
+            calls.append((psi.values, y0.values, rep.solution.values))
+            return rep
+
+        monkeypatch.setattr(qvar.qvi_solver, "solve_vi", record)
+        prob = builtin_problem("kernel_qvi", n=16)
+        y0 = GridFunction.constant(prob.operator.mesh, 0.01)
+        rep = solve_qvi_fixed_point(prob, y0)
+        assert len(calls) == rep.outer_iterations > 2
+        assert np.array_equal(calls[0][1], y0.values)
+        for (psi_prev, _, y_prev), (psi, start, _) in zip(calls, calls[1:]):
+            assert np.array_equal(start, y_prev + (psi - psi_prev))
 
 
 class TestNonlinearSupersolution:

@@ -236,6 +236,30 @@ class TestNewton:
         assert rep.iterations == 2
         assert rep.kkt_residual > 1e-10
 
+    def test_zero_start_is_the_default(self):
+        rng = np.random.default_rng(5)
+        op, f, psi = random_instance(rng, 12)
+        default = solve_vi(op, f, psi, VIParams())
+        zero = solve_vi(op, f, psi, VIParams(), y0=GridFunction.zeros(op.mesh))
+        assert zero.iterations == default.iterations
+        assert np.array_equal(zero.solution.values, default.solution.values)
+
+    def test_start_above_obstacle_is_clipped(self):
+        mesh = make_mesh(16, "dirichlet")
+        op = assemble_linear(mesh, 1.0, 0.0)
+        f = GridFunction.constant(mesh, 1.0)
+        psi = GridFunction.constant(mesh, 0.05)
+        rep = solve_vi(op, f, psi, VIParams(), y0=GridFunction.constant(mesh, 10.0))
+        assert rep.converged
+        assert np.max(rep.solution.values) <= 0.05
+
+    def test_start_on_other_mesh_rejected(self):
+        mesh = make_mesh(16, "dirichlet")
+        op = assemble_linear(mesh, 1.0, 0.0)
+        f = GridFunction.constant(mesh, 1.0)
+        with pytest.raises(GridMismatchError, match="^start lives on a different mesh$"):
+            solve_vi(op, f, f, VIParams(), y0=GridFunction.zeros(make_mesh(8, "dirichlet")))
+
     def test_overflowing_trial_rejected(self):
         class ExpReaction:
             """-u'' + 2u exp(u^2), the gradient of 0.5 <A u, u> + sum hw exp(u^2)."""
@@ -366,3 +390,43 @@ class TestDispatch:
         f = GridFunction.zeros(mesh)
         with pytest.raises(SolverError):
             solve_vi_psor(plap, f, f, VIParams())
+
+
+# every builtin and bc whose inner problem solves from the default start
+_SOLVING_BUILTINS = [
+    ("example1d", "dirichlet"),
+    ("example1d", "neumann"),
+    ("plaplacian", "dirichlet"),
+    ("kernel_qvi", "dirichlet"),
+    ("nonmonotone_sine", "dirichlet"),
+    ("nonmonotone_sine", "neumann"),
+    ("fixed_obstacle", "dirichlet"),
+]
+
+
+class TestStartIndependence:
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    @pytest.mark.parametrize("name, bc", _SOLVING_BUILTINS)
+    def test_solution_does_not_depend_on_start(self, name, bc, n):
+        from qvar.obstacle import eval_obstacle
+        from qvar.problems import builtin_problem
+
+        prob = builtin_problem(name, n=n, bc=bc)
+        mesh = prob.operator.mesh
+        # a stop at 1e-10 pins y only to about 1e-10 / c, so 1e-12 needs 1e-11
+        params = VIParams(tol=1e-11)
+        # the inner problem of outer iteration 2 of the minimal mode
+        psi1 = eval_obstacle(prob.obstacle_map, GridFunction.zeros(mesh))
+        y1 = solve_vi(prob.operator, prob.f, psi1, params).solution
+        psi2 = eval_obstacle(prob.obstacle_map, y1)
+        ref = solve_vi(prob.operator, prob.f, psi2, params)
+        assert ref.converged
+        rng = np.random.default_rng(n)
+        starts = (
+            GridFunction(mesh, psi2.values - rng.uniform(0.0, 1.0, mesh.dof_count)),
+            GridFunction(mesh, y1.values + (psi2.values - psi1.values)),
+        )
+        for y0 in starts:
+            rep = solve_vi(prob.operator, prob.f, psi2, params, y0=y0)
+            assert rep.converged
+            assert np.max(np.abs(rep.solution.values - ref.solution.values)) <= 1e-12
