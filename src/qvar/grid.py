@@ -46,11 +46,17 @@ class Mesh:
         return nodes[1:-1] if self.bc == DIRICHLET else nodes
 
     def weights(self) -> np.ndarray:
-        """Trapezoid weights per dof (1/2 at boundary nodes, 1 inside)."""
+        """Trapezoid weights per dof (1/2 at boundary nodes, 1 inside),
+        computed once per mesh and read-only."""
+        return self._weights
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
         w = np.ones(self.dof_count)
         if self.bc == NEUMANN:
             w[0] = 0.5
             w[-1] = 0.5
+        w.setflags(write=False)
         return w
 
     @cached_property
@@ -78,12 +84,12 @@ class GridFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64).copy()
+        v = np.array(self.values, dtype=np.float64)
         if v.shape != (self.mesh.dof_count,):
             raise GridMismatchError(
                 f"expected {self.mesh.dof_count} values, got shape {v.shape}"
             )
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("grid function values must be finite")
         self.values = v
 

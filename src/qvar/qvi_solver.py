@@ -175,6 +175,7 @@ def solve_qvi_fixed_point(
     outer: OuterParams | None = None,
     inner: VIParams | None = None,
     _order_check: str | None = None,
+    start: GridFunction | None = None,
 ) -> QVIReport:
     """Iterate y^{k+1} = S(f, Phi(y^k)) until the sup-norm step stagnates.
 
@@ -182,9 +183,11 @@ def solve_qvi_fixed_point(
     ratio after a 2-step burn-in; early ratios are polluted by active-set
     discovery in the inner solver).
 
-    Outer iteration 1 starts its inner solve from y0.  Each later one starts
-    from the previous inner solution moved with its obstacle: if y^k solved
-    the obstacle psi^{k-1} and psi^k = Phi(y^k), the start is
+    Outer iteration 1 starts its inner solve from `start`, y0 by default; a
+    study passes its neighbouring point's solution there, which moves only
+    the Newton path of that solve, not the outer iterates.  Each later one
+    starts from the previous inner solution moved with its obstacle: if y^k
+    solved the obstacle psi^{k-1} and psi^k = Phi(y^k), the start is
     y^k + (psi^k - psi^{k-1}).  The shift puts every contact node back on the
     moved obstacle, where Newton holds it; the plain min(y^k, psi^k) leaves
     such nodes just below a raised obstacle, free, and its first step can
@@ -199,11 +202,10 @@ def solve_qvi_fixed_point(
     converged = False
     # whether every step so far was non-decreasing / non-increasing
     rising = falling = True
+    start = y if start is None else start
     for k in range(1, outer.max_iter + 1):
         psi = eval_obstacle(problem.obstacle_map, y)
-        if psi_prev is None:
-            start = y
-        else:
+        if psi_prev is not None:
             start = GridFunction(y.mesh, y.values + (psi.values - psi_prev.values))
         rep = solve_vi(problem.operator, problem.f, psi, inner, y0=start)
         psi_prev = psi
@@ -215,8 +217,8 @@ def solve_qvi_fixed_point(
             )
         ynew = rep.solution
         step = ynew.values - y.values
-        rising = rising and np.min(step) >= -_ORDER_TOL
-        falling = falling and np.max(step) <= _ORDER_TOL
+        rising = rising and step.min() >= -_ORDER_TOL
+        falling = falling and step.max() <= _ORDER_TOL
         if _order_check == "increasing" and not rising:
             raise OrderingViolationError(
                 "iterates failed to increase; obstacle map or force violates the monotone hypotheses"
@@ -225,7 +227,7 @@ def solve_qvi_fixed_point(
             raise OrderingViolationError(
                 "iterates failed to decrease from the supersolution"
             )
-        step_norms.append(float(np.max(np.abs(step))))
+        step_norms.append(float(np.abs(step).max()))
         y = ynew
         if step_norms[-1] <= outer.tol:
             converged = True
@@ -249,13 +251,19 @@ def solve_qvi_fixed_point(
 
 
 def solve_qvi_minimal(
-    problem: QVIProblem, outer: OuterParams | None = None, inner: VIParams | None = None
+    problem: QVIProblem,
+    outer: OuterParams | None = None,
+    inner: VIParams | None = None,
+    start: GridFunction | None = None,
 ) -> QVIReport:
-    """Non-decreasing iteration from 0; the limit approximates the minimal solution."""
+    """Non-decreasing iteration from 0; the limit approximates the minimal
+    solution.  `start` seeds only the first inner solve."""
     if np.min(problem.f.values) < 0:
         raise ValueError("the monotone modes require a nonnegative force")
     y0 = GridFunction.zeros(problem.operator.mesh)
-    return solve_qvi_fixed_point(problem, y0, outer, inner, _order_check="increasing")
+    return solve_qvi_fixed_point(
+        problem, y0, outer, inner, _order_check="increasing", start=start
+    )
 
 
 def _linear_part(op):
@@ -314,12 +322,14 @@ def solve_qvi_regularized(
     R: LinearEllipticOperator | None = None,
     outer: OuterParams | None = None,
     inner: VIParams | None = None,
+    start: GridFunction | None = None,
 ) -> QVIReport:
     """Fixed-point solve of the eps- (and optionally delta-) regularized problem
-    from the minimal-mode start y0 = 0."""
+    from the minimal-mode start y0 = 0; `start` seeds only the first inner
+    solve."""
     reg_problem = problem.with_operator(add_regularization(problem.operator, eps, delta, R))
     y0 = GridFunction.zeros(problem.operator.mesh)
-    return solve_qvi_fixed_point(reg_problem, y0, outer, inner)
+    return solve_qvi_fixed_point(reg_problem, y0, outer, inner, start=start)
 
 
 def uniform_bound_holds(

@@ -8,7 +8,10 @@ than any rate.  Reference solutions are the exact one when known, else the
 finest-parameter solve (self-convergence); the choice is recorded in the
 output metadata.  Parameter points are solved one after another in list
 order, the order of the sequences (eps -> 0, h -> 0, A_n -> A) the studies
-walk.
+walk, and each point's first inner solve starts from its neighbour's
+solution: the stability theorem makes it a near-solution of the next
+problem.  The inner problem has one solution, so the seed moves only digits
+at the inner tolerance.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientDataError, NestingError, SolverError
-from .grid import GridFunction, dual_norm, leq, norm
+from .grid import DIRICHLET, GridFunction, dual_norm, leq, norm
 from .operators import LinearEllipticOperator, add_regularization
 from .qvi_solver import (
     OuterParams,
@@ -139,6 +142,19 @@ def _map_indexed(fn, items: list, what: str = "study"):
     return results
 
 
+def _chain(solve, items: list, what: str, start: GridFunction | None = None) -> list:
+    """Solve every parameter point in list order through solve(item, start),
+    where start is the previous point's solution and, for the first point,
+    the given one; failures are flagged as in _map_indexed."""
+    reports = []
+
+    def point(item):
+        reports.append(solve(item, reports[-1].solution if reports else start))
+        return reports[-1]
+
+    return _map_indexed(point, items, what)
+
+
 def _check_path(values, what: str) -> None:
     """Study points must be at least 4, strictly decreasing and positive;
     checked before any solve."""
@@ -192,10 +208,10 @@ def run_regularization_path(
         ref = solve_qvi_regularized(problem, eps_ref, outer=outer, inner=inner).solution
         ref_kind = f"eps={eps_ref:g}"
 
-    reports = _map_indexed(
-        lambda e: solve_qvi_regularized(problem, e, outer=outer, inner=inner),
+    reports = _chain(
+        lambda e, start: solve_qvi_regularized(problem, e, outer=outer, inner=inner, start=start),
         eps_list,
-        what="regularization path",
+        "regularization path",
     )
     if smallest:
         # the path's last solve is the smallest-eps reference
@@ -238,12 +254,16 @@ def run_operator_perturbation(
     else:
         ref, ref_kind = reference, "exact"
 
-    reports = _map_indexed(
-        lambda d: solve_qvi_minimal(
-            problem.with_operator(add_regularization(problem.operator, d)), outer, inner
+    reports = _chain(
+        lambda d, start: solve_qvi_minimal(
+            problem.with_operator(add_regularization(problem.operator, d)),
+            outer,
+            inner,
+            start=start,
         ),
         delta_list,
-        what="perturbation study",
+        "perturbation study",
+        start=ref,
     )
     verdicts = {}
     if family == "scaled_identity":
@@ -251,6 +271,13 @@ def run_operator_perturbation(
     return _result(
         "perturb", _path_rows(delta_list, reports, ref), _PATH_AUX, verdicts, seed, ref_kind, reports
     )
+
+
+def _interpolated(coarse: GridFunction, mesh) -> GridFunction:
+    """The coarse solution interpolated linearly onto the nodes of `mesh`,
+    dirichlet ends dropped."""
+    full = np.interp(mesh.nodes(), coarse.mesh.nodes(), coarse.with_boundary())
+    return GridFunction(mesh, full[1:-1] if mesh.bc == DIRICHLET else full)
 
 
 def run_mesh_refinement(
@@ -261,7 +288,8 @@ def run_mesh_refinement(
     seed: int = 0,
 ) -> StudyResult:
     """Self-convergence under mesh refinement: the finest entry of n_list is
-    the reference; coarse solutions are compared at shared nodes (discrete l2)."""
+    the reference; coarse solutions are compared at shared nodes (discrete l2).
+    Each mesh starts from the previous solution interpolated linearly."""
     n_list = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
@@ -272,22 +300,23 @@ def run_mesh_refinement(
     if len(n_list) < 4:
         raise InsufficientDataError(f"n_list needs at least 4 entries, got {len(n_list)}")
 
-    def solve_on(n):
-        return n, solve_qvi_minimal(problem_template(n), outer, inner)
+    def solve_on(n, coarse):
+        problem = problem_template(n)
+        start = None if coarse is None else _interpolated(coarse, problem.operator.mesh)
+        return solve_qvi_minimal(problem, outer, inner, start=start)
 
-    results = _map_indexed(solve_on, n_list, what="mesh refinement")
-    n_fine, rep_fine = results[-1]
-    fine_full = rep_fine.solution.with_boundary()
+    reports = _chain(solve_on, n_list, "mesh refinement")
+    n_fine = n_list[-1]
+    fine_full = reports[-1].solution.with_boundary()
 
     rows = []
-    for n, rep in results[:-1]:
+    for n, rep in zip(n_list[:-1], reports):
         sol = rep.solution
         fine_at_coarse = fine_full[np.arange(0, n + 1) * (n_fine // n)]
-        if sol.mesh.bc == "dirichlet":
+        if sol.mesh.bc == DIRICHLET:
             fine_at_coarse = fine_at_coarse[1:-1]
         err = norm(GridFunction(sol.mesh, sol.values - fine_at_coarse), "l2")
         rows.append((1.0 / n, err, n, rep.outer_iterations))
-    reports = [rep for _, rep in results]
     return _result("refine", rows, ("n", "outer_iterations"), {}, seed, f"n={n_fine}", reports)
 
 
@@ -320,14 +349,16 @@ def run_data_robustness(
 
     base = solve_qvi_minimal(problem, outer, inner).solution
 
-    def solve_pair(pair):
+    def solve_pair(pair, start):
         df, dphi = pair
         f = GridFunction(problem.f.mesh, problem.f.values + df)
         omap = problem.obstacle_map.shifted(dphi) if dphi != 0.0 else problem.obstacle_map
         pert = QVIProblem(problem.operator, f, omap, None)
-        return solve_qvi_minimal(pert, outer, inner)
+        return solve_qvi_minimal(pert, outer, inner, start=start)
 
-    reports = _map_indexed(solve_pair, list(zip(f_deltas, phi_deltas)), what="robustness study")
+    reports = _chain(
+        solve_pair, list(zip(f_deltas, phi_deltas)), "robustness study", start=base
+    )
     rows = [
         (tot, norm(rep.solution - base, "h1"), df, dphi, rep.outer_iterations)
         for tot, df, dphi, rep in zip(totals, f_deltas, phi_deltas, reports)

@@ -67,7 +67,7 @@ def kkt_residual(op, f: GridFunction, psi: GridFunction, y: GridFunction) -> flo
 
 def _kkt(gap: np.ndarray, r: np.ndarray) -> float:
     """max | min(gap, r) | for the obstacle gap psi - y and the residual f - A(y)."""
-    return float(np.max(np.abs(np.minimum(gap, r))))
+    return float(np.abs(np.minimum(gap, r)).max())
 
 
 def solve_vi_psor(
@@ -123,22 +123,25 @@ def solve_vi(
     free rows, and backtracks the projected path min(psi, y + t dy) until the
     energy minus <f, y> does not rise beyond round-off.  A non-finite trial
     is rejected; a step scaled below 1e-12 raises a stagnation error.  The
-    residual is the termination test.
+    residual is the termination test; a start that already meets it is
+    returned after that one check, with no energy evaluated.
     """
     if f.mesh != op.mesh or psi.mesh != op.mesh:
         raise GridMismatchError("force/obstacle live on a different mesh")
     if y0 is not None and y0.mesh != op.mesh:
         raise GridMismatchError("start lives on a different mesh")
     fv, pv = f.values, psi.values
+    y = np.minimum(pv, 0.0 if y0 is None else y0.values)
+    r = fv - op.matvec(y)
+    kkt = _kkt(pv - y, r)
+    if kkt <= params.tol:
+        return VISolveReport(GridFunction(op.mesh, y), 0, kkt, True)
     hwf = op.mesh.hw * fv
 
     def merit(v):
         return op.energy(v) - float(np.dot(hwf, v))
 
-    y = np.minimum(pv, 0.0 if y0 is None else y0.values)
     e = merit(y)
-    r = fv - op.matvec(y)
-    kkt = _kkt(pv - y, r)
     iters = 0
     while kkt > params.tol and iters < params.max_iter:
         iters += 1

@@ -66,6 +66,10 @@ class TestMesh:
         assert mesh.hw is mesh.hw
         with pytest.raises(ValueError):
             mesh.hw[0] = 1.0
+        # the trapezoid weights are cached the same way
+        assert mesh.weights() is mesh.weights()
+        with pytest.raises(ValueError):
+            mesh.weights()[0] = 2.0
 
     @pytest.mark.parametrize("n", [2, 3, 7, 64, 100, 256, 1000])
     def test_spacing_consistency(self, n):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -336,3 +338,116 @@ class TestDeterminismAndFormat:
         path = tmp_path / "regpath.csv"
         res.write(path)
         assert path.read_text(encoding="utf-8") == res.to_csv()
+
+
+# every builtin at n = 32 with the studies each boundary condition solves:
+# the minimal mode of neumann kernel_qvi and fixed_obstacle (a0 = 0) stalls
+# on a singular Newton system, and the coefficient family refuses nonlinear
+# operators
+_ALL_STUDIES = ("regpath", "scaled_identity", "coefficient", "refine", "robust")
+_CHAIN_CASES = [
+    ("example1d", "dirichlet", _ALL_STUDIES),
+    ("example1d", "neumann", _ALL_STUDIES),
+    ("plaplacian", "dirichlet", ("regpath", "scaled_identity", "refine", "robust")),
+    ("kernel_qvi", "dirichlet", _ALL_STUDIES),
+    ("kernel_qvi", "neumann", ("regpath",)),
+    ("nonmonotone_sine", "dirichlet", ("regpath", "scaled_identity", "refine", "robust")),
+    ("nonmonotone_sine", "neumann", ("regpath", "scaled_identity", "refine", "robust")),
+    ("fixed_obstacle", "dirichlet", _ALL_STUDIES),
+    ("fixed_obstacle", "neumann", ("regpath",)),
+]
+
+
+def _run_study(study, name, bc):
+    prob = builtin_problem(name, n=32, bc=bc)
+    if study == "regpath":
+        return run_regularization_path(prob, [0.5 / 2**k for k in range(6)], "smallest-eps")
+    if study == "refine":
+        return run_mesh_refinement(lambda n: builtin_problem(name, n=n, bc=bc), [4, 8, 16, 32])
+    if study == "robust":
+        return run_data_robustness(prob, [0.2, 0.1, 0.05, 0.025], None)
+    return run_operator_perturbation(prob, study, [0.4, 0.2, 0.1, 0.05, 0.025])
+
+
+def _exact_hits(result) -> str:
+    return re.search(r"exact_hits=(\d+)", result.to_csv()).group(1)
+
+
+class TestChains:
+    @pytest.mark.parametrize(
+        "study, name, bc",
+        [(study, name, bc) for name, bc, studies in _CHAIN_CASES for study in studies],
+    )
+    def test_seeded_equals_cold(self, monkeypatch, study, name, bc):
+        import qvar.studies
+
+        seeded = _run_study(study, name, bc)
+        # the same study with every point solved cold: the solvers without start
+        for solver in ("solve_qvi_minimal", "solve_qvi_regularized"):
+            real = getattr(qvar.studies, solver)
+            monkeypatch.setattr(
+                qvar.studies, solver, lambda *args, real=real, start=None, **kw: real(*args, **kw)
+            )
+        cold = _run_study(study, name, bc)
+        assert [r.outer_iterations for r in seeded.reports] == [
+            r.outer_iterations for r in cold.reports
+        ]
+        assert seeded.verdicts == cold.verdicts
+        assert _exact_hits(seeded) == _exact_hits(cold)
+        for a, b in zip(seeded.reports, cold.reports):
+            assert abs(a.solution.values.max() - b.solution.values.max()) <= 1e-9
+        assert len(seeded.rows) == len(cold.rows)
+        for row_s, row_c in zip(seeded.rows, cold.rows):
+            for a, b in zip(row_s, row_c):
+                if isinstance(a, int):
+                    assert a == b
+                else:
+                    assert abs(a - b) <= 1e-9
+
+    @pytest.mark.parametrize("study", ["regpath", "scaled_identity", "refine", "robust"])
+    def test_each_point_starts_from_its_neighbour(self, monkeypatch, study):
+        import qvar.studies
+
+        calls = []  # (start, solution) of each study solve, reference included
+
+        for solver in ("solve_qvi_minimal", "solve_qvi_regularized"):
+            real = getattr(qvar.studies, solver)
+
+            def record(*args, real=real, start=None, **kw):
+                rep = real(*args, start=start, **kw)
+                calls.append((start, rep.solution))
+                return rep
+
+            monkeypatch.setattr(qvar.studies, solver, record)
+        res = _run_study(study, "kernel_qvi", "dirichlet")
+        points = calls[-len(res.reports):]
+        if study in ("regpath", "refine"):
+            assert points[0][0] is None
+        else:
+            # perturb and robust seed their first point from the reference solve
+            assert len(calls) == len(res.reports) + 1
+            assert points[0][0] is calls[0][1]
+        for (_, prev), (start, _) in zip(points, points[1:]):
+            if study != "refine":
+                assert start is prev
+                continue
+            # coarse to fine: the previous solution interpolated linearly
+            coarse = prev.with_boundary()
+            fine = start.with_boundary()
+            assert start.mesh.n == 2 * prev.mesh.n
+            assert np.array_equal(fine[::2], coarse)
+            assert np.allclose(fine[1::2], 0.5 * (coarse[:-1] + coarse[1:]), rtol=0, atol=1e-15)
+
+    def test_perturbation_chain_newton_iterations(self):
+        # each delta starts from its neighbour's solution; cold starts took 65
+        prob = builtin_problem("fixed_obstacle", n=64)
+        res = run_operator_perturbation(prob, "coefficient", [0.4, 0.2, 0.1, 0.05, 0.025])
+        assert sum(rep.inner_iterations for rep in res.reports) <= 25
+
+    def test_refinement_chain_newton_iterations(self):
+        # n = 128 starts from the n = 64 solution interpolated; cold took 26
+        res = run_mesh_refinement(
+            lambda n: builtin_problem("kernel_qvi", n=n), [8, 16, 32, 64, 128]
+        )
+        assert res.reports[-1].solution.mesh.n == 128
+        assert res.reports[-1].inner_per_outer[0] <= 14

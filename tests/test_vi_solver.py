@@ -260,6 +260,34 @@ class TestNewton:
         with pytest.raises(GridMismatchError, match="^start lives on a different mesh$"):
             solve_vi(op, f, f, VIParams(), y0=GridFunction.zeros(make_mesh(8, "dirichlet")))
 
+    @pytest.mark.parametrize("operator", ["linear", "plaplacian"])
+    def test_start_that_solves_costs_one_check(self, operator):
+        class NoEnergy:
+            """The operator with an energy that must not be called."""
+
+            def __init__(self, base):
+                self.mesh = base.mesh
+                self.matvec = base.matvec
+                self.jacobian_bands = base.jacobian_bands
+
+            def energy(self, u):
+                raise AssertionError("energy evaluated")
+
+        mesh = make_mesh(64, "dirichlet")
+        base = assemble_linear(mesh, 1.0, 0.0) if operator == "linear" else PLaplacianOperator(
+            mesh, 3.0, 1e-3
+        )
+        f = GridFunction.constant(mesh, 1.0)
+        psi = GridFunction.constant(mesh, 0.05)
+        params = VIParams()
+        solved = solve_vi(base, f, psi, params)
+        assert solved.converged and solved.iterations > 0
+        rep = solve_vi(NoEnergy(base), f, psi, params, y0=solved.solution)
+        assert rep.iterations == 0
+        assert rep.converged
+        assert rep.kkt_residual == solved.kkt_residual
+        assert rep.solution.values.tobytes() == solved.solution.values.tobytes()
+
     def test_overflowing_trial_rejected(self):
         class ExpReaction:
             """-u'' + 2u exp(u^2), the gradient of 0.5 <A u, u> + sum hw exp(u^2)."""

@@ -12,6 +12,17 @@ the whole matrix:
     diff parent.txt change.txt
     rm -r ../qvar-parent
 
+With `--dump DIR` every command's exit code, stdout, stderr and written
+files are also kept under DIR, one directory per command.  `--compare A B`
+reads two such dumps and prints, for every file that moved, the largest
+absolute and relative difference of its numeric fields.  It flags any change
+in an integer field, a verdict or other non-numeric token, a line count or
+an exit code, and exits 1 when it flagged one:
+
+    python3 tools/output_digests.py --src ../qvar-parent/src --dump parent > parent.txt
+    python3 tools/output_digests.py --src src --dump change > change.txt
+    python3 tools/output_digests.py --compare parent change
+
 The matrix:
 - solve, trace and certify for every builtin on both boundary conditions
   (plaplacian on dirichlet only) at n = 2, 8, 16, 64 and 100 (where h is
@@ -30,7 +41,9 @@ import argparse
 import contextlib
 import hashlib
 import io
+import math
 import os
+import re
 import sys
 import tempfile
 
@@ -99,20 +112,119 @@ def _run(run_command, argv, config):
     return code, out.getvalue().encode(), err.getvalue().encode(), files
 
 
+def _slug(label: str) -> str:
+    return re.sub(r"[^A-Za-z0-9_.=-]+", "_", label)
+
+
+def _dump(root: str, index: int, label: str, code: int, out: bytes, err: bytes, files) -> None:
+    """Write one command's exit code, stdout, stderr and files under root."""
+    base = os.path.join(root, f"{index:03d}-{_slug(label)}")
+    outputs = {"exit_code": f"{code}\n".encode(), "stdout": out, "stderr": err, **files}
+    for path, data in outputs.items():
+        target = os.path.join(base, path)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        with open(target, "wb") as fh:
+            fh.write(data)
+
+
+def _tree(root: str) -> dict:
+    """{relative path: bytes} of every file below root."""
+    files = {}
+    for top, _, names in os.walk(root):
+        for fname in names:
+            path = os.path.join(top, fname)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, root)] = fh.read()
+    return files
+
+
+_TOKEN = re.compile(r"[^\s,=]+")
+_INT = re.compile(r"[-+]?\d+")
+
+
+def _float(token: str):
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+def _moves(old: str, new: str):
+    """(largest absolute, largest relative numeric difference, flags) between
+    two versions of a text file, compared token by token on each line."""
+    max_abs = max_rel = 0.0
+    flags = []
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    if len(old_lines) != len(new_lines):
+        flags.append(f"line count {len(old_lines)} -> {len(new_lines)}")
+    for k, (a_line, b_line) in enumerate(zip(old_lines, new_lines), start=1):
+        a_tokens, b_tokens = _TOKEN.findall(a_line), _TOKEN.findall(b_line)
+        if len(a_tokens) != len(b_tokens):
+            flags.append(f"line {k}: {a_line!r} -> {b_line!r}")
+            continue
+        for a, b in zip(a_tokens, b_tokens):
+            if a == b:
+                continue
+            x, y = _float(a), _float(b)
+            integers = _INT.fullmatch(a) and _INT.fullmatch(b)
+            if integers or x is None or y is None or not (math.isfinite(x) and math.isfinite(y)):
+                kind = "integer" if integers else "token"
+                flags.append(f"line {k}: {kind} {a} -> {b}")
+                continue
+            diff = abs(x - y)
+            max_abs = max(max_abs, diff)
+            max_rel = max(max_rel, diff / max(abs(x), abs(y)))
+    return max_abs, max_rel, flags
+
+
+def compare(old_root: str, new_root: str) -> int:
+    """Print every moved file of two dumps with its largest numeric moves
+    and its flagged changes; 1 when anything was flagged."""
+    old, new = _tree(old_root), _tree(new_root)
+    moved = flagged = 0
+    for path in sorted(set(old) | set(new)):
+        if old.get(path) == new.get(path):
+            continue
+        moved += 1
+        if path not in old or path not in new:
+            print(f"{path}: only in {old_root if path in old else new_root}")
+            flagged += 1
+            continue
+        max_abs, max_rel, flags = _moves(old[path].decode(), new[path].decode())
+        print(f"{path}: max_abs={max_abs:.3g} max_rel={max_rel:.3g}")
+        for flag in flags:
+            print(f"  FLAG {flag}")
+        flagged += bool(flags)
+    print(f"{len(set(old) | set(new))} files, {moved} moved, {flagged} flagged")
+    return 1 if flagged else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", required=True, metavar="DIR",
+    parser.add_argument("--src", metavar="DIR",
                         help="directory that holds the qvar package to run")
+    parser.add_argument("--dump", metavar="DIR",
+                        help="also write every command's outputs under DIR")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="compare two dumps instead of running the matrix")
     args = parser.parse_args(argv)
+    if args.compare:
+        if args.src or args.dump:
+            parser.error("--compare takes no --src or --dump")
+        return compare(*args.compare)
+    if not args.src:
+        parser.error("--src is required")
     sys.path.insert(0, os.path.abspath(args.src))
     os.environ.pop("QVAR_SEED", None)
     from qvar.cli import run_command
 
-    for label, cmd, config in _matrix():
+    for index, (label, cmd, config) in enumerate(_matrix()):
         code, out, err, files = _run(run_command, cmd, config)
         print(f"{label}: exit={code} stdout={_sha(out)} stderr={_sha(err)}")
         for path in sorted(files):
             print(f"  {path} {_sha(files[path])}")
+        if args.dump:
+            _dump(os.path.abspath(args.dump), index, label, code, out, err, files)
     return 0
 
 
