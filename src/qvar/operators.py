@@ -25,7 +25,6 @@ from .grid import (
     DIRICHLET,
     GridFunction,
     Mesh,
-    dual_norm,
     _check_finite,
     _cholesky_solve,
     _cholesky_tridiag,
@@ -39,17 +38,17 @@ _BACKWARD_TOL = 64 * np.finfo(float).eps
 @dataclass(frozen=True)
 class OperatorConstants:
     """Strong-monotonicity constant c, Lipschitz constant L and one-sided
-    monotonicity defect gamma, all relative to the tagged norm pair."""
+    monotonicity defect gamma, all relative to the tagged norm pair.  L is
+    +inf for an operator that is not globally Lipschitz."""
 
     c: float
     L: float
     gamma: float
     norm_tag: str
-    method: str  # 'eig' (eigenvalue-accurate) or 'sampled' (empirical bound)
 
     def __post_init__(self):
-        if not (np.isfinite(self.c) and np.isfinite(self.L) and np.isfinite(self.gamma)):
-            raise ValueError("operator constants must be finite")
+        if not (np.isfinite(self.c) and np.isfinite(self.gamma) and self.L <= np.inf):
+            raise ValueError("c and gamma must be finite and L must not be NaN")
         if self.c < 0 or self.gamma < 0 or self.L < self.c:
             raise ValueError("constants must satisfy 0 <= c <= L and gamma >= 0")
 
@@ -353,8 +352,11 @@ def _pencil_extremes(K_off, K_diag, G_off, G_diag):
     factor (dpttrs) and a Rayleigh quotient.  c is reported as 0 when K is
     not positive definite or when c is at most m * eps * L, below what the
     factorizations resolve: a singular K can pass the pivot test by rounding
-    alone.
+    alone.  A zero K gives (0, 0), where bisection would drive mu into the
+    subnormals and inverse iteration would overflow.
     """
+    if not (K_diag.any() or K_off.any()):
+        return 0.0, 0.0
 
     def factor(sign, mu):
         return _cholesky_tridiag(sign * (K_off - mu * G_off), sign * (K_diag - mu * G_diag))
@@ -397,44 +399,45 @@ def _pencil_extremes(K_off, K_diag, G_off, G_diag):
     return (c if c > K_diag.size * np.finfo(float).eps * L else 0.0), L
 
 
-def estimate_constants(op, norm_tag: str = "h1", trials: int = 100, seed: int = 0) -> OperatorConstants:
-    """Empirical structural constants of an operator.
+def _linear_split(op):
+    """(linear part, gamma, L_rest) of an operator: op minus its linear part
+    has one-sided monotonicity defect at most gamma and Lipschitz constant at
+    most L_rest in the l2 pairing, hence in both tagged norms.
 
-    Linear operators get eigenvalue-accurate extremes of the generalized
-    Rayleigh quotient <Au,u>/||u||^2 from bisection on the tridiagonal pencil;
-    they do not depend on `seed`.  Nonlinear operators get sampled extrema
-    over seeded random pairs, reported as empirical bounds.
+    The p-Laplacian flux derivative s^{(p-4)/2} ((p-1) g^2 + eps) is at least
+    eps^{(p-2)/2} for p >= 2 (Barrett & Liu, Math. Comp. 61, 1993), so
+    eps^{(p-2)/2} times the a=1, a0=0 stiffness is a linear part with a
+    monotone remainder; the remainder is 0 for p = 2 and not globally
+    Lipschitz for p > 2.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    mesh = op.mesh
-    m = mesh.dof_count
-    G_off, G_diag = _norm_gram_bands(mesh, norm_tag)
-
     if isinstance(op, LinearEllipticOperator):
-        c, L = _pencil_extremes(*op.gram_tridiag(), G_off, G_diag)
-        c = max(c, 0.0)
-        L = max(L, c)
-        return OperatorConstants(c=c, L=L, gamma=0.0, norm_tag=norm_tag, method="eig")
+        return op, 0.0, 0.0
+    if isinstance(op, NonMonotoneOperator):
+        lam = abs(op.lam)
+        return op.base, lam, lam
+    if isinstance(op, PLaplacianOperator):
+        stiff = assemble_linear(op.mesh, 1.0, 0.0)
+        scale = op.eps ** ((op.p - 2.0) / 2.0)
+        linear = LinearEllipticOperator(
+            op.mesh, scale * stiff.lower, scale * stiff.diag, scale * stiff.upper
+        )
+        return linear, 0.0, 0.0 if op.p == 2.0 else np.inf
+    if isinstance(op, RegularizedOperator):
+        linear, gamma, lip = _linear_split(op.inner)
+        return add_regularization(linear, op.eps, op.delta, op.R), gamma, lip
+    raise TypeError(f"no structural constants for {type(op).__name__}")
 
-    rng = np.random.default_rng(seed)
-    mono_min = np.inf
-    lip_max = 0.0
-    for _ in range(trials):
-        u = rng.standard_normal(m)
-        v = rng.standard_normal(m)
-        du = u - v
-        nd = float(np.sqrt(np.dot(du, _tridiag_apply(G_off[1:], G_diag, G_off[1:], du))))
-        if nd < 1e-14:
-            continue
-        dop = op.matvec(u) - op.matvec(v)
-        mono = float(np.dot(mesh.hw * dop, du)) / nd**2
-        lip = dual_norm(GridFunction(mesh, dop), norm_tag) / nd
-        mono_min = min(mono_min, mono)
-        lip_max = max(lip_max, lip)
-    if not np.isfinite(mono_min):
-        mono_min = 0.0
-    c = max(mono_min, 0.0)
-    gamma = max(-mono_min, 0.0)
-    L = max(lip_max, c)
-    return OperatorConstants(c=c, L=L, gamma=gamma, norm_tag=norm_tag, method="sampled")
+
+def estimate_constants(op, norm_tag: str = "h1") -> OperatorConstants:
+    """Structural constants of an operator as proven bounds.
+
+    The operator is split into a linear part and a remainder with closed-form
+    bounds (`_linear_split`).  c and L of the linear part are the extreme
+    eigenvalues of its tridiagonal pencil; the remainder's defect is gamma
+    and its Lipschitz constant is added to L.
+    """
+    linear, gamma, lip = _linear_split(op)
+    c, L = _pencil_extremes(*linear.gram_tridiag(), *_norm_gram_bands(op.mesh, norm_tag))
+    c = max(c, 0.0)
+    L = max(L, c)
+    return OperatorConstants(c=c, L=L + lip, gamma=gamma, norm_tag=norm_tag)

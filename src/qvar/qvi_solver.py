@@ -130,7 +130,8 @@ def contraction_certificate(
         raise ValueError("invalid Lipschitz data for the certificate")
     denom = constants.c - constants.gamma
     if denom > 0:
-        rho = constants.L * L_phi / denom
+        # a fixed map (L_phi = 0) contracts even when L is +inf
+        rho = constants.L * L_phi / denom if L_phi > 0 else 0.0
         ok = rho < 1.0
     else:
         rho = np.inf
@@ -146,26 +147,16 @@ def contraction_certificate(
     )
 
 
-def operator_structural_constants(op, norm_tag: str = "h1", seed: int = 0):
-    """Constants and nonlinear Lipschitz split used for certificates.
-
-    Linear: eigenvalue-accurate.  Sine composites: eigenvalue-accurate base
-    plus the closed-form |lam| bounds.  Anything else: sampled bounds.
-    """
-    if isinstance(op, NonMonotoneOperator):
-        base = estimate_constants(op.base, norm_tag, seed=seed)
-        lam = abs(op.lam)
-        constants = OperatorConstants(
-            c=base.c, L=base.L + lam, gamma=lam, norm_tag=norm_tag, method="eig"
-        )
-        return constants, lam
-    return estimate_constants(op, norm_tag, seed=seed), 0.0
+def operator_structural_constants(op, norm_tag: str = "h1"):
+    """Constants and the nonlinear Lipschitz split L_N used for certificates:
+    the closed-form bounds of `estimate_constants`, whose defect gamma is the
+    Lipschitz share of the non-monotone remainder."""
+    constants = estimate_constants(op, norm_tag)
+    return constants, constants.gamma
 
 
-def problem_certificate(
-    problem: QVIProblem, norm_tag: str = "h1", seed: int = 0
-) -> ContractionCertificate:
-    constants, l_n = operator_structural_constants(problem.operator, norm_tag, seed=seed)
+def problem_certificate(problem: QVIProblem, norm_tag: str = "h1") -> ContractionCertificate:
+    constants, l_n = operator_structural_constants(problem.operator, norm_tag)
     return contraction_certificate(constants, lipschitz_bound(problem.obstacle_map, norm_tag), l_n)
 
 

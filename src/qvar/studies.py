@@ -385,7 +385,8 @@ def run_stability_bound_check(
     cert = problem_certificate(problem, "h1")
     if not cert.smallness_ok:
         raise ValueError("stability check requires a passing contraction certificate")
-    denom = cert.c - cert.gamma - (cert.L_A + cert.L_N) * cert.L_phi
+    coupling = (cert.L_A + cert.L_N) * cert.L_phi if cert.L_phi > 0 else 0.0
+    denom = cert.c - cert.gamma - coupling
     if denom <= 0:
         raise ValueError("stability denominator is not positive")
     y0 = GridFunction.zeros(problem.operator.mesh)

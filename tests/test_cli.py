@@ -194,8 +194,15 @@ class TestTraceAndCertify:
         cfg = write_cfg(tmp_path, "seed = 3\n[problem]\nname = plaplacian\nn = 16\n")
         run_command(["certify", "-c", cfg])
         row = capsys.readouterr().out.splitlines()[1]
-        cert = problem_certificate(builtin_problem("plaplacian", n=16), "h1", seed=3)
+        cert = problem_certificate(builtin_problem("plaplacian", n=16), "h1")
         assert row == cert.csv_row()
+
+    def test_certify_unregularized_plaplacian(self, tmp_path, capsys):
+        # eps_op = 0: the linear part of the flux is zero, so c = 0
+        cfg = write_cfg(tmp_path, "[problem]\nname = plaplacian\nn = 16\neps_op = 0\n")
+        assert run_command(["certify", "-c", cfg]) == 2
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[:2] == ["0", "inf"]
 
     def test_certify_smallness_failure(self, tmp_path):
         cfg = write_cfg(tmp_path, "[problem]\nname = example1d\nalpha = 1.5\n")

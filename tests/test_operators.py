@@ -327,40 +327,31 @@ class TestConstants:
     def test_neumann_reaction_smallest_eigenvalue(self):
         mesh = make_mesh(64, "neumann")
         op = assemble_linear(mesh, 1.0, 1.0)
-        con = estimate_constants(op, "l2", seed=1)
+        con = estimate_constants(op, "l2")
         assert con.c == pytest.approx(1.0, abs=1e-6)
-        assert con.method == "eig"
 
     def test_h1_identity_pair(self):
         # for -u'' + u the pairing coincides with the h1 inner product
         mesh = make_mesh(64, "neumann")
-        con = estimate_constants(assemble_linear(mesh, 1.0, 1.0), "h1", seed=1)
+        con = estimate_constants(assemble_linear(mesh, 1.0, 1.0), "h1")
         assert con.c == pytest.approx(1.0, abs=1e-9)
         assert con.L == pytest.approx(1.0, abs=1e-9)
-        assert con.norm_tag == "h1" and con.method == "eig"
+        assert con.norm_tag == "h1"
 
     def test_scaled_identity(self):
         mesh = make_mesh(8, "dirichlet")
-        con = estimate_constants(identity_operator(mesh, 3.0), "l2", seed=2)
+        con = estimate_constants(identity_operator(mesh, 3.0), "l2")
         assert con.c == pytest.approx(3.0, abs=1e-8)
         assert con.L == pytest.approx(3.0, abs=1e-8)
 
-    def test_sine_alone_sampled_bounds(self):
+    @pytest.mark.parametrize("tag", ["h1", "l2"])
+    def test_sine_alone_closed_form(self, tag):
         mesh = make_mesh(16, "neumann")
         zero = identity_operator(mesh, 0.0)
         zero.diag[:] = 0.0
-        sine = NonMonotoneOperator(zero, 0.3)
-        con = estimate_constants(sine, "l2", trials=100, seed=5)
-        assert con.method == "sampled"
-        assert con.gamma <= 0.3 + 1e-9
-        assert con.L <= 0.3 + 1e-9
-
-    def test_deterministic_for_seed(self):
-        mesh = make_mesh(24, "dirichlet")
-        plap = PLaplacianOperator(mesh, 3.0, 1e-2)
-        a = estimate_constants(plap, "h1", trials=50, seed=9)
-        b = estimate_constants(plap, "h1", trials=50, seed=9)
-        assert (a.c, a.L, a.gamma) == (b.c, b.L, b.gamma)
+        con = estimate_constants(NonMonotoneOperator(zero, 0.3), tag)
+        assert con.c == 0.0
+        assert con.gamma == con.L == 0.3
 
     def test_composite_structural(self):
         mesh = make_mesh(32, "neumann")
@@ -375,11 +366,15 @@ class TestConstants:
         from qvar.operators import OperatorConstants
 
         with pytest.raises(ValueError):
-            OperatorConstants(c=2.0, L=1.0, gamma=0.0, norm_tag="l2", method="eig")
+            OperatorConstants(c=2.0, L=1.0, gamma=0.0, norm_tag="l2")
         with pytest.raises(ValueError):
-            OperatorConstants(c=1.0, L=1.0, gamma=-0.1, norm_tag="l2", method="eig")
+            OperatorConstants(c=1.0, L=1.0, gamma=-0.1, norm_tag="l2")
         with pytest.raises(ValueError):
-            OperatorConstants(c=np.inf, L=np.inf, gamma=0.0, norm_tag="l2", method="eig")
+            OperatorConstants(c=np.inf, L=np.inf, gamma=0.0, norm_tag="l2")
+        with pytest.raises(ValueError):
+            OperatorConstants(c=1.0, L=np.nan, gamma=0.0, norm_tag="l2")
+        with pytest.raises(ValueError):
+            OperatorConstants(c=1.0, L=np.inf, gamma=np.inf, norm_tag="l2")
 
     def test_composite_nonlinearity_bounded_by_amplitude(self):
         mesh = make_mesh(24, "neumann")
@@ -405,14 +400,12 @@ class TestPencilConstants:
 
     @pytest.mark.parametrize("n", [128, 256, 1024, 4096])
     @pytest.mark.parametrize("tag", ["h1", "l2"])
-    def test_closed_form_for_every_seed(self, n, tag):
+    def test_closed_form(self, n, tag):
         lam = self.lumped_extremes(n)
         c_exact, L_exact = lam / (1.0 + lam) if tag == "h1" else lam
-        op = assemble_linear(make_mesh(n, "dirichlet"), 1.0, 0.0)
-        for seed in range(20):
-            con = estimate_constants(op, tag, seed=seed)
-            assert con.c == pytest.approx(c_exact, rel=1e-9, abs=0.0)
-            assert con.L == pytest.approx(L_exact, rel=1e-9, abs=0.0)
+        con = estimate_constants(assemble_linear(make_mesh(n, "dirichlet"), 1.0, 0.0), tag)
+        assert con.c == pytest.approx(c_exact, rel=1e-9, abs=0.0)
+        assert con.L == pytest.approx(L_exact, rel=1e-9, abs=0.0)
 
     def test_example1d_certificate_row(self):
         row = problem_certificate(builtin_problem("example1d", n=64)).csv_row()
@@ -435,6 +428,74 @@ class TestPencilConstants:
         assert not cert.smallness_ok
 
 
+class TestStructuralBounds:
+    """Nonlinear constants are closed-form bounds: a linear part read from
+    its pencil plus a remainder with known defect and Lipschitz constant."""
+
+    @staticmethod
+    def ratios(op, u, v, tag):
+        # monotonicity <A u - A v, u - v> / ||u - v||^2 and Lipschitz
+        # ||A u - A v||_* / ||u - v|| in the tagged norm pair
+        mesh = op.mesh
+        du = GridFunction(mesh, u - v)
+        dop = GridFunction(mesh, op.matvec(u) - op.matvec(v))
+        nd = norm(du, tag)
+        return duality_pairing(dop, du) / nd**2, dual_norm(dop, tag) / nd
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_plaplacian_c_below_a_smooth_pair(self, n):
+        mesh = make_mesh(n, "dirichlet")
+        plap = PLaplacianOperator(mesh, 3.0, 1e-3)
+        con = estimate_constants(plap, "h1")
+        u = 1e-3 * np.sin(np.pi * mesh.dof_nodes())
+        mono, _ = self.ratios(plap, u, np.zeros_like(u), "h1")
+        assert con.c <= mono
+        assert con.c == pytest.approx(1e-3**0.5 * np.pi**2 / (1.0 + np.pi**2), rel=1e-3)
+        assert con.L == np.inf and con.gamma == 0.0
+
+    @pytest.mark.parametrize("tag", ["h1", "l2"])
+    def test_p2_is_the_stiffness_pencil(self, tag):
+        mesh = make_mesh(32, "dirichlet")
+        con = estimate_constants(PLaplacianOperator(mesh, 2.0, 1e-3), tag)
+        ref = estimate_constants(assemble_linear(mesh, 1.0, 0.0), tag)
+        assert con.c == pytest.approx(ref.c, rel=1e-12)
+        assert con.L == pytest.approx(ref.L, rel=1e-12)
+        assert con.gamma == 0.0
+
+    def test_unregularized_plaplacian_has_zero_coercivity(self):
+        con = estimate_constants(PLaplacianOperator(make_mesh(16, "dirichlet"), 3.0, 0.0), "h1")
+        assert con.c == 0.0
+        assert con.L == np.inf
+
+    def test_random_pairs_respect_the_bounds(self):
+        ops = TestJacobianBands().operators()
+        rng = np.random.default_rng(23)
+        for name in ("plaplacian", "plaplacian_p4", "regularized", "sine", "regularized_sine"):
+            op = ops[name]
+            for tag in ("h1", "l2"):
+                con = estimate_constants(op, tag)
+                for scale in (1e-3, 1.0, 10.0):
+                    for _ in range(20):
+                        u = scale * rng.standard_normal(op.mesh.dof_count)
+                        v = scale * rng.standard_normal(op.mesh.dof_count)
+                        mono, lip = self.ratios(op, u, v, tag)
+                        assert mono >= (con.c - con.gamma) * (1.0 - 1e-12), (name, tag)
+                        assert lip <= con.L * (1.0 + 1e-12), (name, tag)
+
+    def test_regularized_sine_split(self):
+        ops = TestJacobianBands().operators()
+        con, l_n = operator_structural_constants(ops["regularized_sine"], "h1")
+        assert con.gamma == l_n == 0.3
+        assert np.isfinite(con.L)
+
+    def test_unknown_operator_rejected(self):
+        class Opaque:
+            mesh = make_mesh(4, "dirichlet")
+
+        with pytest.raises(TypeError, match="no structural constants for Opaque"):
+            estimate_constants(Opaque())
+
+
 class TestRegularization:
     def test_zero_is_identity(self):
         mesh = make_mesh(8, "neumann")
@@ -452,8 +513,8 @@ class TestRegularization:
     def test_l2_coercivity_shift(self):
         mesh = make_mesh(32, "neumann")
         op = assemble_linear(mesh, 1.0, 1.0)
-        c0 = estimate_constants(op, "l2", seed=1).c
-        c1 = estimate_constants(add_regularization(op, 0.5), "l2", seed=1).c
+        c0 = estimate_constants(op, "l2").c
+        c1 = estimate_constants(add_regularization(op, 0.5), "l2").c
         assert c1 - c0 == pytest.approx(0.5, abs=1e-6)
 
     def test_missing_regularizer(self):

@@ -27,7 +27,7 @@ def golden_problem(n=64):
 
 class TestCertificate:
     def constants(self, c, L, gamma):
-        return OperatorConstants(c=c, L=L, gamma=gamma, norm_tag="h1", method="eig")
+        return OperatorConstants(c=c, L=L, gamma=gamma, norm_tag="h1")
 
     def test_quarter_coupling(self):
         cert = contraction_certificate(self.constants(1.0, 1.0, 0.0), 0.25)
@@ -45,6 +45,17 @@ class TestCertificate:
         assert cert.smallness_ok
         assert cert.L_A == pytest.approx(1.0)
         assert cert.L_N == pytest.approx(0.2)
+
+    def test_fixed_map_contracts_with_infinite_lipschitz_constant(self):
+        cert = contraction_certificate(self.constants(0.5, np.inf, 0.0), 0.0)
+        assert cert.rho == 0.0
+        assert cert.smallness_ok
+        assert cert.L_A == np.inf
+
+    def test_infinite_lipschitz_constant_with_coupling_fails(self):
+        cert = contraction_certificate(self.constants(0.5, np.inf, 0.0), 0.1)
+        assert cert.rho == np.inf
+        assert not cert.smallness_ok
 
     def test_defect_exceeding_coercivity(self):
         cert = contraction_certificate(self.constants(1.0, 1.2, 1.0), 0.1)

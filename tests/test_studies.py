@@ -295,6 +295,18 @@ class TestStabilityBoundCheck:
         res = run_stability_bound_check(prob, pairs)
         assert res.verdicts["bound_holds"]
 
+    def test_plaplacian_bound_is_finite_and_holds(self):
+        # a fixed obstacle map with L_A = inf: the coupling term is 0, not inf * 0
+        prob = builtin_problem("plaplacian", n=32)
+        mesh = prob.f.mesh
+        pairs = [
+            (GridFunction.constant(mesh, a), GridFunction.constant(mesh, b))
+            for a, b in ((1.0, 1.1), (0.5, 0.6))
+        ]
+        res = run_stability_bound_check(prob, pairs)
+        assert all(np.isfinite(row[2]) and row[2] > 0 for row in res.rows)
+        assert res.verdicts["bound_holds"]
+
     def test_requires_passing_certificate(self):
         prob = builtin_problem("example1d", n=16, alpha=2.0)
         with pytest.raises(ValueError):

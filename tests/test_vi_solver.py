@@ -380,7 +380,7 @@ class TestOrderProperties:
         rng = np.random.default_rng(47)
         mesh = make_mesh(24, "dirichlet")
         op = assemble_linear(mesh, 1.0, 0.5)
-        c = estimate_constants(op, "h1", seed=0).c
+        c = estimate_constants(op, "h1").c
         params = VIParams()
         psi = GridFunction.constant(mesh, 0.1)
         for _ in range(50):

@@ -32,7 +32,11 @@ The matrix:
 - regpath, perturb (both families), refine and robust on every builtin at
   n = 32 (perturb family=coefficient exits 4 on the nonlinear plaplacian and
   nonmonotone_sine);
-- oracle-check --trials 10.
+- oracle-check --trials 10;
+- certify plaplacian with p = 2 and with eps_op = 0 at n = 16 and 64, the
+  closed-form edge cases of the structural constants (the exact stiffness
+  pencil, and a zero linear part that certifies c = 0).  They come last so
+  that the dump index of every earlier command stays put.
 """
 
 from __future__ import annotations
@@ -81,6 +85,10 @@ def _matrix():
         yield f"refine {name}", ["refine"], problem
         yield f"robust {name}", ["robust"], problem
     yield "oracle-check trials=10", ["oracle-check", "--trials", "10"], None
+    for key in ("p = 2", "eps_op = 0"):
+        for n in (16, 64):
+            config = f"[problem]\nname = plaplacian\nn = {n}\n{key}\n"
+            yield f"certify plaplacian {key.replace(' ', '')} n={n}", ["certify"], config
 
 
 def _sha(data: bytes) -> str:
