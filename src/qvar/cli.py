@@ -40,9 +40,9 @@ from .studies import (
     run_operator_perturbation,
     run_regularization_path,
 )
-from .vi_solver import VIParams, kkt_residual, solve_vi_active_set_oracle, solve_vi_psor
+from .vi_solver import VIParams, kkt_residual, solve_vi, solve_vi_active_set_oracle
 
-# keys of inner solvers the CLI no longer runs (PSOR relaxation, projected damping)
+# keys of inner solvers qvar no longer has (SOR relaxation, projected damping)
 _REMOVED_SOLVER_KEYS = {"omega", "tau"}
 
 _STUDY_KINDS = ("regpath", "perturb", "refine", "robust")
@@ -381,9 +381,9 @@ def _cmd_oracle_check(trials: int, ndof: int, seed: int) -> int:
         f = GridFunction(mesh, rng.standard_normal(mesh.dof_count))
         psi = GridFunction(mesh, rng.uniform(-0.5, 1.0, mesh.dof_count))
         ref = solve_vi_active_set_oracle(op, f, psi)
-        rep = solve_vi_psor(op, f, psi, params)
+        rep = solve_vi(op, f, psi, params)
         if not rep.converged:
-            print(f"PSOR failed to converge (kkt={rep.kkt_residual:.3e})")
+            print(f"Newton failed to converge (kkt={rep.kkt_residual:.3e})")
             return 3
         max_dev = max(max_dev, float(np.max(np.abs(ref.values - rep.solution.values))))
         max_kkt = max(max_kkt, kkt_residual(op, f, psi, rep.solution))
@@ -422,7 +422,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         add_common(sub.add_parser(name, help=help_text))
 
-    oc = sub.add_parser("oracle-check", help="PSOR vs active-set enumeration on random instances")
+    oc = sub.add_parser(
+        "oracle-check", help="projected Newton vs active-set enumeration on random instances"
+    )
     oc.add_argument("--trials", type=int, default=100)
     oc.add_argument("--ndof", type=int, default=8)
     oc.add_argument("--seed", type=int, default=None)

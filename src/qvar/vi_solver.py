@@ -2,9 +2,9 @@
 
 Every operator goes through one projected Newton method on the
 complementarity system min(psi - y, f - A(y)) = 0, with one tridiagonal
-solve per iteration on the operator's Jacobian bands.  Projected SOR stays as
-a short linear reference, and a brute-force active-set enumeration oracle
-covers correctness on small instances.  The complementarity residual
+solve per iteration on the operator's Jacobian bands.  A brute-force
+active-set enumeration oracle, which shares no code with it, checks it on
+small linear instances.  The complementarity residual
 
     kkt(y) = max_i | min(psi_i - y_i, (f - A(y))_i) |
 
@@ -37,7 +37,7 @@ _STEP_FLOOR = 1e-12
 
 @dataclass
 class VIParams:
-    """Inner-solver controls: max_iter caps Newton iterations (sweeps for PSOR)."""
+    """Inner-solver controls: tol stops on the residual, max_iter caps Newton iterations."""
 
     tol: float = 1e-10
     max_iter: int = 10000
@@ -70,35 +70,6 @@ def _kkt(gap: np.ndarray, r: np.ndarray) -> float:
     return float(np.abs(np.minimum(gap, r)).max())
 
 
-def solve_vi_psor(
-    op: LinearEllipticOperator, f: GridFunction, psi: GridFunction, params: VIParams
-) -> VISolveReport:
-    """Projected SOR in ascending dof order from the feasible start min(0, psi),
-    relaxed by omega = 2/(1+sin(pi*h)): the plain-loop reference the Newton
-    solver is checked against."""
-    if not isinstance(op, LinearEllipticOperator):
-        raise SolverError("PSOR requires a linear (tridiagonal) operator")
-    if f.mesh != op.mesh or psi.mesh != op.mesh:
-        raise GridMismatchError("force/obstacle live on a different mesh")
-    omega = 2.0 / (1.0 + math.sin(math.pi * op.mesh.h))
-    lower, diag, upper = op.lower, op.diag, op.upper
-    fv, pv = f.values, psi.values
-    y = np.minimum(0.0, pv)
-    n = y.size
-    for sweep in range(1, params.max_iter + 1):
-        for i in range(n):
-            r = fv[i] - diag[i] * y[i]
-            if i > 0:
-                r -= lower[i] * y[i - 1]
-            if i < n - 1:
-                r -= upper[i] * y[i + 1]
-            y[i] = min(y[i] + omega * r / diag[i], pv[i])
-        kkt = _kkt(pv - y, fv - op.matvec(y))
-        if kkt <= params.tol:
-            break
-    return VISolveReport(GridFunction(op.mesh, y), sweep, kkt, kkt <= params.tol)
-
-
 def _newton_step(bands, held: np.ndarray, gap: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Solve J dy = r on free rows and dy = gap on held rows."""
     lower, diag, upper = bands
@@ -121,10 +92,12 @@ def solve_vi(
     Each iteration holds the nodes on the obstacle with a positive multiplier
     there, solves one tridiagonal system with the Jacobian bands at y on the
     free rows, and backtracks the projected path min(psi, y + t dy) until the
-    energy minus <f, y> does not rise beyond round-off.  A non-finite trial
-    is rejected; a step scaled below 1e-12 raises a stagnation error.  The
-    residual is the termination test; a start that already meets it is
-    returned after that one check, with no energy evaluated.
+    energy minus <f, y> does not rise beyond round-off.  When that system is
+    singular with no node held, the step is the gap psi - y if it is nonzero.
+    A non-finite trial is rejected; a step scaled below 1e-12 raises a
+    stagnation error.  The residual is the termination test; a start that
+    already meets it is returned after that one check, with no energy
+    evaluated.
     """
     if f.mesh != op.mesh or psi.mesh != op.mesh:
         raise GridMismatchError("force/obstacle live on a different mesh")
@@ -147,7 +120,16 @@ def solve_vi(
         iters += 1
         gap = pv - y
         held = (gap <= _HOLD_TOL * (1.0 + np.abs(pv))) & (r > 0.0)
-        dy = _newton_step(op.jacobian_bands(y), held, gap, r)
+        try:
+            dy = _newton_step(op.jacobian_bands(y), held, gap, r)
+        except SolverError:
+            # every proper principal block of a stiffness is nonsingular, so
+            # only the all-free system of a singular one (neumann, a0 = 0)
+            # fails: step toward the obstacle and let the energy decide, unless
+            # y is already on it everywhere and that step is zero
+            if held.any() or not gap.any():
+                raise
+            dy = gap
         t = 1.0
         while True:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -167,6 +149,11 @@ def solve_vi(
 def solve_vi_projected(op, f: GridFunction, psi: GridFunction, params: VIParams) -> VISolveReport:
     """Former name of solve_vi, kept for callers that bind it (bench/tracer.py)."""
     return solve_vi(op, f, psi, params)
+
+
+# the deleted projected SOR solver's name, kept because bench/tracer.py looks
+# it up with getattr
+solve_vi_psor = solve_vi_projected
 
 
 def active_set_candidates(op: LinearEllipticOperator, f: GridFunction, psi: GridFunction):

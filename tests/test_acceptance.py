@@ -24,7 +24,7 @@ from qvar.studies import (
     run_regularization_path,
     run_stability_bound_check,
 )
-from qvar.vi_solver import VIParams, kkt_residual, solve_vi_active_set_oracle, solve_vi_psor
+from qvar.vi_solver import VIParams, kkt_residual, solve_vi, solve_vi_active_set_oracle
 
 
 def _report(num, desc, checks, elapsed, budget):
@@ -105,7 +105,7 @@ def test_criterion_05_oracle_equivalence():
         f = GridFunction(mesh, rng.standard_normal(ndof))
         psi = GridFunction(mesh, rng.uniform(-0.5, 1.0, ndof))
         ref = solve_vi_active_set_oracle(op, f, psi)
-        rep = solve_vi_psor(op, f, psi, params)
+        rep = solve_vi(op, f, psi, params)
         assert rep.converged
         max_dev = max(max_dev, float(np.max(np.abs(ref.values - rep.solution.values))))
         max_kkt = max(max_kkt, kkt_residual(op, f, psi, rep.solution))
@@ -113,7 +113,8 @@ def test_criterion_05_oracle_equivalence():
         f"max deviation {max_dev:.2e} <= 1e-8": max_dev <= 1e-8,
         f"max kkt {max_kkt:.2e} <= 1e-9": max_kkt <= 1e-9,
     }
-    _report(5, "PSOR equals active-set enumeration on 100 instances", checks, time.perf_counter() - t0, 5.0)
+    desc = "projected Newton equals active-set enumeration on 100 instances"
+    _report(5, desc, checks, time.perf_counter() - t0, 5.0)
 
 
 def test_criterion_06_linear_perturbation_rate():
@@ -197,8 +198,8 @@ def test_criterion_10_property_suites():
         f1 = GridFunction(mesh, rng.standard_normal(10))
         f2 = GridFunction(mesh, f1.values + np.abs(rng.standard_normal(10)))
         psi = GridFunction(mesh, rng.uniform(-0.5, 1.0, 10))
-        s1 = solve_vi_psor(op, f1, psi, VIParams()).solution
-        s2 = solve_vi_psor(op, f2, psi, VIParams()).solution
+        s1 = solve_vi(op, f1, psi, VIParams()).solution
+        s2 = solve_vi(op, f2, psi, VIParams()).solution
         ok = ok and leq(s1, s2, 1e-9)
     checks["comparison principle f1 <= f2"] = ok
 
@@ -210,8 +211,8 @@ def test_criterion_10_property_suites():
         f = GridFunction(mesh, rng.standard_normal(10))
         psi1 = GridFunction(mesh, rng.uniform(-0.5, 1.0, 10))
         psi2 = GridFunction(mesh, psi1.values + np.abs(rng.standard_normal(10)))
-        s1 = solve_vi_psor(op, f, psi1, VIParams()).solution
-        s2 = solve_vi_psor(op, f, psi2, VIParams()).solution
+        s1 = solve_vi(op, f, psi1, VIParams()).solution
+        s2 = solve_vi(op, f, psi2, VIParams()).solution
         ok = ok and leq(s1, s2, 1e-9)
     checks["obstacle monotonicity psi1 <= psi2"] = ok
 

@@ -166,14 +166,27 @@ class TestSolveCommand:
         assert run_command(["solve", "-c", "/nonexistent/path.cfg"]) == 4
 
     def test_singular_newton_system(self, tmp_path, capsys):
-        # the a0 = 0 stiffness on a neumann mesh is singular on the free rows
+        # the a0 = 0 stiffness on a neumann mesh is singular with no node
+        # held; the step to the obstacle puts every node on it
         cfg = write_cfg(
             tmp_path,
             f"out = {tmp_path}\n[problem]\nname = fixed_obstacle\nbc = neumann\nn = 16\n",
         )
+        assert run_command(["solve", "-c", cfg]) == 0
+        assert capsys.readouterr().err == ""
+        sol = from_csv((tmp_path / "fixed_obstacle_solution.csv").read_text(), "neumann")
+        assert np.all(sol.values == 0.05)
+
+    def test_singular_stiffness_negative_force(self, tmp_path, capsys):
+        # with f < 0 the energy falls without bound below the obstacle: no solution
+        cfg = write_cfg(
+            tmp_path,
+            f"out = {tmp_path}\n[problem]\nname = fixed_obstacle\nbc = neumann\nn = 16\n"
+            "f = -1\n",
+        )
         assert run_command(["solve", "-c", cfg]) == 3
         err = capsys.readouterr().err
-        assert err == "solver error: singular Newton system: singular matrix\n"
+        assert err.startswith("solver error: Newton step underflowed at residual ")
 
 
 class TestTraceAndCertify:

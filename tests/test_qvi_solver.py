@@ -177,6 +177,15 @@ class TestErrorContext:
             "after 2 iterations"
         )
 
+    @pytest.mark.parametrize("name", ["fixed_obstacle", "kernel_qvi"])
+    def test_singular_stiffness_has_no_supersolution(self, name):
+        # the maximal mode starts from A^{-1} F, which the neumann a0 = 0
+        # stiffness does not have; the minimal mode solves the same problem
+        prob = builtin_problem(name, n=16, bc="neumann")
+        assert solve_qvi_minimal(prob).converged
+        with pytest.raises(SolverError, match="^tridiagonal solve failed: singular matrix$"):
+            solve_qvi_maximal(prob)
+
 
 class TestValidation:
     def test_negative_force_rejected(self):

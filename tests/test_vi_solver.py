@@ -25,12 +25,11 @@ from qvar.vi_solver import (
     kkt_residual,
     solve_vi,
     solve_vi_active_set_oracle,
-    solve_vi_psor,
 )
 
 
-def random_instance(rng, ndof):
-    mesh = make_mesh(ndof + 1, "dirichlet")
+def random_instance(rng, ndof, bc="dirichlet"):
+    mesh = make_mesh(ndof + 1 if bc == "dirichlet" else ndof - 1, bc)
     op = assemble_linear(mesh, rng.uniform(0.5, 2.0, mesh.n), rng.uniform(0.0, 1.0, ndof))
     f = GridFunction(mesh, rng.standard_normal(ndof))
     psi = GridFunction(mesh, rng.uniform(-0.5, 1.0, ndof))
@@ -43,11 +42,11 @@ class TestParams:
             VIParams(tol=0.0)
 
 
-class TestPsor:
+class TestLinear:
     def test_inactive_constraint(self):
         mesh = make_mesh(32, "neumann")
         op = assemble_linear(mesh, 1.0, 1.0)
-        rep = solve_vi_psor(
+        rep = solve_vi(
             op, GridFunction.constant(mesh, 1.0), GridFunction.constant(mesh, 10.0), VIParams()
         )
         assert rep.converged
@@ -56,7 +55,7 @@ class TestPsor:
     def test_fully_active(self):
         mesh = make_mesh(32, "neumann")
         op = assemble_linear(mesh, 1.0, 1.0)
-        rep = solve_vi_psor(
+        rep = solve_vi(
             op, GridFunction.constant(mesh, 1.0), GridFunction.constant(mesh, 0.5), VIParams()
         )
         assert rep.converged
@@ -69,21 +68,24 @@ class TestPsor:
         rng = np.random.default_rng(12)
         for _ in range(25):
             op, f, psi = random_instance(rng, 8)
-            rep = solve_vi_psor(op, f, psi, VIParams())
+            rep = solve_vi(op, f, psi, VIParams())
             assert rep.converged
             assert leq(rep.solution, psi, 1e-9)
 
     def test_report_on_exhaustion(self):
+        # the ramp obstacle cuts the unconstrained solution 1 at mid-interval,
+        # and a cold solve needs 65 Newton iterations to find the contact set
         mesh = make_mesh(64, "neumann")
         op = assemble_linear(mesh, 1.0, 1.0)
-        rep = solve_vi_psor(
+        rep = solve_vi(
             op,
             GridFunction.constant(mesh, 1.0),
-            GridFunction.constant(mesh, 10.0),
+            GridFunction(mesh, 0.5 + mesh.dof_nodes()),
             VIParams(max_iter=2),
         )
         assert not rep.converged
         assert rep.iterations == 2
+        assert rep.kkt_residual > 1e-10
 
 
 class TestKkt:
@@ -159,38 +161,106 @@ class TestOracle:
         with pytest.raises(OracleInfeasibleError):
             solve_vi_active_set_oracle(op, f, psi)
 
-    def test_psor_matches_oracle(self):
+    def test_neumann_matches_oracle(self):
         rng = np.random.default_rng(7)
         params = VIParams(tol=1e-11)
         for _ in range(30):
-            op, f, psi = random_instance(rng, int(rng.integers(3, 9)))
+            op, f, psi = random_instance(rng, int(rng.integers(3, 9)), "neumann")
             ref = solve_vi_active_set_oracle(op, f, psi)
-            rep = solve_vi_psor(op, f, psi, params)
+            rep = solve_vi(op, f, psi, params)
             assert rep.converged
-            assert np.max(np.abs(ref.values - rep.solution.values)) <= 1e-8
+            assert np.max(np.abs(ref.values - rep.solution.values)) <= 1e-10
+
+
+class TestSingularStiffness:
+    """Neumann stiffness with no reaction (a0 = 0): singular with no node held."""
+
+    @pytest.mark.parametrize("n", [2, 8, 13])
+    def test_constant_obstacle_matches_oracle(self, n):
+        mesh = make_mesh(n, "neumann")
+        op = assemble_linear(mesh, 1.0, 0.0)
+        f = GridFunction.constant(mesh, 1.0)
+        psi = GridFunction.constant(mesh, 0.05)
+        ref = solve_vi_active_set_oracle(op, f, psi)
+        rep = solve_vi(op, f, psi, VIParams())
+        assert rep.converged
+        assert np.array_equal(rep.solution.values, ref.values)
+        assert np.all(rep.solution.values == 0.05)
+
+    @pytest.mark.parametrize("n", [4, 9, 12])
+    def test_kernel_obstacle_matches_oracle(self, n):
+        from qvar.obstacle import eval_obstacle
+        from qvar.problems import builtin_problem
+
+        # the inner problem of the second outer iteration of neumann kernel_qvi
+        prob = builtin_problem("kernel_qvi", n=n, bc="neumann")
+        mesh = prob.operator.mesh
+        psi1 = eval_obstacle(prob.obstacle_map, GridFunction.zeros(mesh))
+        y1 = solve_vi(prob.operator, prob.f, psi1, VIParams()).solution
+        psi = eval_obstacle(prob.obstacle_map, y1)
+        ref = solve_vi_active_set_oracle(prob.operator, prob.f, psi)
+        rep = solve_vi(prob.operator, prob.f, psi, VIParams(tol=1e-11))
+        assert rep.converged
+        assert np.max(np.abs(ref.values - rep.solution.values)) <= 1e-10
+
+    def test_negative_force_on_the_obstacle_raises(self):
+        # y = psi everywhere with f - A y < 0: nothing is held and the step
+        # toward the obstacle is zero, so the singular system is reported
+        mesh = make_mesh(16, "neumann")
+        op = assemble_linear(mesh, 1.0, 0.0)
+        f = GridFunction.constant(mesh, -1.0)
+        with pytest.raises(SolverError, match="^singular Newton system: singular matrix$"):
+            solve_vi(op, f, GridFunction.zeros(mesh), VIParams())
+
+    def test_singular_with_held_nodes_raises(self):
+        class SingularJacobian:
+            """A linear operator whose Jacobian bands are all zero."""
+
+            def __init__(self, base):
+                self.mesh = base.mesh
+                self.matvec = base.matvec
+                self.energy = base.energy
+
+            def jacobian_bands(self, u):
+                zero = np.zeros(self.mesh.dof_count)
+                return zero, zero, zero
+
+        # from a start on the obstacle the interior nodes, where f - A y = 1,
+        # are held, so the Newton system that fails is not the all-free one
+        mesh = make_mesh(8, "dirichlet")
+        op = SingularJacobian(assemble_linear(mesh, 1.0, 0.0))
+        f = GridFunction.constant(mesh, 1.0)
+        psi = GridFunction.constant(mesh, 0.05)
+        with pytest.raises(SolverError, match="^singular Newton system: singular matrix$"):
+            solve_vi(op, f, psi, VIParams(), y0=psi)
 
 
 class TestProjected:
-    def test_p2_matches_psor(self):
-        mesh = make_mesh(32, "dirichlet")
+    @pytest.mark.parametrize("n", [9, 13])
+    def test_p2_matches_oracle(self, n):
+        # p = 2, eps = 0 is the a = 1, a0 = 0 stiffness, which the oracle takes
+        mesh = make_mesh(n, "dirichlet")
         plap = PLaplacianOperator(mesh, 2.0, 0.0)
-        lin = assemble_linear(mesh, 1.0, 0.0)
         f = GridFunction.constant(mesh, 1.0)
         psi = GridFunction.constant(mesh, 0.05)
-        a = solve_vi(plap, f, psi, VIParams())
-        b = solve_vi_psor(lin, f, psi, VIParams())
-        assert a.converged and b.converged
-        assert np.max(np.abs(a.solution.values - b.solution.values)) <= 1e-8
+        ref = solve_vi_active_set_oracle(assemble_linear(mesh, 1.0, 0.0), f, psi)
+        rep = solve_vi(plap, f, psi, VIParams())
+        assert rep.converged
+        assert 0 < np.count_nonzero(ref.values == 0.05) < mesh.dof_count
+        assert np.max(np.abs(ref.values - rep.solution.values)) <= 1e-12
 
-    def test_zero_amplitude_matches_psor(self):
-        mesh = make_mesh(32, "neumann")
+    @pytest.mark.parametrize("n", [7, 15])
+    def test_zero_amplitude_matches_oracle(self, n):
+        # the ramp obstacle cuts the unconstrained solution 1 at mid-interval
+        mesh = make_mesh(n, "neumann")
         base = assemble_linear(mesh, 1.0, 1.0)
-        comp = NonMonotoneOperator(base, 0.0)
         f = GridFunction.constant(mesh, 1.0)
-        psi = GridFunction.constant(mesh, 0.5)
-        a = solve_vi(comp, f, psi, VIParams())
-        b = solve_vi_psor(base, f, psi, VIParams())
-        assert np.max(np.abs(a.solution.values - b.solution.values)) <= 1e-8
+        psi = GridFunction(mesh, 0.5 + mesh.dof_nodes())
+        ref = solve_vi_active_set_oracle(base, f, psi)
+        rep = solve_vi(NonMonotoneOperator(base, 0.0), f, psi, VIParams())
+        assert rep.converged
+        assert 0 < np.count_nonzero(ref.values == psi.values) < mesh.dof_count
+        assert np.max(np.abs(ref.values - rep.solution.values)) <= 1e-12
 
     def test_p3_symmetric_solution(self):
         mesh = make_mesh(32, "dirichlet")
@@ -361,8 +431,8 @@ class TestOrderProperties:
             op, f1, psi = random_instance(rng, 10)
             bump = np.abs(rng.standard_normal(10))
             f2 = GridFunction(f1.mesh, f1.values + bump)
-            s1 = solve_vi_psor(op, f1, psi, params).solution
-            s2 = solve_vi_psor(op, f2, psi, params).solution
+            s1 = solve_vi(op, f1, psi, params).solution
+            s2 = solve_vi(op, f2, psi, params).solution
             assert leq(s1, s2, 1e-9)
 
     def test_obstacle_monotonicity(self):
@@ -372,8 +442,8 @@ class TestOrderProperties:
             op, f, psi1 = random_instance(rng, 10)
             bump = np.abs(rng.standard_normal(10))
             psi2 = GridFunction(psi1.mesh, psi1.values + bump)
-            s1 = solve_vi_psor(op, f, psi1, params).solution
-            s2 = solve_vi_psor(op, f, psi2, params).solution
+            s1 = solve_vi(op, f, psi1, params).solution
+            s2 = solve_vi(op, f, psi2, params).solution
             assert leq(s1, s2, 1e-9)
 
     def test_lipschitz_stability_in_f(self):
@@ -386,8 +456,8 @@ class TestOrderProperties:
         for _ in range(50):
             f1 = GridFunction(mesh, rng.standard_normal(mesh.dof_count))
             f2 = GridFunction(mesh, f1.values + 0.3 * rng.standard_normal(mesh.dof_count))
-            s1 = solve_vi_psor(op, f1, psi, params).solution
-            s2 = solve_vi_psor(op, f2, psi, params).solution
+            s1 = solve_vi(op, f1, psi, params).solution
+            s2 = solve_vi(op, f2, psi, params).solution
             assert norm(s1 - s2, "h1") <= dual_norm(f1 - f2, "h1") / c + 1e-8
 
     def test_obstacle_continuity(self):
@@ -398,37 +468,30 @@ class TestOrderProperties:
         f = GridFunction.constant(mesh, 1.0)
         psi = GridFunction.constant(mesh, 0.05)
         params = VIParams(tol=1e-12)
-        base = solve_vi_psor(op, f, psi, params).solution
+        base = solve_vi(op, f, psi, params).solution
         bump = np.sin(np.pi * mesh.dof_nodes())
         ratios = []
         for k in range(1, 7):
             delta = 2.0**-k * 0.1
             psin = GridFunction(mesh, psi.values + delta * bump)
-            sol = solve_vi_psor(op, f, psin, params).solution
+            sol = solve_vi(op, f, psin, params).solution
             err = norm(sol - base, "h1")
             ratios.append(err / delta)
         c_fit = max(ratios[:2])
         assert all(r <= 1.5 * c_fit + 1e-9 for r in ratios)
 
 
-class TestDispatch:
-    def test_psor_requires_linear(self):
-        mesh = make_mesh(8, "dirichlet")
-        plap = PLaplacianOperator(mesh, 3.0, 0.0)
-        f = GridFunction.zeros(mesh)
-        with pytest.raises(SolverError):
-            solve_vi_psor(plap, f, f, VIParams())
-
-
-# every builtin and bc whose inner problem solves from the default start
+# every builtin on each boundary condition it is assembled on
 _SOLVING_BUILTINS = [
     ("example1d", "dirichlet"),
     ("example1d", "neumann"),
     ("plaplacian", "dirichlet"),
     ("kernel_qvi", "dirichlet"),
+    ("kernel_qvi", "neumann"),
     ("nonmonotone_sine", "dirichlet"),
     ("nonmonotone_sine", "neumann"),
     ("fixed_obstacle", "dirichlet"),
+    ("fixed_obstacle", "neumann"),
 ]
 
 

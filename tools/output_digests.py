@@ -35,8 +35,14 @@ The matrix:
 - oracle-check --trials 10;
 - certify plaplacian with p = 2 and with eps_op = 0 at n = 16 and 64, the
   closed-form edge cases of the structural constants (the exact stiffness
-  pencil, and a zero linear part that certifies c = 0).  They come last so
-  that the dump index of every earlier command stays put.
+  pencil, and a zero linear part that certifies c = 0);
+- oracle-check --ndof 1 --trials 10, the size-1 tridiagonal solve under
+  Newton;
+- regpath, perturb (both families), refine and robust on neumann
+  fixed_obstacle and kernel_qvi at n = 32, whose a0 = 0 stiffness is
+  singular.
+Rows are only ever appended, so that the dump index of every earlier
+command stays put.
 """
 
 from __future__ import annotations
@@ -59,6 +65,19 @@ KERNEL_SIZES = (8, 100)
 STUDY_SIZE = 32
 
 
+def _studies(name: str, problem: str, tag: str):
+    """The study commands of the matrix on one problem config."""
+    yield f"regpath {name}{tag}", ["regpath"], problem
+    for family in ("scaled_identity", "coefficient"):
+        yield (
+            f"perturb {name}{tag} family={family}",
+            ["perturb"],
+            problem + f"[study]\nfamily = {family}\n",
+        )
+    yield f"refine {name}{tag}", ["refine"], problem
+    yield f"robust {name}{tag}", ["robust"], problem
+
+
 def _matrix():
     """(label, argv, config text) for every command of the matrix."""
     for name in BUILTINS:
@@ -74,21 +93,16 @@ def _matrix():
                 for cmd in ("solve", "certify"):
                     yield f"{cmd} kernel_qvi kernel={kernel} bc={bc} n={n}", [cmd], config
     for name in BUILTINS:
-        problem = f"[problem]\nname = {name}\nn = {STUDY_SIZE}\n"
-        yield f"regpath {name}", ["regpath"], problem
-        for family in ("scaled_identity", "coefficient"):
-            yield (
-                f"perturb {name} family={family}",
-                ["perturb"],
-                problem + f"[study]\nfamily = {family}\n",
-            )
-        yield f"refine {name}", ["refine"], problem
-        yield f"robust {name}", ["robust"], problem
+        yield from _studies(name, f"[problem]\nname = {name}\nn = {STUDY_SIZE}\n", "")
     yield "oracle-check trials=10", ["oracle-check", "--trials", "10"], None
     for key in ("p = 2", "eps_op = 0"):
         for n in (16, 64):
             config = f"[problem]\nname = plaplacian\nn = {n}\n{key}\n"
             yield f"certify plaplacian {key.replace(' ', '')} n={n}", ["certify"], config
+    yield "oracle-check ndof=1 trials=10", ["oracle-check", "--ndof", "1", "--trials", "10"], None
+    for name in ("fixed_obstacle", "kernel_qvi"):
+        yield from _studies(name, f"[problem]\nname = {name}\nbc = neumann\nn = {STUDY_SIZE}\n",
+                            " bc=neumann")
 
 
 def _sha(data: bytes) -> str:
