@@ -202,7 +202,7 @@ def _apply_solver_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -
     if key in _REMOVED_SOLVER_KEYS:
         raise ConfigError(
             f"line {line_no}: key '{key}' in [solver] was removed; "
-            "the inner solver is semismooth Newton for every operator"
+            "the inner solver is projected Newton for every operator"
         )
     targets = {
         "tol_outer": (cfg.outer, "tol", _parse_float),

@@ -187,12 +187,11 @@ def duality_pairing(g: GridFunction, v: GridFunction) -> float:
 def _h1_gram_banded(mesh: Mesh):
     """(offdiag, diag) bands of the h1 Gram matrix W + K1 (a=1 stiffness)."""
     h = mesh.h
-    off = np.zeros(mesh.dof_count)
+    off = np.full(mesh.dof_count - 1, -1.0 / h)
     diag = mesh.hw + 2.0 / h
     if mesh.bc == NEUMANN:
         diag[0] -= 1.0 / h
         diag[-1] -= 1.0 / h
-    off[1:] = -1.0 / h
     diag.setflags(write=False)
     off.setflags(write=False)
     return off, diag
@@ -201,7 +200,7 @@ def _h1_gram_banded(mesh: Mesh):
 def _norm_gram_bands(mesh: Mesh, norm_tag: str):
     """(offdiag, diag) bands of the tagged norm Gram matrix."""
     if norm_tag == "l2":
-        return np.zeros_like(mesh.hw), mesh.hw
+        return np.zeros(mesh.dof_count - 1), mesh.hw
     if norm_tag != "h1":
         raise ValueError(f"unknown norm tag {norm_tag!r}")
     return _h1_gram_banded(mesh)
@@ -217,7 +216,7 @@ def _check_finite(*arrays) -> None:
 
 def _cholesky_tridiag(off, diag):
     """LDL^T factor (d, e) of the symmetric tridiagonal matrix with bands
-    (offdiag, diag), offdiag[i] coupling i-1 and i, by LAPACK dpttrf:
+    (offdiag, diag), offdiag[i] coupling i and i+1, by LAPACK dpttrf:
     D = diag(d) and L unit lower bidiagonal with L[i+1, i] = e[i].  None when
     the matrix is not positive definite: dpttrf stops at the first pivot
     d_i <= 0.  It does not test for NaN, which spreads to the last pivot, so
@@ -225,7 +224,7 @@ def _cholesky_tridiag(off, diag):
     if diag.size == 1:
         # the f2py wrapper rejects an empty off-diagonal
         return (diag.copy(), np.zeros(0)) if diag[0] > 0.0 else None
-    d, e, info = dpttrf(diag, off[1:])
+    d, e, info = dpttrf(diag, off)
     if info != 0 or np.isnan(d[-1]):
         return None
     return d, e

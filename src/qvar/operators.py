@@ -9,8 +9,10 @@ plain addition of eps*u.
 
 Every operator has a `mesh`, `matvec(u)` (the nodal values of A(u)),
 `jacobian_bands(u)` (the tridiagonal Jacobian at u as (lower, diag, upper)
-rows) and `energy(u)` (a potential whose gradient in the weighted pairing is
-A, the merit that globalizes the inner Newton solver).
+bands) and `energy(u)` (a potential whose gradient in the weighted pairing is
+A, the merit that globalizes the inner Newton solver).  Bands are stored as
+LAPACK takes them: m diagonal entries, and m - 1 off-diagonal ones with
+lower[i] in row i+1 and upper[i] in row i.
 """
 
 from __future__ import annotations
@@ -54,8 +56,7 @@ class OperatorConstants:
 
 
 def _tridiag_apply(sub, diag, sup, x):
-    """Tridiagonal product: (sub, sup) are the m-1 entries below and above
-    the diagonal, sub[i] in row i+1 and sup[i] in row i."""
+    """Tridiagonal product with the bands (sub, diag, sup)."""
     y = diag * x
     y[1:] += sub * x[:-1]
     y[:-1] += sup * x[1:]
@@ -63,7 +64,7 @@ def _tridiag_apply(sub, diag, sup, x):
 
 
 def _tridiag_solve(sub, diag, sup, rhs, what: str):
-    """Solve the tridiagonal system in the `_tridiag_apply` layout with LAPACK
+    """Solve the tridiagonal system with bands (sub, diag, sup) by LAPACK
     dgtsv (Gaussian elimination with partial pivoting), the routine
     `scipy.linalg.solve_banded` calls for one band on each side.  A singular
     matrix raises a SolverError prefixed by `what`; an inf or NaN entry
@@ -100,31 +101,25 @@ class LinearEllipticOperator:
         self.lower = np.asarray(lower, dtype=np.float64).copy()
         self.diag = np.asarray(diag, dtype=np.float64).copy()
         self.upper = np.asarray(upper, dtype=np.float64).copy()
-        for arr in (self.lower, self.diag, self.upper):
-            if arr.shape != (m,):
-                raise GridMismatchError("tridiagonal rows must have one entry per dof")
+        if (self.lower.shape, self.diag.shape, self.upper.shape) != ((m - 1,), (m,), (m - 1,)):
+            raise GridMismatchError(
+                f"tridiagonal bands must have {m} diagonal and {m - 1} off-diagonal entries"
+            )
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
-        return _tridiag_apply(self.lower[1:], self.diag, self.upper[:-1], u)
+        return _tridiag_apply(self.lower, self.diag, self.upper, u)
 
     def jacobian_bands(self, u: np.ndarray):
-        """Tridiagonal Jacobian at u as (lower, diag, upper) rows."""
+        """Tridiagonal Jacobian at u as (lower, diag, upper) bands."""
         return self.lower, self.diag, self.upper
 
     def dense(self) -> np.ndarray:
-        m = self.mesh.dof_count
-        mat = np.diag(self.diag)
-        if m > 1:
-            mat += np.diag(self.lower[1:], -1) + np.diag(self.upper[:-1], 1)
-        return mat
+        return np.diag(self.diag) + np.diag(self.lower, -1) + np.diag(self.upper, 1)
 
     def gram_tridiag(self):
         """Symmetric pairing matrix K = W A as (offdiag, diag) bands."""
         hw = self.mesh.hw
-        diag = hw * self.diag
-        off = np.zeros_like(diag)
-        off[1:] = hw[:-1] * self.upper[:-1]
-        return off, diag
+        return hw[:-1] * self.upper, hw * self.diag
 
     def energy(self, u: np.ndarray) -> float:
         """Quadratic potential 0.5 <A u, u> in the weighted pairing."""
@@ -157,24 +152,18 @@ def assemble_linear(mesh: Mesh, a, a0) -> LinearEllipticOperator:
     if np.min(a0_n) < 0:
         raise EllipticityError(f"reaction coefficient must be nonnegative, min={np.min(a0_n)}")
 
-    m = mesh.dof_count
-    lower = np.zeros(m)
-    diag = np.zeros(m)
-    upper = np.zeros(m)
     h2 = h * h
     if mesh.bc == DIRICHLET:
         # dof j sits at node j+1 between edges j and j+1
-        diag[:] = (a_e[:-1] + a_e[1:]) / h2 + a0_n
-        lower[1:] = -a_e[1:-1] / h2
-        upper[:-1] = -a_e[1:-1] / h2
+        diag = (a_e[:-1] + a_e[1:]) / h2 + a0_n
+        lower = upper = -a_e[1:-1] / h2
     else:
-        diag[1:-1] = (a_e[:-1] + a_e[1:]) / h2 + a0_n[1:-1]
-        lower[1:-1] = -a_e[:-1] / h2
-        upper[1:-1] = -a_e[1:] / h2
-        diag[0] = 2.0 * a_e[0] / h2 + a0_n[0]
-        upper[0] = -2.0 * a_e[0] / h2
-        diag[-1] = 2.0 * a_e[-1] / h2 + a0_n[-1]
-        lower[-1] = -2.0 * a_e[-1] / h2
+        # node j sits between edges j-1 and j; a boundary row doubles its one edge
+        diag = np.concatenate(([2.0 * a_e[0]], a_e[:-1] + a_e[1:], [2.0 * a_e[-1]])) / h2 + a0_n
+        lower = -a_e / h2
+        upper = lower.copy()
+        lower[-1] *= 2.0
+        upper[0] *= 2.0
     return LinearEllipticOperator(mesh, lower, diag, upper)
 
 
@@ -215,11 +204,8 @@ class PLaplacianOperator:
                 s > 0.0, s ** ((self.p - 4.0) / 2.0) * ((self.p - 1.0) * g * g + self.eps), limit
             )
         dflux /= self.mesh.h**2
-        lower = -dflux[:-1]
-        upper = -dflux[1:]
-        lower[0] = 0.0
-        upper[-1] = 0.0
-        return lower, dflux[:-1] + dflux[1:], upper
+        off = -dflux[1:-1]
+        return off, dflux[:-1] + dflux[1:], off
 
     def energy(self, u: np.ndarray) -> float:
         """Convex potential whose gradient (in the weighted pairing) is the operator."""
@@ -317,7 +303,7 @@ def solve_unconstrained(op: LinearEllipticOperator, f: GridFunction) -> GridFunc
         raise SolverError("direct solve requires a linear (tridiagonal) operator")
     if op.mesh != f.mesh:
         raise GridMismatchError("operator and force live on different meshes")
-    u = _tridiag_solve(op.lower[1:], op.diag, op.upper[:-1], f.values, "tridiagonal solve failed")
+    u = _tridiag_solve(op.lower, op.diag, op.upper, f.values, "tridiagonal solve failed")
     if not np.all(np.isfinite(u)):
         raise SolverError("tridiagonal solve produced non-finite values")
     berr = _backward_error(op, u, f.values)
@@ -333,9 +319,7 @@ def _backward_error(op: LinearEllipticOperator, u: np.ndarray, fv: np.ndarray) -
     for a backward stable solve.  A nonzero residual over a zero denominator
     counts as inf."""
     resid = np.abs(op.matvec(u) - fv)
-    scale = _tridiag_apply(
-        np.abs(op.lower[1:]), np.abs(op.diag), np.abs(op.upper[:-1]), np.abs(u)
-    ) + np.abs(fv)
+    scale = _tridiag_apply(*map(np.abs, (op.lower, op.diag, op.upper, u))) + np.abs(fv)
     ratio = np.divide(resid, scale, out=np.where(resid > 0.0, np.inf, 0.0), where=scale > 0.0)
     return float(np.max(ratio))
 
@@ -362,7 +346,7 @@ def _pencil_extremes(K_off, K_diag, G_off, G_diag):
         return _cholesky_tridiag(sign * (K_off - mu * G_off), sign * (K_diag - mu * G_diag))
 
     def G_apply(x):
-        return _tridiag_apply(G_off[1:], G_diag, G_off[1:], x)
+        return _tridiag_apply(G_off, G_diag, G_off, x)
 
     def bisect(sign, definite, other, fac):
         # `definite` keeps a point where sign * (K - mu G) is positive definite
@@ -379,7 +363,7 @@ def _pencil_extremes(K_off, K_diag, G_off, G_diag):
         for _ in range(3):
             x = _cholesky_solve(fac, G_apply(x))
             x /= np.linalg.norm(x)
-        kx = _tridiag_apply(K_off[1:], K_diag, K_off[1:], x)
+        kx = _tridiag_apply(K_off, K_diag, K_off, x)
         return float(np.dot(x, kx) / np.dot(x, G_apply(x)))
 
     # L: mu G - K turns positive definite above the largest eigenvalue
@@ -402,7 +386,8 @@ def _pencil_extremes(K_off, K_diag, G_off, G_diag):
 def _linear_split(op):
     """(linear part, gamma, L_rest) of an operator: op minus its linear part
     has one-sided monotonicity defect at most gamma and Lipschitz constant at
-    most L_rest in the l2 pairing, hence in both tagged norms.
+    most L_rest in the l2 pairing, hence in both tagged norms.  The constants
+    and the maximal mode's supersolution both take the linear part from here.
 
     The p-Laplacian flux derivative s^{(p-4)/2} ((p-1) g^2 + eps) is at least
     eps^{(p-2)/2} for p >= 2 (Barrett & Liu, Math. Comp. 61, 1993), so

@@ -24,10 +24,8 @@ from .errors import OrderingViolationError, SolverError
 from .grid import GridFunction, dual_norm, leq, norm
 from .obstacle import ObstacleMap, eval_obstacle, lipschitz_bound
 from .operators import (
-    LinearEllipticOperator,
-    NonMonotoneOperator,
     OperatorConstants,
-    RegularizedOperator,
+    _linear_split,
     add_regularization,
     estimate_constants,
     solve_unconstrained,
@@ -257,27 +255,16 @@ def solve_qvi_minimal(
     )
 
 
-def _linear_part(op):
-    if isinstance(op, LinearEllipticOperator):
-        return op
-    if isinstance(op, NonMonotoneOperator):
-        return op.base
-    if isinstance(op, RegularizedOperator):
-        inner_linear = _linear_part(op.inner)
-        if inner_linear is None:
-            return None
-        return add_regularization(inner_linear, op.eps, op.delta, op.R)
-    return None
-
-
 def unconstrained_supersolution(op, F: GridFunction, inner: VIParams | None = None) -> GridFunction:
     """Solve op(y) = F without constraints: the start iterate for the maximal mode.
 
-    Composite operators use their linear part; genuinely nonlinear operators
-    use the inner Newton solver with the obstacle pushed to infinity.
+    An operator whose remainder beyond its linear part (`_linear_split`) is
+    Lipschitz gets a direct solve of that linear part; one with a remainder
+    that is not (the p-Laplacian for p > 2) gets the inner Newton solver
+    with the obstacle pushed to infinity.
     """
-    linear = _linear_part(op)
-    if linear is not None:
+    linear, _, lip = _linear_split(op)
+    if lip < np.inf:
         return solve_unconstrained(linear, F)
     inner = inner or VIParams()
     huge = GridFunction.constant(op.mesh, 1e300)
@@ -310,14 +297,14 @@ def solve_qvi_regularized(
     problem: QVIProblem,
     eps: float,
     delta: float = 0.0,
-    R: LinearEllipticOperator | None = None,
+    R=None,
     outer: OuterParams | None = None,
     inner: VIParams | None = None,
     start: GridFunction | None = None,
 ) -> QVIReport:
-    """Fixed-point solve of the eps- (and optionally delta-) regularized problem
-    from the minimal-mode start y0 = 0; `start` seeds only the first inner
-    solve."""
+    """Fixed-point solve of the eps- (and optionally delta-, with a linear
+    operator R) regularized problem from the minimal-mode start y0 = 0;
+    `start` seeds only the first inner solve."""
     reg_problem = problem.with_operator(add_regularization(problem.operator, eps, delta, R))
     y0 = GridFunction.zeros(problem.operator.mesh)
     return solve_qvi_fixed_point(reg_problem, y0, outer, inner, start=start)

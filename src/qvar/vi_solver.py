@@ -74,9 +74,9 @@ def _newton_step(bands, held: np.ndarray, gap: np.ndarray, r: np.ndarray) -> np.
     """Solve J dy = r on free rows and dy = gap on held rows."""
     lower, diag, upper = bands
     return _tridiag_solve(
-        np.where(held[1:], 0.0, lower[1:]),
+        np.where(held[1:], 0.0, lower),
         np.where(held, 1.0, diag),
-        np.where(held[:-1], 0.0, upper[:-1]),
+        np.where(held[:-1], 0.0, upper),
         np.where(held, gap, r),
         "singular Newton system",
     )
@@ -157,7 +157,9 @@ solve_vi_psor = solve_vi_projected
 
 
 def active_set_candidates(op: LinearEllipticOperator, f: GridFunction, psi: GridFunction):
-    """All accepted (active_mask, solution) pairs from exhaustive enumeration."""
+    """All accepted (active_mask, solution) pairs from exhaustive enumeration.
+    A free block singular to working precision (cond * m * eps > 1) is
+    skipped: its solve can return a huge vector that passes y <= psi."""
     m = op.mesh.dof_count
     if m > _ORACLE_MAX_DOF:
         raise OracleSizeError(f"enumeration limited to {_ORACLE_MAX_DOF} dofs, got {m}")
@@ -170,11 +172,10 @@ def active_set_candidates(op: LinearEllipticOperator, f: GridFunction, psi: Grid
         y = pv.copy()
         if np.any(inactive):
             Acc = A[np.ix_(inactive, inactive)]
-            rhs = fv[inactive] - A[np.ix_(inactive, active)] @ pv[active]
-            try:
-                y[inactive] = np.linalg.solve(Acc, rhs)
-            except np.linalg.LinAlgError:
+            if np.linalg.cond(Acc) * m * np.finfo(float).eps > 1.0:
                 continue
+            rhs = fv[inactive] - A[np.ix_(inactive, active)] @ pv[active]
+            y[inactive] = np.linalg.solve(Acc, rhs)
         if not np.all(y <= pv + 1e-10):
             continue
         mult = fv - A @ y

@@ -237,7 +237,7 @@ class TestTridiagCholesky:
 
     @pytest.mark.parametrize("value, definite", [(2.0, True), (0.0, False), (-1.0, False)])
     def test_one_by_one(self, value, definite):
-        fac = _cholesky_tridiag(np.zeros(1), np.array([value]))
+        fac = _cholesky_tridiag(np.zeros(0), np.array([value]))
         if not definite:
             assert fac is None
             return
@@ -249,16 +249,18 @@ class TestTridiagCholesky:
     def test_definiteness_and_solve(self, m):
         rng = np.random.default_rng(m)
         for shift in np.linspace(-1.0, 3.0, 9):
-            off = rng.standard_normal(m)
-            diag = 2.0 * np.abs(off) + shift
+            off = rng.standard_normal(m - 1)
+            # scipy's upper banded form pads the superdiagonal with a leading zero
+            padded = np.insert(off, 0, 0.0)
+            diag = 2.0 * np.abs(padded) + shift
             fac = _cholesky_tridiag(off, diag)
             try:
-                cholesky_banded(np.vstack([off, diag]), lower=False)
+                cholesky_banded(np.vstack([padded, diag]), lower=False)
             except LinAlgError:
                 assert fac is None
                 continue
             assert fac is not None
-            dense = np.diag(diag) + np.diag(off[1:], 1) + np.diag(off[1:], -1)
+            dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
             b = rng.standard_normal(m)
             x = _cholesky_solve(fac, b)
             # componentwise backward error
@@ -269,10 +271,10 @@ class TestTridiagCholesky:
     def test_nan_band_is_not_definite(self, m):
         diag = np.full(m, 4.0)
         diag[0] = np.nan
-        assert _cholesky_tridiag(np.full(m, -1.0), diag) is None
+        assert _cholesky_tridiag(np.full(m - 1, -1.0), diag) is None
 
     def test_nan_right_hand_side_is_value_error(self):
-        fac = _cholesky_tridiag(np.full(4, -1.0), np.full(4, 4.0))
+        fac = _cholesky_tridiag(np.full(3, -1.0), np.full(4, 4.0))
         with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
             _cholesky_solve(fac, np.array([1.0, np.nan, 1.0, 1.0]))
 

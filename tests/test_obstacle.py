@@ -116,7 +116,7 @@ def dense_h1_bound(omap, profile):
     hw = mesh.h * mesh.weights()
     B = omap.alpha * K * hw[None, :]
     off, diag = _h1_gram_banded(mesh)
-    G1 = np.diag(diag) + np.diag(off[1:], -1) + np.diag(off[1:], 1)
+    G1 = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
     mu = eigh(B.T @ G1 @ B, np.diag(hw), eigvals_only=True)
     return float(np.sqrt(max(mu[-1], 0.0)))
 

@@ -3,10 +3,10 @@ import pytest
 from scipy.linalg import solve_banded
 
 from qvar import operators
-from qvar.errors import EllipticityError, MissingRegularizerError, SolverError
-from qvar.grid import GridFunction, dual_norm, duality_pairing, make_mesh, norm
+from qvar.errors import EllipticityError, GridMismatchError, MissingRegularizerError, SolverError
+from qvar.grid import GridFunction, _norm_gram_bands, dual_norm, duality_pairing, make_mesh, norm
 from qvar.obstacle import ObstacleMap, lipschitz_bound
-from qvar.problems import builtin_problem, gauss_kernel
+from qvar.problems import BUILTIN_NAMES, builtin_problem, gauss_kernel
 from qvar.qvi_solver import operator_structural_constants, problem_certificate
 from qvar.operators import (
     LinearEllipticOperator,
@@ -24,7 +24,7 @@ from qvar.vi_solver import _newton_step
 
 def dense_bands(bands):
     lower, diag, upper = bands
-    return np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+    return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
 
 
 def fd_jacobian(op, u, step=1e-6):
@@ -38,7 +38,7 @@ def fd_jacobian(op, u, step=1e-6):
 
 def identity_operator(mesh, scale=1.0):
     m = mesh.dof_count
-    return LinearEllipticOperator(mesh, np.zeros(m), scale * np.ones(m), np.zeros(m))
+    return LinearEllipticOperator(mesh, np.zeros(m - 1), scale * np.ones(m), np.zeros(m - 1))
 
 
 class TestAssembly:
@@ -154,8 +154,6 @@ class TestApply:
                 assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
     def test_dirichlet_only(self):
-        from qvar.errors import GridMismatchError
-
         with pytest.raises(GridMismatchError):
             PLaplacianOperator(make_mesh(8, "neumann"), 3.0)
 
@@ -294,6 +292,49 @@ class TestOneDof:
         psi = GridFunction.constant(self.mesh, 0.05)
         omap = ObstacleMap.kernel(self.mesh, psi, 0.25, gauss_kernel(0.25))
         assert lipschitz_bound(omap, "h1") == pytest.approx(0.375, rel=1e-15)
+
+
+class TestBandLayout:
+    """Bands as LAPACK takes them: m diagonal and m - 1 off-diagonal entries."""
+
+    mesh = make_mesh(8, "dirichlet")
+
+    def test_constructor_takes_m_minus_1_off_diagonals(self):
+        m = self.mesh.dof_count
+        op = LinearEllipticOperator(self.mesh, -np.ones(m - 1), np.full(m, 4.0), -np.ones(m - 1))
+        assert op.matvec(np.ones(m)).tolist() == [3.0] + [2.0] * (m - 2) + [3.0]
+
+    @pytest.mark.parametrize("size", [7, 5], ids=["padded", "short"])
+    @pytest.mark.parametrize(
+        "wrong", [("lower",), ("upper",), ("lower", "upper")], ids=["lower", "upper", "both"]
+    )
+    def test_constructor_rejects_other_off_diagonals(self, size, wrong):
+        m = self.mesh.dof_count
+        off = {key: np.zeros(size if key in wrong else m - 1) for key in ("lower", "upper")}
+        message = "^tridiagonal bands must have 7 diagonal and 6 off-diagonal entries$"
+        with pytest.raises(GridMismatchError, match=message):
+            LinearEllipticOperator(self.mesh, off["lower"], np.ones(m), off["upper"])
+
+    @pytest.mark.parametrize("n", [2, 16])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtin_jacobian_band_shapes(self, name, n):
+        op = builtin_problem(name, n=n, bc="dirichlet").operator
+        m = op.mesh.dof_count
+        u = np.linspace(-0.3, 0.3, m)
+        reg = add_regularization(op, 0.1, 0.2, assemble_linear(op.mesh, 1.0, 1.0))
+        for o in (op, reg):
+            shapes = tuple(band.shape for band in o.jacobian_bands(u))
+            assert shapes == ((m - 1,), (m,), (m - 1,))
+
+    @pytest.mark.parametrize("n", [2, 16])
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_gram_band_shapes(self, n, bc):
+        mesh = make_mesh(n, bc)
+        m = mesh.dof_count
+        grams = [assemble_linear(mesh, 1.0, 1.0).gram_tridiag()]
+        grams += [_norm_gram_bands(mesh, tag) for tag in ("l2", "h1")]
+        for off, diag in grams:
+            assert (off.shape, diag.shape) == ((m - 1,), (m,))
 
 
 class TestJacobianBands:

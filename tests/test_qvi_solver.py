@@ -4,7 +4,7 @@ import pytest
 from qvar.errors import OrderingViolationError, SolverError
 from qvar.grid import GridFunction, leq, make_mesh, norm
 from qvar.obstacle import ObstacleMap
-from qvar.operators import OperatorConstants, assemble_linear
+from qvar.operators import OperatorConstants, assemble_linear, solve_unconstrained
 from qvar.problems import builtin_problem
 from qvar.qvi_solver import (
     OuterParams,
@@ -253,7 +253,7 @@ class TestRegularized:
         prob = golden_problem()
         mesh = prob.f.mesh
         m = mesh.dof_count
-        R = LinearEllipticOperator(mesh, np.zeros(m), np.ones(m), np.zeros(m))
+        R = LinearEllipticOperator(mesh, np.zeros(m - 1), np.ones(m), np.zeros(m - 1))
         a = solve_qvi_regularized(prob, 0.3, 0.2, R)
         b = solve_qvi_regularized(prob, 0.5)
         assert np.max(np.abs(a.solution.values - b.solution.values)) <= 1e-9
@@ -402,6 +402,14 @@ class TestNonlinearSupersolution:
         rep_max = solve_qvi_maximal(reg, minimal=rep_min.solution)
         assert rep_min.converged and rep_max.converged
         assert leq(rep_min.solution, rep_max.solution, 1e-8)
+
+    def test_p2_plaplacian_supersolution_is_the_direct_solve(self):
+        # for p = 2 the linear part is the whole operator, so it is solved
+        # directly; Newton from 0 did not converge at this size
+        prob = builtin_problem("plaplacian", n=4096, p=2.0)
+        ybar = unconstrained_supersolution(prob.operator, prob.F)
+        direct = solve_unconstrained(assemble_linear(prob.f.mesh, 1.0, 0.0), prob.F)
+        assert ybar.values.tobytes() == direct.values.tobytes()
 
     def test_supersolution_solves_operator(self):
         from qvar.operators import apply as op_apply
