@@ -26,7 +26,7 @@ from .errors import (
 )
 from .grid import GridFunction, make_mesh, to_csv
 from .operators import assemble_linear
-from .problems import BUILTIN_NAMES, builtin_problem
+from .problems import BUILTINS, builtin_problem
 from .qvi_solver import (
     OuterParams,
     QVIProblem,
@@ -141,9 +141,9 @@ def _apply_top_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -> N
 def _apply_problem_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -> None:
     ov = cfg.overrides
     if key == "name":
-        if raw not in BUILTIN_NAMES:
+        if raw not in BUILTINS:
             raise ConfigError(
-                f"line {line_no}: key 'name' must be one of {', '.join(BUILTIN_NAMES)}, got {raw!r}"
+                f"line {line_no}: key 'name' must be one of {', '.join(BUILTINS)}, got {raw!r}"
             )
         cfg.problem_name = raw
     elif key == "n":
@@ -313,7 +313,7 @@ def _cmd_solve(cfg: ExperimentConfig, problem: QVIProblem, trace_mode: bool) -> 
     return 0 if report.converged else 3
 
 
-def _cmd_certify(cfg: ExperimentConfig, problem: QVIProblem) -> int:
+def _cmd_certify(problem: QVIProblem) -> int:
     cert = problem_certificate(problem, "h1")
     print("c,L_A,L_N,gamma,L_phi,rho,smallness_ok")
     print(cert.csv_row())
@@ -328,28 +328,29 @@ def _cmd_study(cfg: ExperimentConfig, problem: QVIProblem, kind: str) -> int:
             problem,
             cfg.study.get("eps_list", [0.5 / 2**k for k in range(6)]),
             _study_reference(cfg, problem),
-            outer, inner, seed=cfg.seed,
+            outer, inner,
         )
     elif kind == "perturb":
         result = run_operator_perturbation(
             problem,
             cfg.study.get("family", "scaled_identity"),
             cfg.study.get("delta_list", [0.4, 0.2, 0.1, 0.05, 0.025]),
-            outer, inner, seed=cfg.seed,
+            outer, inner,
         )
     elif kind == "refine":
         result = run_mesh_refinement(
             lambda n: cfg.build_problem(n=n),
             cfg.study.get("n_list", [8, 16, 32, 64, 128, 256]),
-            outer, inner, seed=cfg.seed,
+            outer, inner,
         )
     else:  # robust
         result = run_data_robustness(
             problem,
             cfg.study.get("f_deltas", [0.2, 0.1, 0.05, 0.025]),
             cfg.study.get("phi_deltas"),
-            outer, inner, seed=cfg.seed,
+            outer, inner,
         )
+    result.seed = cfg.seed
     path = os.path.join(cfg.out, f"{result.name}.csv")
     result.write(path)
     print(f"wrote {path}")
@@ -448,7 +449,7 @@ def run_command(argv) -> int:
         # before any solve; so does an output directory that cannot be made
         problem = cfg.build_problem()
         if args.command == "certify":
-            return _cmd_certify(cfg, problem)
+            return _cmd_certify(problem)
         _make_out_dir(cfg.out)
         if args.command in ("solve", "trace"):
             return _cmd_solve(cfg, problem, trace_mode=args.command == "trace")

@@ -22,13 +22,21 @@ CONSTANT_MEAN = "constant_mean"
 KERNEL = "kernel"
 FIXED = "fixed"
 
+# the inputs each variant reads
+_INPUTS = {
+    CONSTANT_MEAN: ("c0", "alpha"),
+    KERNEL: ("alpha", "psi_base", "kernel_column"),
+    FIXED: ("psi_base",),
+}
+
 
 class ObstacleMap:
     """Obstacle mapping y -> Phi(y) on a fixed mesh.
 
     Negative coupling weights are rejected at construction: every monotone
     iteration downstream requires an increasing map, and a negative alpha
-    would break it silently.
+    would break it silently.  So is any input the variant does not read; c0
+    and alpha are 0 where it does not read them.
 
     A kernel map stores its stationary kernel on the uniform mesh as the
     first column of the symmetric Toeplitz matrix K (`kernel_column`,
@@ -41,19 +49,23 @@ class ObstacleMap:
         self,
         mesh: Mesh,
         variant: str,
-        c0: float = 0.0,
-        alpha: float = 0.0,
+        c0: float | None = None,
+        alpha: float | None = None,
         psi_base: GridFunction | None = None,
         kernel_column: np.ndarray | None = None,
     ):
-        if variant not in (CONSTANT_MEAN, KERNEL, FIXED):
+        if variant not in _INPUTS:
             raise ValueError(f"unknown obstacle variant {variant!r}")
-        if alpha < 0:
+        given = {"c0": c0, "alpha": alpha, "psi_base": psi_base, "kernel_column": kernel_column}
+        unread = [k for k, v in given.items() if v is not None and k not in _INPUTS[variant]]
+        if unread:
+            raise ValueError(f"{variant} maps do not read {', '.join(unread)}")
+        if alpha is not None and alpha < 0:
             raise ValueError(f"coupling weight alpha must be nonnegative, got {alpha}")
         self.mesh = mesh
         self.variant = variant
-        self.c0 = float(c0)
-        self.alpha = float(alpha)
+        self.c0 = 0.0 if c0 is None else float(c0)
+        self.alpha = 0.0 if alpha is None else float(alpha)
         self.psi_base = None
         self.kernel_column = None
         self._spectrum = None
@@ -132,7 +144,7 @@ def eval_obstacle(omap: ObstacleMap, y: GridFunction) -> GridFunction:
     return GridFunction(omap.mesh, omap.psi_base.values + omap.alpha * coupled)
 
 
-def lipschitz_bound(omap: ObstacleMap, norm_tag: str = "l2") -> float:
+def lipschitz_bound(omap: ObstacleMap, norm_tag: str) -> float:
     """Computable Lipschitz bound for the discrete map in the tagged norm.
 
     constant_mean: alpha (Cauchy-Schwarz on the unit-length domain, valid for

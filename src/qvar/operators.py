@@ -41,7 +41,8 @@ _BACKWARD_TOL = 64 * np.finfo(float).eps
 class OperatorConstants:
     """Strong-monotonicity constant c, Lipschitz constant L and one-sided
     monotonicity defect gamma, all relative to the tagged norm pair.  L is
-    +inf for an operator that is not globally Lipschitz."""
+    +inf for an operator that is not globally Lipschitz.  A defect is at most
+    the Lipschitz constant of the part it comes from, so gamma <= L."""
 
     c: float
     L: float
@@ -51,8 +52,8 @@ class OperatorConstants:
     def __post_init__(self):
         if not (np.isfinite(self.c) and np.isfinite(self.gamma) and self.L <= np.inf):
             raise ValueError("c and gamma must be finite and L must not be NaN")
-        if self.c < 0 or self.gamma < 0 or self.L < self.c:
-            raise ValueError("constants must satisfy 0 <= c <= L and gamma >= 0")
+        if self.c < 0 or self.gamma < 0 or self.L < max(self.c, self.gamma):
+            raise ValueError("constants must satisfy 0 <= c <= L and 0 <= gamma <= L")
 
 
 def _tridiag_apply(sub, diag, sup, x):
@@ -413,7 +414,7 @@ def _linear_split(op):
     raise TypeError(f"no structural constants for {type(op).__name__}")
 
 
-def estimate_constants(op, norm_tag: str = "h1") -> OperatorConstants:
+def estimate_constants(op, norm_tag: str) -> OperatorConstants:
     """Structural constants of an operator as proven bounds.
 
     The operator is split into a linear part and a remainder with closed-form

@@ -1,11 +1,12 @@
 """Named built-in problems mirroring the worked examples one-to-one.
 
-Every builder accepts the common overrides (n, bc, force level, obstacle
-parameters) so studies can rescale a problem without re-deriving it.
+Every problem takes n, bc and its force levels, so studies can rescale it;
+its other overrides are its builder's keyword parameters, and only those.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import sys
 
@@ -16,16 +17,6 @@ from .grid import GridFunction, from_csv, make_mesh
 from .obstacle import ObstacleMap
 from .operators import NonMonotoneOperator, PLaplacianOperator, assemble_linear
 from .qvi_solver import QVIProblem
-
-BUILTIN_NAMES = ("example1d", "plaplacian", "kernel_qvi", "nonmonotone_sine", "fixed_obstacle")
-
-_DEFAULT_BC = {
-    "example1d": "neumann",
-    "plaplacian": "dirichlet",
-    "kernel_qvi": "dirichlet",
-    "nonmonotone_sine": "neumann",
-    "fixed_obstacle": "dirichlet",
-}
 
 
 def gauss_kernel(sigma: float):
@@ -59,75 +50,85 @@ def _resolve_kernel(spec: str):
     raise ValueError(f"unknown kernel spec {spec!r}; use 'one' or 'gauss(sigma)'")
 
 
+def _psi(mesh, psi_level: float, psi_file: str | None) -> GridFunction:
+    """The base obstacle: the rows of psi_file if given, else the constant psi_level."""
+    if psi_file is None:
+        return GridFunction.constant(mesh, psi_level)
+    try:
+        with open(psi_file, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read psi_file {psi_file}: {exc}") from exc
+    try:
+        parsed = from_csv(text, mesh.bc)
+    except ValueError as exc:
+        raise ConfigError(f"psi_file {psi_file}: {exc}") from exc
+    if parsed.mesh.n != mesh.n:
+        raise ConfigError(
+            f"psi_file {psi_file} has {parsed.mesh.n + 1} nodes, the mesh has {mesh.n + 1}"
+        )
+    return parsed
+
+
+def _example1d(mesh, alpha=0.25, c0=0.5):
+    return assemble_linear(mesh, 1.0, 1.0), ObstacleMap.constant_mean(mesh, c0, alpha)
+
+
+def _plaplacian(mesh, p=3.0, eps_op=1e-3, psi_level=0.05, psi_file=None):
+    op = PLaplacianOperator(mesh, p, eps_op)
+    return op, ObstacleMap.fixed(mesh, _psi(mesh, psi_level, psi_file))
+
+
+def _kernel_qvi(mesh, alpha=0.25, kernel="gauss(0.25)", psi_level=0.05, psi_file=None):
+    psi = _psi(mesh, psi_level, psi_file)
+    omap = ObstacleMap.kernel(mesh, psi, alpha, _resolve_kernel(kernel))
+    return assemble_linear(mesh, 1.0, 0.0), omap
+
+
+def _nonmonotone_sine(mesh, lam=0.1, alpha=0.25, c0=0.5):
+    base, omap = _example1d(mesh, alpha, c0)
+    return NonMonotoneOperator(base, lam), omap
+
+
+def _fixed_obstacle(mesh, psi_level=0.05, psi_file=None):
+    psi = _psi(mesh, psi_level, psi_file)
+    return assemble_linear(mesh, 1.0, 0.0), ObstacleMap.fixed(mesh, psi)
+
+
+# name -> (default boundary condition, builder of (operator, obstacle map))
+BUILTINS = {
+    "example1d": ("neumann", _example1d),
+    "plaplacian": ("dirichlet", _plaplacian),
+    "kernel_qvi": ("dirichlet", _kernel_qvi),
+    "nonmonotone_sine": ("neumann", _nonmonotone_sine),
+    "fixed_obstacle": ("dirichlet", _fixed_obstacle),
+}
+# name -> the overrides its builder takes: its parameters after the mesh
+_TAKES = {name: tuple(inspect.signature(b).parameters)[1:] for name, (_, b) in BUILTINS.items()}
+
+
 def builtin_problem(
     name: str,
-    n: int | None = None,
+    n: int = 64,
     bc: str | None = None,
-    p: float = 3.0,
-    eps_op: float = 1e-3,
-    lam: float = 0.1,
-    alpha: float | None = None,
-    c0: float | None = None,
-    kernel="gauss(0.25)",
-    psi_level: float | None = None,
-    psi_file: str | None = None,
     f_level: float = 1.0,
     F_level: float | None = None,
+    **overrides,
 ) -> QVIProblem:
-    """Construct one of the named built-in problems with optional overrides."""
-    if name not in BUILTIN_NAMES:
-        raise ValueError(f"unknown problem {name!r}; choose from {BUILTIN_NAMES}")
-    mesh = make_mesh(n if n is not None else 64, bc if bc is not None else _DEFAULT_BC[name])
+    """Construct one of the named built-in problems on n cells, bc defaulting
+    per problem, with force f_level, upper force F_level (f_level when None)
+    and the overrides its builder takes; any other override is a ValueError."""
+    if name not in BUILTINS:
+        raise ValueError(f"unknown problem {name!r}; choose from {tuple(BUILTINS)}")
+    default_bc, build = BUILTINS[name]
+    unknown = [key for key in overrides if key not in _TAKES[name]]
+    if unknown:
+        raise ValueError(
+            f"problem {name!r} does not take {', '.join(unknown)}; "
+            f"its overrides are {', '.join(_TAKES[name])}"
+        )
+    mesh = make_mesh(n, bc if bc is not None else default_bc)
     f = GridFunction.constant(mesh, f_level)
     F = GridFunction.constant(mesh, F_level) if F_level is not None else f.copy()
-
-    def psi(default: float) -> GridFunction:
-        if psi_file is not None:
-            try:
-                with open(psi_file, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise ConfigError(f"cannot read psi_file {psi_file}: {exc}") from exc
-            try:
-                parsed = from_csv(text, mesh.bc)
-            except ValueError as exc:
-                raise ConfigError(f"psi_file {psi_file}: {exc}") from exc
-            if parsed.mesh.n != mesh.n:
-                raise ConfigError(
-                    f"psi_file {psi_file} has {parsed.mesh.n + 1} nodes, "
-                    f"the mesh has {mesh.n + 1}"
-                )
-            return parsed
-        return GridFunction.constant(mesh, psi_level if psi_level is not None else default)
-
-    if name == "example1d":
-        op = assemble_linear(mesh, 1.0, 1.0)
-        omap = ObstacleMap.constant_mean(
-            mesh, c0 if c0 is not None else 0.5, alpha if alpha is not None else 0.25
-        )
-        return QVIProblem(op, f, omap, F)
-
-    if name == "plaplacian":
-        op = PLaplacianOperator(mesh, p, eps_op)
-        omap = ObstacleMap.fixed(mesh, psi(0.05))
-        return QVIProblem(op, f, omap, F)
-
-    if name == "kernel_qvi":
-        op = assemble_linear(mesh, 1.0, 0.0)
-        omap = ObstacleMap.kernel(
-            mesh, psi(0.05), alpha if alpha is not None else 0.25, _resolve_kernel(kernel)
-        )
-        return QVIProblem(op, f, omap, F)
-
-    if name == "nonmonotone_sine":
-        base = assemble_linear(mesh, 1.0, 1.0)
-        op = NonMonotoneOperator(base, lam)
-        omap = ObstacleMap.constant_mean(
-            mesh, c0 if c0 is not None else 0.5, alpha if alpha is not None else 0.25
-        )
-        return QVIProblem(op, f, omap, F)
-
-    # fixed_obstacle
-    op = assemble_linear(mesh, 1.0, 0.0)
-    omap = ObstacleMap.fixed(mesh, psi(0.05))
+    op, omap = build(mesh, **overrides)
     return QVIProblem(op, f, omap, F)

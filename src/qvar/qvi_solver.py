@@ -115,47 +115,43 @@ class ContractionCertificate:
         )
 
 
-def contraction_certificate(
-    constants: OperatorConstants, L_phi: float, L_N: float = 0.0
-) -> ContractionCertificate:
+def contraction_certificate(constants: OperatorConstants, L_phi: float) -> ContractionCertificate:
     """Smallness check rho = (L_A + L_N) * L_phi / (c - gamma) < 1.
 
-    `constants.L` is the Lipschitz constant of the full operator; `L_N` is the
-    share attributable to the nonlinearity (0 for purely monotone operators)
-    and only affects the reported split, not rho.
+    `constants.L` is the Lipschitz constant of the full operator.  The share
+    L_N of its non-monotone part is reported as gamma, because the one such
+    part, lam*sin, has defect and Lipschitz constant both |lam|; L_A is
+    L - gamma.  The split is reported only, rho uses L.
     """
-    if L_phi < 0 or L_N < 0 or L_N > constants.L:
+    if L_phi < 0:
         raise ValueError("invalid Lipschitz data for the certificate")
     denom = constants.c - constants.gamma
     if denom > 0:
         # a fixed map (L_phi = 0) contracts even when L is +inf
         rho = constants.L * L_phi / denom if L_phi > 0 else 0.0
-        ok = rho < 1.0
     else:
         rho = np.inf
-        ok = False
     return ContractionCertificate(
         c=constants.c,
-        L_A=constants.L - L_N,
-        L_N=L_N,
+        L_A=constants.L - constants.gamma,
+        L_N=constants.gamma,
         gamma=constants.gamma,
         L_phi=L_phi,
         rho=float(rho),
-        smallness_ok=ok,
+        smallness_ok=bool(rho < 1.0),
     )
 
 
 def operator_structural_constants(op, norm_tag: str = "h1"):
-    """Constants and the nonlinear Lipschitz split L_N used for certificates:
-    the closed-form bounds of `estimate_constants`, whose defect gamma is the
-    Lipschitz share of the non-monotone remainder."""
+    """`estimate_constants(op, norm_tag)` and its L_N = gamma.  No qvar code
+    calls it; it is kept because `bench/tracer.py` binds it."""
     constants = estimate_constants(op, norm_tag)
     return constants, constants.gamma
 
 
 def problem_certificate(problem: QVIProblem, norm_tag: str = "h1") -> ContractionCertificate:
-    constants, l_n = operator_structural_constants(problem.operator, norm_tag)
-    return contraction_certificate(constants, lipschitz_bound(problem.obstacle_map, norm_tag), l_n)
+    constants = estimate_constants(problem.operator, norm_tag)
+    return contraction_certificate(constants, lipschitz_bound(problem.obstacle_map, norm_tag))
 
 
 def solve_qvi_fixed_point(
@@ -310,12 +306,7 @@ def solve_qvi_regularized(
     return solve_qvi_fixed_point(reg_problem, y0, outer, inner, start=start)
 
 
-def uniform_bound_holds(
-    problem: QVIProblem, report: QVIReport, norm_tag: str = "h1", slack: float = 1e-6
-) -> bool:
-    """Check ||y|| <= (1/c) ||f||_dual + slack in the matched norm pair."""
-    constants, _ = operator_structural_constants(problem.operator, norm_tag)
-    if constants.c <= 0:
-        return False
-    bound = dual_norm(problem.f, norm_tag) / constants.c
-    return norm(report.solution, norm_tag) <= bound + slack
+def uniform_bound_holds(problem: QVIProblem, report: QVIReport) -> bool:
+    """Check ||y||_h1 <= (1/c) ||f||_h1* + 1e-6; false when c = 0."""
+    c = estimate_constants(problem.operator, "h1").c
+    return c > 0 and norm(report.solution, "h1") <= dual_norm(problem.f, "h1") / c + 1e-6

@@ -55,6 +55,7 @@ class StudyResult:
     aux_names: tuple
     fit: RateFit | None
     verdicts: dict
+    # the CLI's config seed, echoed in the header; no study draws random numbers
     seed: int = 0
     reference: str = "none"
     reports: list = field(default_factory=list, repr=False)
@@ -89,7 +90,7 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
-def fit_rate(points, exclude_zero_below: float = _EXACT_HIT) -> RateFit:
+def fit_rate(points) -> RateFit:
     """Ordinary least squares on (log10 x, log10 y) after dropping exact hits."""
     pts = [(float(x), float(y)) for x, y in points]
     for x, y in pts:
@@ -97,7 +98,7 @@ def fit_rate(points, exclude_zero_below: float = _EXACT_HIT) -> RateFit:
             raise ValueError(f"parameters must be positive, got {x}")
         if y < 0:
             raise ValueError(f"errors must be nonnegative, got {y}")
-    usable = [(x, y) for x, y in pts if y > exclude_zero_below]
+    usable = [(x, y) for x, y in pts if y > _EXACT_HIT]
     exact = len(pts) - len(usable)
     if len(usable) < 3:
         raise InsufficientDataError(
@@ -116,7 +117,7 @@ def fit_rate(points, exclude_zero_below: float = _EXACT_HIT) -> RateFit:
     return RateFit(float(slope), float(intercept), float(r2), tuple(usable), exact)
 
 
-def _result(name, rows, aux_names, verdicts, seed, reference, reports, fit=True) -> StudyResult:
+def _result(name, rows, aux_names, verdicts, reference, reports, fit=True) -> StudyResult:
     """A study's table with the rate fit of its (parameter, error) columns;
     no fit when `fit` is false or fewer than 3 errors are above the exact-hit
     threshold."""
@@ -124,10 +125,10 @@ def _result(name, rows, aux_names, verdicts, seed, reference, reports, fit=True)
         rate = fit_rate([row[:2] for row in rows]) if fit else None
     except InsufficientDataError:
         rate = None
-    return StudyResult(name, rows, aux_names, rate, verdicts, seed, reference, reports)
+    return StudyResult(name, rows, aux_names, rate, verdicts, reference=reference, reports=reports)
 
 
-def _map_indexed(fn, items: list, what: str = "study"):
+def _map_indexed(fn, items: list, what: str):
     """Solve every parameter point in list order; the first failing point
     aborts the study with its position flagged."""
     results = []
@@ -190,7 +191,6 @@ def run_regularization_path(
     reference,
     outer: OuterParams | None = None,
     inner: VIParams | None = None,
-    seed: int = 0,
 ) -> StudyResult:
     """Solve the eps-regularized problem along a decreasing path.
 
@@ -222,7 +222,7 @@ def run_regularization_path(
         "eps_monotone": _ordered(reports),
         "errors_nonincreasing": all(b <= a + 1e-10 for a, b in zip(errors, errors[1:])),
     }
-    return _result("regpath", rows, _PATH_AUX, verdicts, seed, ref_kind, reports)
+    return _result("regpath", rows, _PATH_AUX, verdicts, ref_kind, reports)
 
 
 def run_operator_perturbation(
@@ -232,7 +232,6 @@ def run_operator_perturbation(
     outer: OuterParams | None = None,
     inner: VIParams | None = None,
     reference: GridFunction | None = None,
-    seed: int = 0,
 ) -> StudyResult:
     """Minimal solutions of A + delta*I, the operators a regularization path
     walks (add_regularization), against the unperturbed one.
@@ -269,7 +268,7 @@ def run_operator_perturbation(
     if family == "scaled_identity":
         verdicts["ordered_solutions"] = _ordered(reports)
     return _result(
-        "perturb", _path_rows(delta_list, reports, ref), _PATH_AUX, verdicts, seed, ref_kind, reports
+        "perturb", _path_rows(delta_list, reports, ref), _PATH_AUX, verdicts, ref_kind, reports
     )
 
 
@@ -285,7 +284,6 @@ def run_mesh_refinement(
     n_list,
     outer: OuterParams | None = None,
     inner: VIParams | None = None,
-    seed: int = 0,
 ) -> StudyResult:
     """Self-convergence under mesh refinement: the finest entry of n_list is
     the reference; coarse solutions are compared at shared nodes (discrete l2).
@@ -317,7 +315,7 @@ def run_mesh_refinement(
             fine_at_coarse = fine_at_coarse[1:-1]
         err = norm(GridFunction(sol.mesh, sol.values - fine_at_coarse), "l2")
         rows.append((1.0 / n, err, n, rep.outer_iterations))
-    return _result("refine", rows, ("n", "outer_iterations"), {}, seed, f"n={n_fine}", reports)
+    return _result("refine", rows, ("n", "outer_iterations"), {}, f"n={n_fine}", reports)
 
 
 def run_data_robustness(
@@ -326,7 +324,6 @@ def run_data_robustness(
     phi_deltas,
     outer: OuterParams | None = None,
     inner: VIParams | None = None,
-    seed: int = 0,
 ) -> StudyResult:
     """Perturb the force by +delta and/or the obstacle base level by +delta.
 
@@ -370,7 +367,7 @@ def run_data_robustness(
     )
     aux_names = ("f_delta", "phi_delta", "outer_iterations")
     verdicts = {"monotone_in_f": monotone_in_f}
-    return _result("robust", rows, aux_names, verdicts, seed, "delta=0", reports)
+    return _result("robust", rows, aux_names, verdicts, "delta=0", reports)
 
 
 def run_stability_bound_check(
@@ -378,17 +375,14 @@ def run_stability_bound_check(
     force_pairs,
     outer: OuterParams | None = None,
     inner: VIParams | None = None,
-    seed: int = 0,
 ) -> StudyResult:
     """Verify the global Lipschitz bound on the solution map in the smallness
-    regime: distance <= ||f1 - f2||_dual / (c - gamma - (L_A + L_N) L_phi)."""
+    regime: distance <= ||f1 - f2||_dual / ((c - gamma)(1 - rho)), where
+    (c - gamma)(1 - rho) = c - gamma - (L_A + L_N) L_phi is positive."""
     cert = problem_certificate(problem, "h1")
     if not cert.smallness_ok:
         raise ValueError("stability check requires a passing contraction certificate")
-    coupling = (cert.L_A + cert.L_N) * cert.L_phi if cert.L_phi > 0 else 0.0
-    denom = cert.c - cert.gamma - coupling
-    if denom <= 0:
-        raise ValueError("stability denominator is not positive")
+    denom = (cert.c - cert.gamma) * (1.0 - cert.rho)
     y0 = GridFunction.zeros(problem.operator.mesh)
 
     def solve(f):
@@ -408,5 +402,5 @@ def run_stability_bound_check(
     verdicts = {"bound_holds": all(row[3] <= 1.05 for row in rows)}
     reports = [rep for pair in solved for rep in pair]
     return _result(
-        "stability", rows, ("bound", "ratio"), verdicts, seed, "pairwise", reports, fit=False
+        "stability", rows, ("bound", "ratio"), verdicts, "pairwise", reports, fit=False
     )

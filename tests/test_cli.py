@@ -6,7 +6,7 @@ import pytest
 from qvar.cli import ExperimentConfig, parse_config, run_command
 from qvar.errors import ConfigError
 from qvar.grid import from_csv
-from qvar.problems import BUILTIN_NAMES, builtin_problem
+from qvar.problems import BUILTINS, builtin_problem
 from qvar.qvi_solver import problem_certificate
 from qvar.studies import run_mesh_refinement
 
@@ -112,7 +112,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="constant_mean"):
             cfg.build_problem()
 
-    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    @pytest.mark.parametrize("name", list(BUILTINS))
     def test_obstacle_kind_per_builtin(self, name):
         own = builtin_problem(name, n=8).obstacle_map.variant
         other = "fixed" if own != "fixed" else "kernel"
@@ -123,6 +123,70 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as info:
             cfg.build_problem()
         assert str(info.value) == message
+
+
+# the overrides each builtin reads, besides n, bc, f_level and F_level
+BUILTIN_OVERRIDES = {
+    "example1d": ("alpha", "c0"),
+    "plaplacian": ("p", "eps_op", "psi_level", "psi_file"),
+    "kernel_qvi": ("alpha", "kernel", "psi_level", "psi_file"),
+    "nonmonotone_sine": ("lam", "alpha", "c0"),
+    "fixed_obstacle": ("psi_level", "psi_file"),
+}
+OVERRIDE_VALUES = {
+    "alpha": 0.2, "c0": 0.4, "p": 2.5, "eps_op": 1e-2, "psi_level": 0.04,
+    "psi_file": "/nonexistent/psi.csv", "kernel": "one", "lam": 0.2,
+}
+_OWN = [(name, key) for name, own in BUILTIN_OVERRIDES.items() for key in own]
+_FOREIGN = [
+    (name, key) for name, own in BUILTIN_OVERRIDES.items() for key in OVERRIDE_VALUES if key not in own
+]
+
+
+class TestBuiltinOverrides:
+    @pytest.mark.parametrize("name, key", _OWN)
+    def test_own_override_is_read(self, tmp_path, name, key):
+        value = OVERRIDE_VALUES[key]
+        if key == "psi_file":
+            value = tmp_path / "psi.csv"
+            value.write_text("".join(f"{i / 8!r},0.03\n" for i in range(9)), encoding="utf-8")
+        prob = builtin_problem(name, n=8, **{key: value})
+        op, omap = prob.operator, prob.obstacle_map
+        seen = {
+            "alpha": lambda: omap.alpha,
+            "c0": lambda: omap.c0,
+            "p": lambda: op.p,
+            "eps_op": lambda: op.eps,
+            "psi_level": lambda: _uniform(omap.psi_base),
+            "psi_file": lambda: _uniform(omap.psi_base),
+            "kernel": lambda: tuple(np.unique(omap.kernel_column)),
+            "lam": lambda: op.lam,
+        }[key]()
+        expected = {"psi_level": (0.04,), "psi_file": (0.03,), "kernel": (1.0,)}
+        assert seen == expected.get(key, value)
+
+    @pytest.mark.parametrize("name, key", _FOREIGN)
+    def test_foreign_override_rejected(self, name, key):
+        with pytest.raises(ValueError) as info:
+            builtin_problem(name, n=8, **{key: OVERRIDE_VALUES[key]})
+        message = str(info.value)
+        assert f"problem {name!r} does not take {key};" in message
+        assert message.endswith(f"its overrides are {', '.join(BUILTIN_OVERRIDES[name])}")
+
+    @pytest.mark.parametrize(
+        "name, line, key",
+        [
+            ("example1d", "kernel = one", "kernel"),
+            ("example1d", "psi_file = /nonexistent/psi.csv", "psi_file"),
+            ("kernel_qvi", "c0 = 9", "c0"),
+        ],
+    )
+    def test_foreign_config_key_is_config_error(self, tmp_path, capsys, name, line, key):
+        cfg = write_cfg(tmp_path, f"out = {tmp_path}\n[problem]\nname = {name}\n{line}\n")
+        assert run_command(["solve", "-c", cfg]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: problem {name!r} does not take {key};")
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestSolveCommand:

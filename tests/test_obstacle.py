@@ -226,6 +226,26 @@ class TestKernelConstruction:
             ObstacleMap(mesh, "kernel", alpha=0.25, psi_base=psi, kernel_column=np.ones(16))
 
 
+_MESH = make_mesh(16, "dirichlet")
+_PSI = GridFunction.zeros(_MESH)
+_COLUMN = np.ones(_MESH.dof_count)
+
+
+class TestUnreadInputs:
+    @pytest.mark.parametrize(
+        "variant, inputs, unread",
+        [
+            ("fixed", dict(psi_base=_PSI, alpha=0.5), "alpha"),
+            ("fixed", dict(psi_base=_PSI, kernel_column=_COLUMN), "kernel_column"),
+            ("constant_mean", dict(c0=0.5, alpha=0.25, psi_base=_PSI), "psi_base"),
+            ("kernel", dict(c0=9.0, alpha=0.25, psi_base=_PSI, kernel_column=_COLUMN), "c0"),
+        ],
+    )
+    def test_input_the_variant_does_not_read_is_rejected(self, variant, inputs, unread):
+        with pytest.raises(ValueError, match=f"^{variant} maps do not read {unread}$"):
+            ObstacleMap(_MESH, variant, **inputs)
+
+
 class TestOrderPreservation:
     def test_constant_mean(self, mesh):
         assert check_order_preserving(ObstacleMap.constant_mean(mesh, 0.5, 0.25))

@@ -6,7 +6,7 @@ from qvar import operators
 from qvar.errors import EllipticityError, GridMismatchError, MissingRegularizerError, SolverError
 from qvar.grid import GridFunction, _norm_gram_bands, dual_norm, duality_pairing, make_mesh, norm
 from qvar.obstacle import ObstacleMap, lipschitz_bound
-from qvar.problems import BUILTIN_NAMES, builtin_problem, gauss_kernel
+from qvar.problems import BUILTINS, builtin_problem, gauss_kernel
 from qvar.qvi_solver import operator_structural_constants, problem_certificate
 from qvar.operators import (
     LinearEllipticOperator,
@@ -316,7 +316,7 @@ class TestBandLayout:
             LinearEllipticOperator(self.mesh, off["lower"], np.ones(m), off["upper"])
 
     @pytest.mark.parametrize("n", [2, 16])
-    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    @pytest.mark.parametrize("name", list(BUILTINS))
     def test_builtin_jacobian_band_shapes(self, name, n):
         op = builtin_problem(name, n=n, bc="dirichlet").operator
         m = op.mesh.dof_count
@@ -416,6 +416,8 @@ class TestConstants:
             OperatorConstants(c=1.0, L=np.nan, gamma=0.0, norm_tag="l2")
         with pytest.raises(ValueError):
             OperatorConstants(c=1.0, L=np.inf, gamma=np.inf, norm_tag="l2")
+        with pytest.raises(ValueError, match="0 <= gamma <= L"):
+            OperatorConstants(c=0.5, L=1.0, gamma=1.5, norm_tag="l2")
 
     def test_composite_nonlinearity_bounded_by_amplitude(self):
         mesh = make_mesh(24, "neumann")
@@ -534,7 +536,7 @@ class TestStructuralBounds:
             mesh = make_mesh(4, "dirichlet")
 
         with pytest.raises(TypeError, match="no structural constants for Opaque"):
-            estimate_constants(Opaque())
+            estimate_constants(Opaque(), "h1")
 
 
 class TestRegularization:

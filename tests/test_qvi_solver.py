@@ -40,11 +40,11 @@ class TestCertificate:
         assert not cert.smallness_ok
 
     def test_nonlinear_split(self):
-        cert = contraction_certificate(self.constants(1.0, 1.2, 0.5), 0.1, L_N=0.2)
+        cert = contraction_certificate(self.constants(1.0, 1.2, 0.5), 0.1)
         assert cert.rho == pytest.approx(0.24)
         assert cert.smallness_ok
-        assert cert.L_A == pytest.approx(1.0)
-        assert cert.L_N == pytest.approx(0.2)
+        assert cert.L_A == pytest.approx(0.7)
+        assert cert.L_N == pytest.approx(0.5)
 
     def test_fixed_map_contracts_with_infinite_lipschitz_constant(self):
         cert = contraction_certificate(self.constants(0.5, np.inf, 0.0), 0.0)

@@ -316,7 +316,7 @@ class TestStabilityBoundCheck:
 class TestDeterminismAndFormat:
     def test_identical_csv_bytes(self):
         prob = builtin_problem("example1d")
-        kwargs = dict(reference=golden_exact(), seed=7)
+        kwargs = dict(reference=golden_exact())
         a = run_regularization_path(prob, EXAMPLE_EPS, **kwargs).to_csv()
         b = run_regularization_path(prob, EXAMPLE_EPS, **kwargs).to_csv()
         assert a == b
@@ -336,7 +336,8 @@ class TestDeterminismAndFormat:
 
     def test_csv_layout(self):
         prob = builtin_problem("fixed_obstacle")
-        res = run_regularization_path(prob, [0.5, 0.25, 0.125, 0.0625, 0.03125], 1e-6, seed=11)
+        res = run_regularization_path(prob, [0.5, 0.25, 0.125, 0.0625, 0.03125], 1e-6)
+        res.seed = 11
         text = res.to_csv()
         lines = text.strip().splitlines()
         assert lines[0] == "# study=regpath seed=11 reference=eps=1e-06"
