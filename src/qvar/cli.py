@@ -26,7 +26,7 @@ from .errors import (
 )
 from .grid import GridFunction, make_mesh, to_csv
 from .operators import assemble_linear
-from .problems import BUILTINS, builtin_problem
+from .problems import _TAKES, BUILTINS, builtin_problem
 from .qvi_solver import (
     OuterParams,
     QVIProblem,
@@ -42,8 +42,11 @@ from .studies import (
 )
 from .vi_solver import VIParams, kkt_residual, solve_vi, solve_vi_active_set_oracle
 
-# keys of inner solvers qvar no longer has (SOR relaxation, projected damping)
-_REMOVED_SOLVER_KEYS = {"omega", "tau"}
+# [problem] key -> builder keyword of the overrides only some builtins take
+_BUILDER_KEYS = {
+    "p": "p", "eps_op": "eps_op", "lambda": "lam", "alpha": "alpha", "c0": "c0",
+    "kernel": "kernel", "psi": "psi_level", "psi_file": "psi_file",
+}
 
 _STUDY_KINDS = ("regpath", "perturb", "refine", "robust")
 
@@ -108,10 +111,13 @@ def parse_config(text: str) -> ExperimentConfig:
 
     Sections are [problem], [solver] and [study]; `seed` and `out` may appear
     before the first section.  Unknown sections, unknown keys, malformed and
-    out-of-range values all raise a ConfigError naming line and key.
+    out-of-range values all raise a ConfigError naming line and key, and so
+    does a [problem] key the named builtin does not take.
     """
     cfg = ExperimentConfig()
     apply = _apply_top_key
+    # builder keyword -> (config key, line) of the overrides only some builtins take
+    builder_lines = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -125,7 +131,22 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {raw_line!r}")
         key, _, raw = line.partition("=")
-        apply(cfg, key.strip(), raw.strip(), line_no)
+        key = key.strip()
+        apply(cfg, key, raw.strip(), line_no)
+        name = _BUILDER_KEYS.get(key.removeprefix("obstacle."))
+        if apply is _apply_problem_key and name is not None:
+            builder_lines[name] = (key, line_no)
+    # checked once the whole document is read: `name` may follow the key
+    takes = _TAKES[cfg.problem_name]
+    foreign = [(line_no, key) for name, (key, line_no) in builder_lines.items()
+               if name not in takes]
+    if foreign:
+        line_no, key = min(foreign)
+        spelled = ", ".join(k for k, name in _BUILDER_KEYS.items() if name in takes)
+        raise ConfigError(
+            f"line {line_no}: key '{key}' does not apply to problem "
+            f"'{cfg.problem_name}'; its overrides are {spelled}"
+        )
     return cfg
 
 
@@ -199,11 +220,6 @@ def _apply_problem_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) 
 
 
 def _apply_solver_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -> None:
-    if key in _REMOVED_SOLVER_KEYS:
-        raise ConfigError(
-            f"line {line_no}: key '{key}' in [solver] was removed; "
-            "the inner solver is projected Newton for every operator"
-        )
     targets = {
         "tol_outer": (cfg.outer, "tol", _parse_float),
         "tol_inner": (cfg.inner, "tol", _parse_float),
@@ -314,7 +330,7 @@ def _cmd_solve(cfg: ExperimentConfig, problem: QVIProblem, trace_mode: bool) -> 
 
 
 def _cmd_certify(problem: QVIProblem) -> int:
-    cert = problem_certificate(problem, "h1")
+    cert = problem_certificate(problem)
     print("c,L_A,L_N,gamma,L_phi,rho,smallness_ok")
     print(cert.csv_row())
     print(f"rho = {cert.rho:.6g} ({'ok' if cert.smallness_ok else 'smallness violated'})")

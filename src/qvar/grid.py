@@ -197,15 +197,6 @@ def _h1_gram_banded(mesh: Mesh):
     return off, diag
 
 
-def _norm_gram_bands(mesh: Mesh, norm_tag: str):
-    """(offdiag, diag) bands of the tagged norm Gram matrix."""
-    if norm_tag == "l2":
-        return np.zeros(mesh.dof_count - 1), mesh.hw
-    if norm_tag != "h1":
-        raise ValueError(f"unknown norm tag {norm_tag!r}")
-    return _h1_gram_banded(mesh)
-
-
 def _check_finite(*arrays) -> None:
     """Raise ValueError when an array holds an inf or NaN, as scipy.linalg
     does with check_finite=True."""
@@ -250,16 +241,9 @@ def _h1_gram_cholesky(mesh: Mesh):
     return d, e
 
 
-def dual_norm(g: GridFunction, kind: str = "h1") -> float:
-    """Norm of g as a dual element: sup <g,v>/||v||.
-
-    With the weighted pairing, the l2-dual norm equals the l2 norm; the
-    h1-dual norm requires a tridiagonal solve with the h1 Gram matrix.
-    """
-    if kind == "l2":
-        return norm(g, "l2")
-    if kind != "h1":
-        raise ValueError(f"unknown norm kind {kind!r}")
+def dual_norm(g: GridFunction) -> float:
+    """Norm of g as an element of the h1 dual: sup <g,v>/||v||_h1, one
+    tridiagonal solve with the h1 Gram matrix."""
     wg = g.mesh.hw * g.values
     z = _cholesky_solve(_h1_gram_cholesky(g.mesh), wg)
     return float(np.sqrt(max(np.dot(wg, z), 0.0)))

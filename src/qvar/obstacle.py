@@ -6,7 +6,7 @@ Three variants:
   fixed          Phi(y) = psi  (ordinary obstacle problem)
 
 Kernel evaluation uses the same trapezoid weights as the l2 pairing, so the
-reported Lipschitz bound is a true bound for the discrete map.
+reported l2 -> h1 Lipschitz bound is a true bound for the discrete map.
 """
 
 from __future__ import annotations
@@ -144,16 +144,15 @@ def eval_obstacle(omap: ObstacleMap, y: GridFunction) -> GridFunction:
     return GridFunction(omap.mesh, omap.psi_base.values + omap.alpha * coupled)
 
 
-def lipschitz_bound(omap: ObstacleMap, norm_tag: str) -> float:
-    """Computable Lipschitz bound for the discrete map in the tagged norm.
+def lipschitz_bound(omap: ObstacleMap) -> float:
+    """Computable bound on ||Phi(u) - Phi(v)||_h1 / ||u - v||_l2 for the
+    discrete map, hence also on its h1 -> h1 Lipschitz constant.
 
-    constant_mean: alpha (Cauchy-Schwarz on the unit-length domain, valid for
-    both tags since the output is constant).  kernel in l2: the weighted
-    Frobenius bound alpha * sqrt(sum_ij w_i w_j h^2 k_ij^2); kernel in h1: the
-    exact l2->h1 operator norm of the linear coupling part.  fixed: 0.
+    constant_mean: alpha (Cauchy-Schwarz on the unit-length domain; the
+    output is a constant, whose h1 norm on a neumann mesh is its l2 norm).
+    kernel: the exact l2 -> h1 operator norm of the linear coupling part.
+    fixed: 0.
     """
-    if norm_tag not in ("l2", "h1"):
-        raise ValueError(f"unknown norm tag {norm_tag!r}")
     if omap.variant == FIXED:
         return 0.0
     if omap.variant == CONSTANT_MEAN:
@@ -161,15 +160,8 @@ def lipschitz_bound(omap: ObstacleMap, norm_tag: str) -> float:
     mesh = omap.mesh
     m = mesh.dof_count
     hw = mesh.hw
-    if norm_tag == "l2":
-        # a sum over diagonals: sum_d (2 - [d=0]) k_d^2 S_d with the lag
-        # sums S_d = sum_i hw_i hw_{i+d}, an autocorrelation taken by FFT
-        lags = np.fft.irfft(np.abs(np.fft.rfft(hw, omap._nfft)) ** 2, omap._nfft)[:m]
-        terms = omap.kernel_column**2 * lags
-        frob_sq = float(2.0 * np.sum(terms[1:]) + terms[0])
-        return omap.alpha * float(np.sqrt(frob_sq))
-    # h1 tag: sup ||B z||_h1 / ||z||_l2 with B z = alpha * K (hw z).  With the
-    # h1 Gram matrix G1 = U^T U (bidiagonal U) and z = w / sqrt(hw) this is the
+    # sup ||B z||_h1 / ||z||_l2 with B z = alpha * K (hw z).  With the h1 Gram
+    # matrix G1 = U^T U (bidiagonal U) and z = w / sqrt(hw) this is the
     # largest singular value of C = alpha U K diag(sqrt(hw)), applied to
     # vectors without forming C.  From G1 = L D L^T, U = sqrt(D) L^T has the
     # diagonal sqrt(d) and the superdiagonal sqrt(d_i) e_i.

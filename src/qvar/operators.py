@@ -30,7 +30,7 @@ from .grid import (
     _check_finite,
     _cholesky_solve,
     _cholesky_tridiag,
-    _norm_gram_bands,
+    _h1_gram_banded,
 )
 
 # componentwise backward error that a stable tridiagonal solve stays below
@@ -40,14 +40,13 @@ _BACKWARD_TOL = 64 * np.finfo(float).eps
 @dataclass(frozen=True)
 class OperatorConstants:
     """Strong-monotonicity constant c, Lipschitz constant L and one-sided
-    monotonicity defect gamma, all relative to the tagged norm pair.  L is
-    +inf for an operator that is not globally Lipschitz.  A defect is at most
-    the Lipschitz constant of the part it comes from, so gamma <= L."""
+    monotonicity defect gamma, all relative to the h1 norm and its dual.  L
+    is +inf for an operator that is not globally Lipschitz.  A defect is at
+    most the Lipschitz constant of the part it comes from, so gamma <= L."""
 
     c: float
     L: float
     gamma: float
-    norm_tag: str
 
     def __post_init__(self):
         if not (np.isfinite(self.c) and np.isfinite(self.gamma) and self.L <= np.inf):
@@ -387,7 +386,7 @@ def _pencil_extremes(K_off, K_diag, G_off, G_diag):
 def _linear_split(op):
     """(linear part, gamma, L_rest) of an operator: op minus its linear part
     has one-sided monotonicity defect at most gamma and Lipschitz constant at
-    most L_rest in the l2 pairing, hence in both tagged norms.  The constants
+    most L_rest in the l2 pairing, hence in the h1 norm pair.  The constants
     and the maximal mode's supersolution both take the linear part from here.
 
     The p-Laplacian flux derivative s^{(p-4)/2} ((p-1) g^2 + eps) is at least
@@ -414,16 +413,17 @@ def _linear_split(op):
     raise TypeError(f"no structural constants for {type(op).__name__}")
 
 
-def estimate_constants(op, norm_tag: str) -> OperatorConstants:
-    """Structural constants of an operator as proven bounds.
+def estimate_constants(op) -> OperatorConstants:
+    """Structural constants of an operator in the h1 norm pair, as proven
+    bounds.
 
     The operator is split into a linear part and a remainder with closed-form
     bounds (`_linear_split`).  c and L of the linear part are the extreme
-    eigenvalues of its tridiagonal pencil; the remainder's defect is gamma
-    and its Lipschitz constant is added to L.
+    eigenvalues of its tridiagonal pencil against the h1 Gram matrix; the
+    remainder's defect is gamma and its Lipschitz constant is added to L.
     """
     linear, gamma, lip = _linear_split(op)
-    c, L = _pencil_extremes(*linear.gram_tridiag(), *_norm_gram_bands(op.mesh, norm_tag))
+    c, L = _pencil_extremes(*linear.gram_tridiag(), *_h1_gram_banded(op.mesh))
     c = max(c, 0.0)
     L = max(L, c)
-    return OperatorConstants(c=c, L=L + lip, gamma=gamma, norm_tag=norm_tag)
+    return OperatorConstants(c=c, L=L + lip, gamma=gamma)

@@ -142,16 +142,17 @@ def contraction_certificate(constants: OperatorConstants, L_phi: float) -> Contr
     )
 
 
-def operator_structural_constants(op, norm_tag: str = "h1"):
-    """`estimate_constants(op, norm_tag)` and its L_N = gamma.  No qvar code
-    calls it; it is kept because `bench/tracer.py` binds it."""
-    constants = estimate_constants(op, norm_tag)
+def operator_structural_constants(op):
+    """`estimate_constants(op)` and its L_N = gamma.  No qvar code calls it;
+    it is kept because `bench/tracer.py` binds it."""
+    constants = estimate_constants(op)
     return constants, constants.gamma
 
 
-def problem_certificate(problem: QVIProblem, norm_tag: str = "h1") -> ContractionCertificate:
-    constants = estimate_constants(problem.operator, norm_tag)
-    return contraction_certificate(constants, lipschitz_bound(problem.obstacle_map, norm_tag))
+def problem_certificate(problem: QVIProblem) -> ContractionCertificate:
+    """The h1 contraction certificate of a problem."""
+    constants = estimate_constants(problem.operator)
+    return contraction_certificate(constants, lipschitz_bound(problem.obstacle_map))
 
 
 def solve_qvi_fixed_point(
@@ -308,5 +309,5 @@ def solve_qvi_regularized(
 
 def uniform_bound_holds(problem: QVIProblem, report: QVIReport) -> bool:
     """Check ||y||_h1 <= (1/c) ||f||_h1* + 1e-6; false when c = 0."""
-    c = estimate_constants(problem.operator, "h1").c
-    return c > 0 and norm(report.solution, "h1") <= dual_norm(problem.f, "h1") / c + 1e-6
+    c = estimate_constants(problem.operator).c
+    return c > 0 and norm(report.solution, "h1") <= dual_norm(problem.f) / c + 1e-6

@@ -379,7 +379,7 @@ def run_stability_bound_check(
     """Verify the global Lipschitz bound on the solution map in the smallness
     regime: distance <= ||f1 - f2||_dual / ((c - gamma)(1 - rho)), where
     (c - gamma)(1 - rho) = c - gamma - (L_A + L_N) L_phi is positive."""
-    cert = problem_certificate(problem, "h1")
+    cert = problem_certificate(problem)
     if not cert.smallness_ok:
         raise ValueError("stability check requires a passing contraction certificate")
     denom = (cert.c - cert.gamma) * (1.0 - cert.rho)
@@ -397,7 +397,7 @@ def run_stability_bound_check(
     rows = []
     for k, ((f1, f2), (r1, r2)) in enumerate(zip(force_pairs, solved)):
         dist = norm(r1.solution - r2.solution, "h1")
-        bound = dual_norm(f1 - f2, "h1") / denom
+        bound = dual_norm(f1 - f2) / denom
         rows.append((k + 1, dist, bound, dist / bound if bound > 0 else 0.0))
     verdicts = {"bound_holds": all(row[3] <= 1.05 for row in rows)}
     reports = [rep for pair in solved for rep in pair]

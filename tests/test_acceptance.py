@@ -244,7 +244,7 @@ def test_criterion_10_property_suites():
     v = GridFunction(mesh64, np.sin(np.pi * mesh64.dof_nodes()))
     base = apply(PLaplacianOperator(mesh64, 3.0, 0.0), v)
     gaps = [
-        dual_norm(apply(PLaplacianOperator(mesh64, 3.0, 10.0**-k), v) - base, "h1")
+        dual_norm(apply(PLaplacianOperator(mesh64, 3.0, 10.0**-k), v) - base)
         for k in range(1, 7)
     ]
     checks["p-Laplacian eps-convergence monotone"] = all(

@@ -102,8 +102,10 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("key", ["omega", "tau"])
     def test_removed_solver_keys(self, tmp_path, key):
-        with pytest.raises(ConfigError, match=f"'{key}' in \\[solver\\] was removed"):
+        # keys of the deleted SOR and damped projected solvers are unknown keys
+        with pytest.raises(ConfigError) as info:
             parse_config(f"[solver]\n{key} = auto\n")
+        assert str(info.value) == f"line 2: unknown key '{key}' in [solver]"
         cfg = write_cfg(tmp_path, f"[problem]\nname = example1d\n[solver]\n{key} = 0.5\n")
         assert run_command(["solve", "-c", cfg]) == 4
 
@@ -178,15 +180,39 @@ class TestBuiltinOverrides:
         [
             ("example1d", "kernel = one", "kernel"),
             ("example1d", "psi_file = /nonexistent/psi.csv", "psi_file"),
+            ("example1d", "lambda = 0.2", "lambda"),
             ("kernel_qvi", "c0 = 9", "c0"),
+            ("kernel_qvi", "obstacle.c0 = 9", "obstacle.c0"),
+            ("nonmonotone_sine", "psi = 0.1", "psi"),
         ],
     )
     def test_foreign_config_key_is_config_error(self, tmp_path, capsys, name, line, key):
+        # reported by its config key and line, before any solve
         cfg = write_cfg(tmp_path, f"out = {tmp_path}\n[problem]\nname = {name}\n{line}\n")
         assert run_command(["solve", "-c", cfg]) == 4
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: problem {name!r} does not take {key};")
+        spelling = {"lam": "lambda", "psi_level": "psi"}
+        own = ", ".join(spelling.get(k, k) for k in BUILTIN_OVERRIDES[name])
+        assert err == (
+            f"config error: line 4: key '{key}' does not apply to problem '{name}'; "
+            f"its overrides are {own}\n"
+        )
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_foreign_key_checked_against_the_final_name(self):
+        # the name may follow the override; the first foreign line is named
+        text = "[problem]\nalpha = 0.2\np = 4\nlambda = 0.3\nname = plaplacian\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == (
+            "line 2: key 'alpha' does not apply to problem 'plaplacian'; "
+            "its overrides are p, eps_op, psi, psi_file"
+        )
+        cfg = parse_config("[problem]\nlambda = 0.3\nname = nonmonotone_sine\n")
+        assert cfg.build_problem().operator.lam == 0.3
+        # with no name, the problem is example1d
+        with pytest.raises(ConfigError, match="^line 2: key 'p' does not apply to .*'example1d'"):
+            parse_config("[problem]\np = 4\n")
 
 
 class TestSolveCommand:
@@ -271,7 +297,7 @@ class TestTraceAndCertify:
         cfg = write_cfg(tmp_path, "seed = 3\n[problem]\nname = plaplacian\nn = 16\n")
         run_command(["certify", "-c", cfg])
         row = capsys.readouterr().out.splitlines()[1]
-        cert = problem_certificate(builtin_problem("plaplacian", n=16), "h1")
+        cert = problem_certificate(builtin_problem("plaplacian", n=16))
         assert row == cert.csv_row()
 
     def test_certify_unregularized_plaplacian(self, tmp_path, capsys):

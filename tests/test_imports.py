@@ -26,7 +26,7 @@ def test_kernel_work_leaves_out_scipy_fft():
         "import sys, qvar\n"
         "p = qvar.builtin_problem('kernel_qvi', n=64)\n"
         "qvar.solve_qvi_minimal(p)\n"
-        "qvar.lipschitz_bound(p.obstacle_map, 'h1')\n"
+        "qvar.lipschitz_bound(p.obstacle_map)\n"
         "print('scipy.fft' in sys.modules)"
     )
     assert run_fresh(code) == "False"

@@ -4,7 +4,7 @@ from scipy.linalg import solve_banded
 
 from qvar import operators
 from qvar.errors import EllipticityError, GridMismatchError, MissingRegularizerError, SolverError
-from qvar.grid import GridFunction, _norm_gram_bands, dual_norm, duality_pairing, make_mesh, norm
+from qvar.grid import GridFunction, _h1_gram_banded, dual_norm, duality_pairing, make_mesh, norm
 from qvar.obstacle import ObstacleMap, lipschitz_bound
 from qvar.problems import BUILTINS, builtin_problem, gauss_kernel
 from qvar.qvi_solver import operator_structural_constants, problem_certificate
@@ -25,6 +25,13 @@ from qvar.vi_solver import _newton_step
 def dense_bands(bands):
     lower, diag, upper = bands
     return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+
+
+def diagonal_gram_extremes(op):
+    """(c, L) of a linear operator's pencil against the diagonal Gram matrix
+    diag(hw) of the weighted l2 pairing, where closed forms are plain."""
+    m = op.mesh.dof_count
+    return operators._pencil_extremes(*op.gram_tridiag(), np.zeros(m - 1), op.mesh.hw)
 
 
 def fd_jacobian(op, u, step=1e-6):
@@ -278,20 +285,22 @@ class TestOneDof:
     def test_estimate_constants(self, a0):
         op = assemble_linear(self.mesh, 1.0, a0)
         k = 0.5 * (8.0 + a0)  # hw times the stiffness 2/h^2 + a0
-        for tag, g in (("h1", 4.5), ("l2", 0.5)):
-            con = estimate_constants(op, tag)
-            assert con.c == pytest.approx(k / g, rel=1e-15)
-            assert con.L == pytest.approx(k / g, rel=1e-15)
+        con = estimate_constants(op)
+        assert con.c == pytest.approx(k / 4.5, rel=1e-15)
+        assert con.L == pytest.approx(k / 4.5, rel=1e-15)
+        c, L = diagonal_gram_extremes(op)
+        assert c == pytest.approx(k / 0.5, rel=1e-15)
+        assert L == pytest.approx(k / 0.5, rel=1e-15)
 
     def test_dual_norm(self):
         g = GridFunction.constant(self.mesh, 3.0)
-        assert dual_norm(g, "h1") == pytest.approx(1.5 / np.sqrt(4.5), rel=1e-15)
+        assert dual_norm(g) == pytest.approx(1.5 / np.sqrt(4.5), rel=1e-15)
 
     def test_h1_lipschitz_bound(self):
         # alpha * sqrt(9/2) * k(1/2, 1/2) * sqrt(hw) = 0.25 * 3/2
         psi = GridFunction.constant(self.mesh, 0.05)
         omap = ObstacleMap.kernel(self.mesh, psi, 0.25, gauss_kernel(0.25))
-        assert lipschitz_bound(omap, "h1") == pytest.approx(0.375, rel=1e-15)
+        assert lipschitz_bound(omap) == pytest.approx(0.375, rel=1e-15)
 
 
 class TestBandLayout:
@@ -331,9 +340,7 @@ class TestBandLayout:
     def test_gram_band_shapes(self, n, bc):
         mesh = make_mesh(n, bc)
         m = mesh.dof_count
-        grams = [assemble_linear(mesh, 1.0, 1.0).gram_tridiag()]
-        grams += [_norm_gram_bands(mesh, tag) for tag in ("l2", "h1")]
-        for off, diag in grams:
+        for off, diag in (assemble_linear(mesh, 1.0, 1.0).gram_tridiag(), _h1_gram_banded(mesh)):
             assert (off.shape, diag.shape) == ((m - 1,), (m,))
 
 
@@ -367,30 +374,27 @@ class TestJacobianBands:
 class TestConstants:
     def test_neumann_reaction_smallest_eigenvalue(self):
         mesh = make_mesh(64, "neumann")
-        op = assemble_linear(mesh, 1.0, 1.0)
-        con = estimate_constants(op, "l2")
-        assert con.c == pytest.approx(1.0, abs=1e-6)
+        c, _ = diagonal_gram_extremes(assemble_linear(mesh, 1.0, 1.0))
+        assert c == pytest.approx(1.0, abs=1e-6)
 
     def test_h1_identity_pair(self):
         # for -u'' + u the pairing coincides with the h1 inner product
         mesh = make_mesh(64, "neumann")
-        con = estimate_constants(assemble_linear(mesh, 1.0, 1.0), "h1")
+        con = estimate_constants(assemble_linear(mesh, 1.0, 1.0))
         assert con.c == pytest.approx(1.0, abs=1e-9)
         assert con.L == pytest.approx(1.0, abs=1e-9)
-        assert con.norm_tag == "h1"
 
     def test_scaled_identity(self):
         mesh = make_mesh(8, "dirichlet")
-        con = estimate_constants(identity_operator(mesh, 3.0), "l2")
-        assert con.c == pytest.approx(3.0, abs=1e-8)
-        assert con.L == pytest.approx(3.0, abs=1e-8)
+        c, L = diagonal_gram_extremes(identity_operator(mesh, 3.0))
+        assert c == pytest.approx(3.0, abs=1e-8)
+        assert L == pytest.approx(3.0, abs=1e-8)
 
-    @pytest.mark.parametrize("tag", ["h1", "l2"])
-    def test_sine_alone_closed_form(self, tag):
+    def test_sine_alone_closed_form(self):
         mesh = make_mesh(16, "neumann")
         zero = identity_operator(mesh, 0.0)
         zero.diag[:] = 0.0
-        con = estimate_constants(NonMonotoneOperator(zero, 0.3), tag)
+        con = estimate_constants(NonMonotoneOperator(zero, 0.3))
         assert con.c == 0.0
         assert con.gamma == con.L == 0.3
 
@@ -407,17 +411,17 @@ class TestConstants:
         from qvar.operators import OperatorConstants
 
         with pytest.raises(ValueError):
-            OperatorConstants(c=2.0, L=1.0, gamma=0.0, norm_tag="l2")
+            OperatorConstants(c=2.0, L=1.0, gamma=0.0)
         with pytest.raises(ValueError):
-            OperatorConstants(c=1.0, L=1.0, gamma=-0.1, norm_tag="l2")
+            OperatorConstants(c=1.0, L=1.0, gamma=-0.1)
         with pytest.raises(ValueError):
-            OperatorConstants(c=np.inf, L=np.inf, gamma=0.0, norm_tag="l2")
+            OperatorConstants(c=np.inf, L=np.inf, gamma=0.0)
         with pytest.raises(ValueError):
-            OperatorConstants(c=1.0, L=np.nan, gamma=0.0, norm_tag="l2")
+            OperatorConstants(c=1.0, L=np.nan, gamma=0.0)
         with pytest.raises(ValueError):
-            OperatorConstants(c=1.0, L=np.inf, gamma=np.inf, norm_tag="l2")
+            OperatorConstants(c=1.0, L=np.inf, gamma=np.inf)
         with pytest.raises(ValueError, match="0 <= gamma <= L"):
-            OperatorConstants(c=0.5, L=1.0, gamma=1.5, norm_tag="l2")
+            OperatorConstants(c=0.5, L=1.0, gamma=1.5)
 
     def test_composite_nonlinearity_bounded_by_amplitude(self):
         mesh = make_mesh(24, "neumann")
@@ -433,7 +437,8 @@ class TestConstants:
 class TestPencilConstants:
     """Linear constants against the closed-form lumped spectrum of -u'' on a
     dirichlet mesh, lambda_k = 4/h^2 sin^2(k pi h / 2): the h1 pencil has
-    eigenvalues lambda_k / (1 + lambda_k), the l2 pencil lambda_k itself."""
+    eigenvalues lambda_k / (1 + lambda_k), the pencil against the diagonal
+    l2 Gram matrix lambda_k itself."""
 
     @staticmethod
     def lumped_extremes(n):
@@ -442,13 +447,18 @@ class TestPencilConstants:
         return lam
 
     @pytest.mark.parametrize("n", [128, 256, 1024, 4096])
-    @pytest.mark.parametrize("tag", ["h1", "l2"])
-    def test_closed_form(self, n, tag):
+    @pytest.mark.parametrize("gram", ["h1", "l2"])
+    def test_closed_form(self, n, gram):
         lam = self.lumped_extremes(n)
-        c_exact, L_exact = lam / (1.0 + lam) if tag == "h1" else lam
-        con = estimate_constants(assemble_linear(make_mesh(n, "dirichlet"), 1.0, 0.0), tag)
-        assert con.c == pytest.approx(c_exact, rel=1e-9, abs=0.0)
-        assert con.L == pytest.approx(L_exact, rel=1e-9, abs=0.0)
+        op = assemble_linear(make_mesh(n, "dirichlet"), 1.0, 0.0)
+        if gram == "h1":
+            con = estimate_constants(op)
+            c, L = con.c, con.L
+            lam = lam / (1.0 + lam)
+        else:
+            c, L = diagonal_gram_extremes(op)
+        assert c == pytest.approx(lam[0], rel=1e-9, abs=0.0)
+        assert L == pytest.approx(lam[1], rel=1e-9, abs=0.0)
 
     def test_example1d_certificate_row(self):
         row = problem_certificate(builtin_problem("example1d", n=64)).csv_row()
@@ -458,9 +468,9 @@ class TestPencilConstants:
         mesh = make_mesh(16, "dirichlet")
         op = assemble_linear(mesh, 1.0, 0.0)
         op.diag[:] -= 20.0  # shifts below the smallest eigenvalue pi^2
-        con = estimate_constants(op, "l2")
-        assert con.c == 0.0
-        assert con.L == pytest.approx(self.lumped_extremes(16)[1] - 20.0, rel=1e-12)
+        c, L = diagonal_gram_extremes(op)
+        assert c == 0.0
+        assert L == pytest.approx(self.lumped_extremes(16)[1] - 20.0, rel=1e-12)
 
     @pytest.mark.parametrize("n", [2, 8, 16, 128, 512, 2048])
     def test_singular_neumann_stiffness_has_zero_coercivity(self, n):
@@ -476,37 +486,36 @@ class TestStructuralBounds:
     its pencil plus a remainder with known defect and Lipschitz constant."""
 
     @staticmethod
-    def ratios(op, u, v, tag):
+    def ratios(op, u, v):
         # monotonicity <A u - A v, u - v> / ||u - v||^2 and Lipschitz
-        # ||A u - A v||_* / ||u - v|| in the tagged norm pair
+        # ||A u - A v||_* / ||u - v|| in the h1 norm pair
         mesh = op.mesh
         du = GridFunction(mesh, u - v)
         dop = GridFunction(mesh, op.matvec(u) - op.matvec(v))
-        nd = norm(du, tag)
-        return duality_pairing(dop, du) / nd**2, dual_norm(dop, tag) / nd
+        nd = norm(du, "h1")
+        return duality_pairing(dop, du) / nd**2, dual_norm(dop) / nd
 
     @pytest.mark.parametrize("n", [64, 1024])
     def test_plaplacian_c_below_a_smooth_pair(self, n):
         mesh = make_mesh(n, "dirichlet")
         plap = PLaplacianOperator(mesh, 3.0, 1e-3)
-        con = estimate_constants(plap, "h1")
+        con = estimate_constants(plap)
         u = 1e-3 * np.sin(np.pi * mesh.dof_nodes())
-        mono, _ = self.ratios(plap, u, np.zeros_like(u), "h1")
+        mono, _ = self.ratios(plap, u, np.zeros_like(u))
         assert con.c <= mono
         assert con.c == pytest.approx(1e-3**0.5 * np.pi**2 / (1.0 + np.pi**2), rel=1e-3)
         assert con.L == np.inf and con.gamma == 0.0
 
-    @pytest.mark.parametrize("tag", ["h1", "l2"])
-    def test_p2_is_the_stiffness_pencil(self, tag):
+    def test_p2_is_the_stiffness_pencil(self):
         mesh = make_mesh(32, "dirichlet")
-        con = estimate_constants(PLaplacianOperator(mesh, 2.0, 1e-3), tag)
-        ref = estimate_constants(assemble_linear(mesh, 1.0, 0.0), tag)
+        con = estimate_constants(PLaplacianOperator(mesh, 2.0, 1e-3))
+        ref = estimate_constants(assemble_linear(mesh, 1.0, 0.0))
         assert con.c == pytest.approx(ref.c, rel=1e-12)
         assert con.L == pytest.approx(ref.L, rel=1e-12)
         assert con.gamma == 0.0
 
     def test_unregularized_plaplacian_has_zero_coercivity(self):
-        con = estimate_constants(PLaplacianOperator(make_mesh(16, "dirichlet"), 3.0, 0.0), "h1")
+        con = estimate_constants(PLaplacianOperator(make_mesh(16, "dirichlet"), 3.0, 0.0))
         assert con.c == 0.0
         assert con.L == np.inf
 
@@ -515,19 +524,18 @@ class TestStructuralBounds:
         rng = np.random.default_rng(23)
         for name in ("plaplacian", "plaplacian_p4", "regularized", "sine", "regularized_sine"):
             op = ops[name]
-            for tag in ("h1", "l2"):
-                con = estimate_constants(op, tag)
-                for scale in (1e-3, 1.0, 10.0):
-                    for _ in range(20):
-                        u = scale * rng.standard_normal(op.mesh.dof_count)
-                        v = scale * rng.standard_normal(op.mesh.dof_count)
-                        mono, lip = self.ratios(op, u, v, tag)
-                        assert mono >= (con.c - con.gamma) * (1.0 - 1e-12), (name, tag)
-                        assert lip <= con.L * (1.0 + 1e-12), (name, tag)
+            con = estimate_constants(op)
+            for scale in (1e-3, 1.0, 10.0):
+                for _ in range(20):
+                    u = scale * rng.standard_normal(op.mesh.dof_count)
+                    v = scale * rng.standard_normal(op.mesh.dof_count)
+                    mono, lip = self.ratios(op, u, v)
+                    assert mono >= (con.c - con.gamma) * (1.0 - 1e-12), name
+                    assert lip <= con.L * (1.0 + 1e-12), name
 
     def test_regularized_sine_split(self):
         ops = TestJacobianBands().operators()
-        con, l_n = operator_structural_constants(ops["regularized_sine"], "h1")
+        con, l_n = operator_structural_constants(ops["regularized_sine"])
         assert con.gamma == l_n == 0.3
         assert np.isfinite(con.L)
 
@@ -536,7 +544,7 @@ class TestStructuralBounds:
             mesh = make_mesh(4, "dirichlet")
 
         with pytest.raises(TypeError, match="no structural constants for Opaque"):
-            estimate_constants(Opaque(), "h1")
+            estimate_constants(Opaque())
 
 
 class TestRegularization:
@@ -556,8 +564,8 @@ class TestRegularization:
     def test_l2_coercivity_shift(self):
         mesh = make_mesh(32, "neumann")
         op = assemble_linear(mesh, 1.0, 1.0)
-        c0 = estimate_constants(op, "l2").c
-        c1 = estimate_constants(add_regularization(op, 0.5), "l2").c
+        c0, _ = diagonal_gram_extremes(op)
+        c1, _ = diagonal_gram_extremes(add_regularization(op, 0.5))
         assert c1 - c0 == pytest.approx(0.5, abs=1e-6)
 
     def test_missing_regularizer(self):
@@ -615,7 +623,7 @@ class TestPLaplacianRegularizedConvergence:
         v = GridFunction(mesh, np.sin(np.pi * mesh.dof_nodes()))
         base = apply(PLaplacianOperator(mesh, 3.0, 0.0), v)
         return [
-            dual_norm(apply(PLaplacianOperator(mesh, 3.0, eps), v) - base, "h1")
+            dual_norm(apply(PLaplacianOperator(mesh, 3.0, eps), v) - base)
             for eps in eps_values
         ]
 

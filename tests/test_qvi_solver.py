@@ -27,7 +27,7 @@ def golden_problem(n=64):
 
 class TestCertificate:
     def constants(self, c, L, gamma):
-        return OperatorConstants(c=c, L=L, gamma=gamma, norm_tag="h1")
+        return OperatorConstants(c=c, L=L, gamma=gamma)
 
     def test_quarter_coupling(self):
         cert = contraction_certificate(self.constants(1.0, 1.0, 0.0), 0.25)
@@ -436,5 +436,5 @@ class TestStabilityBound:
             r1 = solve_qvi_fixed_point(QVIProblem(prob.operator, f1, prob.obstacle_map, None), y0)
             r2 = solve_qvi_fixed_point(QVIProblem(prob.operator, f2, prob.obstacle_map, None), y0)
             dist = norm(r1.solution - r2.solution, "h1")
-            bound = dual_norm(f1 - f2, "h1") / denom
+            bound = dual_norm(f1 - f2) / denom
             assert dist <= 1.05 * bound + 1e-12
