@@ -47,6 +47,8 @@ _BUILDER_KEYS = {
     "p": "p", "eps_op": "eps_op", "lambda": "lam", "alpha": "alpha", "c0": "c0",
     "kernel": "kernel", "psi": "psi_level", "psi_file": "psi_file",
 }
+# [problem] key -> builtin_problem keyword; every builtin takes n, bc, f and F
+_PROBLEM_KEYS = {"n": "n", "bc": "bc", "f": "f_level", "F": "F_level", **_BUILDER_KEYS}
 
 _STUDY_KINDS = ("regpath", "perturb", "refine", "robust")
 
@@ -64,17 +66,9 @@ class ExperimentConfig:
     def build_problem(self, n: int | None = None) -> QVIProblem:
         """The named builtin with the [problem] overrides, on n cells if given."""
         overrides = dict(self.overrides)
-        kind = overrides.pop("obstacle_kind", None)
         if n is not None:
             overrides["n"] = n
-        problem = builtin_problem(self.problem_name, **overrides)
-        variant = problem.obstacle_map.variant
-        if kind is not None and kind != variant:
-            raise ConfigError(
-                f"problem '{self.problem_name}' uses the {variant} obstacle; "
-                f"got obstacle.kind = {kind}"
-            )
-        return problem
+        return builtin_problem(self.problem_name, **overrides)
 
 
 def _parse_float(raw: str, line_no: int, key: str) -> float:
@@ -133,7 +127,7 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, raw = line.partition("=")
         key = key.strip()
         apply(cfg, key, raw.strip(), line_no)
-        name = _BUILDER_KEYS.get(key.removeprefix("obstacle."))
+        name = _BUILDER_KEYS.get(key)
         if apply is _apply_problem_key and name is not None:
             builder_lines[name] = (key, line_no)
     # checked once the whole document is read: `name` may follow the key
@@ -160,38 +154,33 @@ def _apply_top_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -> N
 
 
 def _apply_problem_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -> None:
-    ov = cfg.overrides
     if key == "name":
         if raw not in BUILTINS:
             raise ConfigError(
                 f"line {line_no}: key 'name' must be one of {', '.join(BUILTINS)}, got {raw!r}"
             )
         cfg.problem_name = raw
-    elif key == "n":
-        n = _parse_int(raw, line_no, key)
-        _require_range(n >= 2, line_no, key, f"must be >= 2, got {n}")
-        ov["n"] = n
+        return
+    if key not in _PROBLEM_KEYS:
+        raise ConfigError(f"line {line_no}: unknown key '{key}' in [problem]")
+    if key == "n":
+        value = _parse_int(raw, line_no, key)
+        _require_range(value >= 2, line_no, key, f"must be >= 2, got {value}")
     elif key == "bc":
         _require_range(raw in ("dirichlet", "neumann"), line_no, key,
                        f"must be dirichlet or neumann, got {raw!r}")
-        ov["bc"] = raw
+        value = raw
     elif key == "p":
-        p = _parse_float(raw, line_no, key)
-        _require_range(p >= 2, line_no, key, f"must be >= 2, got {p}")
-        ov["p"] = p
+        value = _parse_float(raw, line_no, key)
+        _require_range(value >= 2, line_no, key, f"must be >= 2, got {value}")
     elif key == "eps_op":
-        e = _parse_float(raw, line_no, key)
-        _require_range(e >= 0, line_no, key, f"must be nonnegative, got {e}")
-        ov["eps_op"] = e
-    elif key == "lambda":
-        ov["lam"] = _parse_float(raw, line_no, key)
-    elif key in ("alpha", "obstacle.alpha"):
-        a = _parse_float(raw, line_no, key)
-        _require_range(a >= 0, line_no, key, f"must be nonnegative (increasing map), got {a}")
-        ov["alpha"] = a
-    elif key in ("c0", "obstacle.c0"):
-        ov["c0"] = _parse_float(raw, line_no, key)
-    elif key in ("kernel", "obstacle.kernel"):
+        value = _parse_float(raw, line_no, key)
+        _require_range(value >= 0, line_no, key, f"must be nonnegative, got {value}")
+    elif key == "alpha":
+        value = _parse_float(raw, line_no, key)
+        _require_range(value >= 0, line_no, key,
+                       f"must be nonnegative (increasing map), got {value}")
+    elif key == "kernel":
         _require_range(raw == "one" or (raw.startswith("gauss(") and raw.endswith(")")),
                        line_no, key, f"must be 'one' or 'gauss(sigma)', got {raw!r}")
         if raw != "one":
@@ -201,22 +190,12 @@ def _apply_problem_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) 
                 raise ConfigError(
                     f"line {line_no}: key '{key}' expects a number as the gauss width, got {raw!r}"
                 ) from None
-        ov["kernel"] = raw
-    elif key == "psi":
-        ov["psi_level"] = _parse_float(raw, line_no, key)
-    elif key in ("psi_file", "obstacle.psi_file"):
-        ov["psi_file"] = raw
-    elif key == "obstacle.kind":
-        _require_range(raw in ("constant_mean", "kernel", "fixed"), line_no, key,
-                       f"must be constant_mean, kernel or fixed, got {raw!r}")
-        # the named problems already fix the kind; accept matching values only
-        ov["obstacle_kind"] = raw
-    elif key == "f":
-        ov["f_level"] = _parse_float(raw, line_no, key)
-    elif key == "F":
-        ov["F_level"] = _parse_float(raw, line_no, key)
-    else:
-        raise ConfigError(f"line {line_no}: unknown key '{key}' in [problem]")
+        value = raw
+    elif key == "psi_file":
+        value = raw
+    else:  # lambda, c0, psi, f and F
+        value = _parse_float(raw, line_no, key)
+    cfg.overrides[_PROBLEM_KEYS[key]] = value
 
 
 def _apply_solver_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -> None:
@@ -278,17 +257,6 @@ def _load_config(path: str | None) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
-
-
-def _resolve_seed(cfg: ExperimentConfig, args) -> None:
-    env = os.environ.get("QVAR_SEED")
-    if env is not None:
-        try:
-            cfg.seed = int(env)
-        except ValueError:
-            raise ConfigError(f"QVAR_SEED must be an integer, got {env!r}") from None
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
 
 
 def _write(path: str, text: str) -> None:
@@ -456,7 +424,8 @@ def run_command(argv) -> int:
         return 4 if exc.code not in (0, None) else 0
     try:
         cfg = _load_config(getattr(args, "config", None))
-        _resolve_seed(cfg, args)
+        if args.seed is not None:
+            cfg.seed = args.seed
         if args.command == "oracle-check":
             return _cmd_oracle_check(args.trials, args.ndof, cfg.seed)
         if args.out is not None:

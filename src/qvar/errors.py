@@ -17,10 +17,6 @@ class EllipticityError(QvarError):
     """Coefficient violates the uniform ellipticity requirement."""
 
 
-class MissingRegularizerError(QvarError):
-    """A second-parameter regularization was requested without an operator."""
-
-
 class SolverError(QvarError):
     """A solve failed or did not meet its residual contract."""
 

@@ -16,7 +16,7 @@ import copy
 import numpy as np
 
 from .errors import GridMismatchError
-from .grid import GridFunction, Mesh, trapezoid_integral, _h1_gram_cholesky
+from .grid import DIRICHLET, GridFunction, Mesh, norm, trapezoid_integral, _h1_gram_cholesky
 
 CONSTANT_MEAN = "constant_mean"
 KERNEL = "kernel"
@@ -148,16 +148,22 @@ def lipschitz_bound(omap: ObstacleMap) -> float:
     """Computable bound on ||Phi(u) - Phi(v)||_h1 / ||u - v||_l2 for the
     discrete map, hence also on its h1 -> h1 Lipschitz constant.
 
-    constant_mean: alpha (Cauchy-Schwarz on the unit-length domain; the
-    output is a constant, whose h1 norm on a neumann mesh is its l2 norm).
+    constant_mean: alpha * sqrt(sum hw) * ||1||_h1, exact: |integral of z|
+    is at most sqrt(sum hw) ||z||_l2 (Cauchy-Schwarz, equality for constant
+    z), and the output is a constant.  On a neumann mesh sum hw = ||1||_h1 =
+    1, and the bound is alpha exactly; on a dirichlet mesh ||1||_h1 counts
+    the jumps to the boundary zeros and grows like sqrt(2n).
     kernel: the exact l2 -> h1 operator norm of the linear coupling part.
     fixed: 0.
     """
     if omap.variant == FIXED:
         return 0.0
-    if omap.variant == CONSTANT_MEAN:
-        return omap.alpha
     mesh = omap.mesh
+    if omap.variant == CONSTANT_MEAN:
+        if mesh.bc != DIRICHLET:
+            return omap.alpha
+        one = GridFunction.constant(mesh, 1.0)
+        return omap.alpha * float(np.sqrt(mesh.hw.sum())) * norm(one, "h1")
     m = mesh.dof_count
     hw = mesh.hw
     # sup ||B z||_h1 / ||z||_l2 with B z = alpha * K (hw z).  With the h1 Gram

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .errors import EllipticityError, GridMismatchError, MissingRegularizerError, SolverError
+from .errors import EllipticityError, GridMismatchError, SolverError
 from .grid import (
     DIRICHLET,
     GridFunction,
@@ -33,7 +33,8 @@ from .grid import (
     _h1_gram_banded,
 )
 
-# componentwise backward error that a stable tridiagonal solve stays below
+# componentwise backward error that a stable tridiagonal solve stays below;
+# also the relative round-off that the inner line search allows its energy
 _BACKWARD_TOL = 64 * np.finfo(float).eps
 
 
@@ -79,17 +80,6 @@ def _tridiag_solve(sub, diag, sup, rhs, what: str):
     if info > 0:
         raise SolverError(f"{what}: singular matrix")
     return x
-
-
-def _regularized_bands(bands, eps: float, delta: float, R):
-    """(lower, diag, upper) bands of A + eps*I + delta*R from those of A."""
-    lower, diag, upper = bands
-    diag = diag + eps
-    if delta > 0.0:
-        lower = lower + delta * R.lower
-        diag = diag + delta * R.diag
-        upper = upper + delta * R.upper
-    return lower, diag, upper
 
 
 class LinearEllipticOperator:
@@ -241,30 +231,23 @@ class NonMonotoneOperator:
 
 
 class RegularizedOperator:
-    """Wrapper op(u) + eps*u + delta*R(u) for nonlinear inner operators."""
+    """Wrapper op(u) + eps*u for nonlinear inner operators."""
 
-    def __init__(self, inner, eps: float, delta: float = 0.0, R: LinearEllipticOperator | None = None):
+    def __init__(self, inner, eps: float):
         self.inner = inner
         self.mesh = inner.mesh
         self.eps = float(eps)
-        self.delta = float(delta)
-        self.R = R
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
-        y = self.inner.matvec(u) + self.eps * u
-        if self.delta > 0.0:
-            y += self.delta * self.R.matvec(u)
-        return y
+        return self.inner.matvec(u) + self.eps * u
 
     def jacobian_bands(self, u: np.ndarray):
-        """Inner bands plus eps on the diagonal plus delta times the bands of R."""
-        return _regularized_bands(self.inner.jacobian_bands(u), self.eps, self.delta, self.R)
+        """Inner bands plus eps on the diagonal."""
+        lower, diag, upper = self.inner.jacobian_bands(u)
+        return lower, diag + self.eps, upper
 
     def energy(self, u: np.ndarray) -> float:
-        e = self.inner.energy(u) + 0.5 * self.eps * float(np.dot(u, self.mesh.hw * u))
-        if self.delta > 0.0:
-            e += self.delta * self.R.energy(u)
-        return e
+        return self.inner.energy(u) + 0.5 * self.eps * float(np.dot(u, self.mesh.hw * u))
 
 
 def apply(op, u: GridFunction) -> GridFunction:
@@ -274,26 +257,20 @@ def apply(op, u: GridFunction) -> GridFunction:
     return GridFunction(u.mesh, op.matvec(u.values))
 
 
-def add_regularization(op, eps: float, delta: float = 0.0, R: LinearEllipticOperator | None = None):
-    """Return u -> op(u) + eps*u + delta*R(u).
+def add_regularization(op, eps: float):
+    """Return u -> op(u) + eps*u.
 
     The eps term is the trapezoid-weighted identity in the duality pairing,
     i.e. the discrete version of adding eps*y in the pivot-space sense.  For
     linear operators the result is again an assembled tridiagonal operator.
     """
-    if eps < 0 or delta < 0:
-        raise ValueError("regularization parameters must be nonnegative")
-    if delta > 0 and R is None:
-        raise MissingRegularizerError("delta > 0 requires a regularization operator R")
-    if R is not None and R.mesh != op.mesh:
-        raise GridMismatchError("regularizer lives on a different mesh")
-    if eps == 0 and delta == 0:
+    if eps < 0:
+        raise ValueError(f"regularization eps must be nonnegative, got {eps}")
+    if eps == 0:
         return op
     if isinstance(op, LinearEllipticOperator):
-        return LinearEllipticOperator(
-            op.mesh, *_regularized_bands((op.lower, op.diag, op.upper), eps, delta, R)
-        )
-    return RegularizedOperator(op, eps, delta, R)
+        return LinearEllipticOperator(op.mesh, op.lower, op.diag + eps, op.upper)
+    return RegularizedOperator(op, eps)
 
 
 def solve_unconstrained(op: LinearEllipticOperator, f: GridFunction) -> GridFunction:
@@ -319,9 +296,15 @@ def _backward_error(op: LinearEllipticOperator, u: np.ndarray, fv: np.ndarray) -
     for a backward stable solve.  A nonzero residual over a zero denominator
     counts as inf."""
     resid = np.abs(op.matvec(u) - fv)
-    scale = _tridiag_apply(*map(np.abs, (op.lower, op.diag, op.upper, u))) + np.abs(fv)
+    scale = _residual_scale((op.lower, op.diag, op.upper), u, fv)
     ratio = np.divide(resid, scale, out=np.where(resid > 0.0, np.inf, 0.0), where=scale > 0.0)
     return float(np.max(ratio))
+
+
+def _residual_scale(bands, u: np.ndarray, fv: np.ndarray) -> np.ndarray:
+    """(|A| |u| + |f|)_i for the tridiagonal bands of A: the size of the terms
+    that round-off in A u - f is relative to (Oettli & Prager, 1964)."""
+    return _tridiag_apply(*map(np.abs, (*bands, u))) + np.abs(fv)
 
 
 def _pencil_extremes(K_off, K_diag, G_off, G_diag):
@@ -409,7 +392,7 @@ def _linear_split(op):
         return linear, 0.0, 0.0 if op.p == 2.0 else np.inf
     if isinstance(op, RegularizedOperator):
         linear, gamma, lip = _linear_split(op.inner)
-        return add_regularization(linear, op.eps, op.delta, op.R), gamma, lip
+        return add_regularization(linear, op.eps), gamma, lip
     raise TypeError(f"no structural constants for {type(op).__name__}")
 
 

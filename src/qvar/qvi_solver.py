@@ -293,16 +293,13 @@ def solve_qvi_maximal(
 def solve_qvi_regularized(
     problem: QVIProblem,
     eps: float,
-    delta: float = 0.0,
-    R=None,
     outer: OuterParams | None = None,
     inner: VIParams | None = None,
     start: GridFunction | None = None,
 ) -> QVIReport:
-    """Fixed-point solve of the eps- (and optionally delta-, with a linear
-    operator R) regularized problem from the minimal-mode start y0 = 0;
-    `start` seeds only the first inner solve."""
-    reg_problem = problem.with_operator(add_regularization(problem.operator, eps, delta, R))
+    """Fixed-point solve of the eps-regularized problem from the minimal-mode
+    start y0 = 0; `start` seeds only the first inner solve."""
+    reg_problem = problem.with_operator(add_regularization(problem.operator, eps))
     y0 = GridFunction.zeros(problem.operator.mesh)
     return solve_qvi_fixed_point(reg_problem, y0, outer, inner, start=start)
 

@@ -26,7 +26,7 @@ from .errors import (
     StagnationError,
 )
 from .grid import GridFunction
-from .operators import LinearEllipticOperator, _tridiag_solve
+from .operators import _BACKWARD_TOL, LinearEllipticOperator, _residual_scale, _tridiag_solve
 
 _ORACLE_MAX_DOF = 20
 # nodes this close to the obstacle, with a positive multiplier, are held on it
@@ -92,7 +92,10 @@ def solve_vi(
     Each iteration holds the nodes on the obstacle with a positive multiplier
     there, solves one tridiagonal system with the Jacobian bands at y on the
     free rows, and backtracks the projected path min(psi, y + t dy) until the
-    energy minus <f, y> does not rise beyond round-off.  When that system is
+    energy minus <f, y> does not rise beyond round-off: by 1e-14 (|e| + 1),
+    or by 64 eps sum_i hw_i |y_i| (|J| |y| + |f|)_i, the energy's own
+    round-off at the Oettli-Prager scale of the Jacobian J at y, which is
+    computed only once a trial fails the first test.  When that system is
     singular with no node held, the step is the gap psi - y if it is nonzero.
     A non-finite trial is rejected; a step scaled below 1e-12 raises a
     stagnation error.  The residual is the termination test; a start that
@@ -120,8 +123,9 @@ def solve_vi(
         iters += 1
         gap = pv - y
         held = (gap <= _HOLD_TOL * (1.0 + np.abs(pv))) & (r > 0.0)
+        bands = op.jacobian_bands(y)
         try:
-            dy = _newton_step(op.jacobian_bands(y), held, gap, r)
+            dy = _newton_step(bands, held, gap, r)
         except SolverError:
             # every proper principal block of a stiffness is nonsingular, so
             # only the all-free system of a singular one (neumann, a0 = 0)
@@ -131,14 +135,21 @@ def solve_vi(
                 raise
             dy = gap
         t = 1.0
+        roundoff = None
         while True:
             with np.errstate(over="ignore", invalid="ignore"):
                 yt = np.minimum(pv, y + t * dy)
                 rt = fv - op.matvec(yt)
                 kkt_t = _kkt(pv - yt, rt)
                 et = merit(yt)
-            if math.isfinite(et) and et <= e + 1e-14 * (abs(e) + 1.0) and math.isfinite(kkt_t):
-                break
+            if math.isfinite(et) and math.isfinite(kkt_t):
+                if et <= e + 1e-14 * (abs(e) + 1.0):
+                    break
+                if roundoff is None:
+                    scale = _residual_scale(bands, y, fv)
+                    roundoff = _BACKWARD_TOL * float(np.dot(op.mesh.hw * np.abs(y), scale))
+                if et <= e + roundoff:
+                    break
             t *= 0.5
             if t < _STEP_FLOOR:
                 raise StagnationError(f"Newton step underflowed at residual {kkt:.3e}")

@@ -59,6 +59,18 @@ class TestLipschitzBound:
     def test_constant_mean(self, mesh):
         assert lipschitz_bound(ObstacleMap.constant_mean(mesh, 0.5, 0.25)) == 0.25
 
+    @pytest.mark.parametrize("n, ratio", [(8, 0.9607), (64, 2.8170), (1024, 11.3110)])
+    def test_dirichlet_constant_mean_counts_the_boundary_jump(self, n, ratio):
+        # the constant output jumps to the boundary zeros, and a constant input
+        # attains the bound: ||Phi 1 - Phi 0||_h1 / ||1||_l2 equals it
+        omap = builtin_problem("example1d", n=n, bc="dirichlet").obstacle_map
+        one = GridFunction.constant(omap.mesh, 1.0)
+        jump = eval_obstacle(omap, one) - eval_obstacle(omap, GridFunction.zeros(omap.mesh))
+        measured = norm(jump, "h1") / norm(one, "l2")
+        assert measured == pytest.approx(ratio, abs=1e-4)
+        assert measured <= lipschitz_bound(omap) * (1.0 + 1e-12)
+        assert lipschitz_bound(omap) == pytest.approx(measured, rel=1e-12)
+
     def test_fixed(self, mesh):
         psi = GridFunction.constant(mesh, 1.0)
         assert lipschitz_bound(ObstacleMap.fixed(mesh, psi)) == 0.0

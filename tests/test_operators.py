@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from qvar import operators
-from qvar.errors import EllipticityError, GridMismatchError, MissingRegularizerError, SolverError
+from qvar.errors import EllipticityError, GridMismatchError, SolverError
 from qvar.grid import GridFunction, _h1_gram_banded, dual_norm, duality_pairing, make_mesh, norm
 from qvar.obstacle import ObstacleMap, lipschitz_bound
 from qvar.problems import BUILTINS, builtin_problem, gauss_kernel
@@ -330,7 +330,7 @@ class TestBandLayout:
         op = builtin_problem(name, n=n, bc="dirichlet").operator
         m = op.mesh.dof_count
         u = np.linspace(-0.3, 0.3, m)
-        reg = add_regularization(op, 0.1, 0.2, assemble_linear(op.mesh, 1.0, 1.0))
+        reg = add_regularization(op, 0.1)
         for o in (op, reg):
             shapes = tuple(band.shape for band in o.jacobian_bands(u))
             assert shapes == ((m - 1,), (m,), (m - 1,))
@@ -349,14 +349,13 @@ class TestJacobianBands:
         mesh = make_mesh(16, "dirichlet")
         lin = assemble_linear(mesh, lambda x: 1.0 + 0.5 * x, lambda x: x)
         plap = PLaplacianOperator(mesh, 3.0, 1e-2)
-        R = assemble_linear(mesh, 2.0, 1.0)
         return {
             "linear": lin,
             "sine": NonMonotoneOperator(lin, 0.3),
             "plaplacian": plap,
             "plaplacian_p4": PLaplacianOperator(mesh, 4.0, 1e-3),
-            "regularized": add_regularization(plap, 0.3, 0.2, R),
-            "regularized_sine": add_regularization(NonMonotoneOperator(lin, 0.3), 0.1, 0.5, R),
+            "regularized": add_regularization(plap, 0.3),
+            "regularized_sine": add_regularization(NonMonotoneOperator(lin, 0.3), 0.1),
         }
 
     @pytest.mark.parametrize(
@@ -551,7 +550,7 @@ class TestRegularization:
     def test_zero_is_identity(self):
         mesh = make_mesh(8, "neumann")
         op = assemble_linear(mesh, 1.0, 1.0)
-        assert add_regularization(op, 0.0, 0.0) is op
+        assert add_regularization(op, 0.0) is op
 
     def test_constant_shift(self):
         mesh = make_mesh(16, "neumann")
@@ -568,35 +567,17 @@ class TestRegularization:
         c1, _ = diagonal_gram_extremes(add_regularization(op, 0.5))
         assert c1 - c0 == pytest.approx(0.5, abs=1e-6)
 
-    def test_missing_regularizer(self):
-        mesh = make_mesh(8, "neumann")
-        op = assemble_linear(mesh, 1.0, 1.0)
-        with pytest.raises(MissingRegularizerError):
-            add_regularization(op, 0.0, delta=0.1)
-
     def test_negative_parameters_rejected(self):
         mesh = make_mesh(8, "neumann")
         op = assemble_linear(mesh, 1.0, 1.0)
         with pytest.raises(ValueError):
             add_regularization(op, -0.1)
 
-    def test_delta_regularizer_linear_combines(self):
-        mesh = make_mesh(16, "dirichlet")
-        op = assemble_linear(mesh, 1.0, 0.0)
-        R = identity_operator(mesh)
-        combined = add_regularization(op, 0.1, 0.2, R)
-        direct = add_regularization(op, 0.1 + 0.2)
-        rng = np.random.default_rng(6)
-        u = rng.standard_normal(mesh.dof_count)
-        scale = np.max(np.abs(direct.matvec(u)))
-        assert np.max(np.abs(combined.matvec(u) - direct.matvec(u))) <= 1e-14 * scale
-
-    def test_delta_regularized_sine_energy_gradient(self):
+    def test_regularized_sine_energy_gradient(self):
         # the gradient of the potential in the weighted pairing is the operator
         mesh = make_mesh(32, "neumann")
         base = assemble_linear(mesh, 1.0, 1.0)
-        R = assemble_linear(mesh, 2.0, 1.0)
-        op = add_regularization(NonMonotoneOperator(base, 0.1), 0.1, 0.2, R)
+        op = add_regularization(NonMonotoneOperator(base, 0.1), 0.1)
         u = np.random.default_rng(3).uniform(-0.5, 0.5, mesh.dof_count)
         t = 1e-5
         grad = np.array(
