@@ -94,6 +94,15 @@ class GridFunction:
         self.values = v
 
     @classmethod
+    def _adopt(cls, mesh: Mesh, values: np.ndarray) -> "GridFunction":
+        """Wrap, without a copy or a check, a float64 array of mesh.dof_count
+        finite values that the caller has just made and hands over."""
+        u = cls.__new__(cls)
+        u.mesh = mesh
+        u.values = values
+        return u
+
+    @classmethod
     def zeros(cls, mesh: Mesh) -> "GridFunction":
         return cls(mesh, np.zeros(mesh.dof_count))
 
@@ -102,7 +111,7 @@ class GridFunction:
         return cls(mesh, np.full(mesh.dof_count, float(c)))
 
     def copy(self) -> "GridFunction":
-        return GridFunction(self.mesh, self.values)
+        return GridFunction._adopt(self.mesh, self.values.copy())
 
     def with_boundary(self) -> np.ndarray:
         """Values at all nodes, zeros filled in at dirichlet boundaries."""
@@ -127,7 +136,7 @@ class GridFunction:
 
 
 def _check_same_mesh(u: GridFunction, v: GridFunction) -> None:
-    if u.mesh != v.mesh:
+    if u.mesh is not v.mesh and u.mesh != v.mesh:
         raise GridMismatchError(f"incompatible meshes: {u.mesh} vs {v.mesh}")
 
 
@@ -200,9 +209,8 @@ def _h1_gram_banded(mesh: Mesh):
 def _check_finite(*arrays) -> None:
     """Raise ValueError when an array holds an inf or NaN, as scipy.linalg
     does with check_finite=True."""
-    for arr in arrays:
-        if not np.isfinite(arr).all():
-            raise ValueError("array must not contain infs or NaNs")
+    if not np.isfinite(np.concatenate(arrays)).all():
+        raise ValueError("array must not contain infs or NaNs")
 
 
 def _cholesky_tridiag(off, diag):
@@ -254,7 +262,7 @@ def to_csv(u: GridFunction) -> str:
     xs = u.mesh.nodes()
     vals = u.with_boundary()
     lines = ["x,value"]
-    lines += [f"{x:.17g},{v:.17g}" for x, v in zip(xs, vals)]
+    lines += [f"{x:.17g},{v:.17g}" for x, v in zip(xs.tolist(), vals.tolist())]
     return "\n".join(lines) + "\n"
 
 

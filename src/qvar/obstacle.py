@@ -12,6 +12,7 @@ reported l2 -> h1 Lipschitz bound is a true bound for the discrete map.
 from __future__ import annotations
 
 import copy
+import math
 
 import numpy as np
 
@@ -133,11 +134,13 @@ class ObstacleMap:
 
 def eval_obstacle(omap: ObstacleMap, y: GridFunction) -> GridFunction:
     """Evaluate the constraint level Phi(y)."""
-    if y.mesh != omap.mesh:
+    if y.mesh is not omap.mesh and y.mesh != omap.mesh:
         raise GridMismatchError("input lives on a different mesh than the obstacle map")
     if omap.variant == CONSTANT_MEAN:
         level = omap.c0 + omap.alpha * trapezoid_integral(y)
-        return GridFunction.constant(omap.mesh, level)
+        if not math.isfinite(level):
+            raise ValueError("grid function values must be finite")
+        return GridFunction._adopt(omap.mesh, np.full(omap.mesh.dof_count, level))
     if omap.variant == FIXED:
         return omap.psi_base.copy()
     coupled = omap._apply_kernel(omap.mesh.hw * np.maximum(y.values, 0.0))

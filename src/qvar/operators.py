@@ -397,13 +397,14 @@ def _linear_split(op):
 
 
 def estimate_constants(op) -> OperatorConstants:
-    """Structural constants of an operator in the h1 norm pair, as proven
-    bounds.
+    """Structural constants of an operator in the h1 norm pair.
 
     The operator is split into a linear part and a remainder with closed-form
     bounds (`_linear_split`).  c and L of the linear part are the extreme
-    eigenvalues of its tridiagonal pencil against the h1 Gram matrix; the
-    remainder's defect is gamma and its Lipschitz constant is added to L.
+    eigenvalues of its tridiagonal pencil against the h1 Gram matrix, as
+    Rayleigh quotients: their relative error grows like m^2 eps and can fall
+    on either side, so they are not proven bounds.  The remainder's defect
+    is gamma and its Lipschitz constant is added to L.
     """
     linear, gamma, lip = _linear_split(op)
     c, L = _pencil_extremes(*linear.gram_tridiag(), *_h1_gram_banded(op.mesh))

@@ -203,8 +203,9 @@ def solve_qvi_fixed_point(
             )
         ynew = rep.solution
         step = ynew.values - y.values
-        rising = rising and step.min() >= -_ORDER_TOL
-        falling = falling and step.max() <= _ORDER_TOL
+        lo, hi = step.min(), step.max()
+        rising = rising and lo >= -_ORDER_TOL
+        falling = falling and hi <= _ORDER_TOL
         if _order_check == "increasing" and not rising:
             raise OrderingViolationError(
                 "iterates failed to increase; obstacle map or force violates the monotone hypotheses"
@@ -213,7 +214,7 @@ def solve_qvi_fixed_point(
             raise OrderingViolationError(
                 "iterates failed to decrease from the supersolution"
             )
-        step_norms.append(float(np.abs(step).max()))
+        step_norms.append(float(max(abs(lo), abs(hi))))
         y = ynew
         if step_norms[-1] <= outer.tol:
             converged = True

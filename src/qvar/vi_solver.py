@@ -70,8 +70,21 @@ def _kkt(gap: np.ndarray, r: np.ndarray) -> float:
     return float(np.abs(np.minimum(gap, r)).max())
 
 
+def _merit(op, hwf: np.ndarray, v: np.ndarray, av: np.ndarray) -> float:
+    """The line search's merit energy(v) - <f, v>, with hwf = hw f and av =
+    A(v).  A linear operator's energy is taken from av by the expression of
+    LinearEllipticOperator.energy, which saves its second matvec."""
+    if isinstance(op, LinearEllipticOperator):
+        energy = float(0.5 * np.dot(v, op.mesh.hw * av))
+    else:
+        energy = op.energy(v)
+    return energy - float(np.dot(hwf, v))
+
+
 def _newton_step(bands, held: np.ndarray, gap: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Solve J dy = r on free rows and dy = gap on held rows."""
+    if not held.any():
+        return _tridiag_solve(*bands, r, "singular Newton system")
     lower, diag, upper = bands
     return _tridiag_solve(
         np.where(held[1:], 0.0, lower),
@@ -102,27 +115,27 @@ def solve_vi(
     already meets it is returned after that one check, with no energy
     evaluated.
     """
-    if f.mesh != op.mesh or psi.mesh != op.mesh:
+    mesh = op.mesh
+    if (f.mesh is not mesh and f.mesh != mesh) or (psi.mesh is not mesh and psi.mesh != mesh):
         raise GridMismatchError("force/obstacle live on a different mesh")
-    if y0 is not None and y0.mesh != op.mesh:
+    if y0 is not None and y0.mesh is not mesh and y0.mesh != mesh:
         raise GridMismatchError("start lives on a different mesh")
     fv, pv = f.values, psi.values
     y = np.minimum(pv, 0.0 if y0 is None else y0.values)
-    r = fv - op.matvec(y)
+    ay = op.matvec(y)
+    r = fv - ay
     kkt = _kkt(pv - y, r)
     if kkt <= params.tol:
-        return VISolveReport(GridFunction(op.mesh, y), 0, kkt, True)
-    hwf = op.mesh.hw * fv
-
-    def merit(v):
-        return op.energy(v) - float(np.dot(hwf, v))
-
-    e = merit(y)
+        return VISolveReport(GridFunction._adopt(mesh, y), 0, kkt, True)
+    hw = mesh.hw
+    hwf = hw * fv
+    hold_tol = _HOLD_TOL * (1.0 + np.abs(pv))
+    e = _merit(op, hwf, y, ay)
     iters = 0
     while kkt > params.tol and iters < params.max_iter:
         iters += 1
         gap = pv - y
-        held = (gap <= _HOLD_TOL * (1.0 + np.abs(pv))) & (r > 0.0)
+        held = (gap <= hold_tol) & (r > 0.0)
         bands = op.jacobian_bands(y)
         try:
             dy = _newton_step(bands, held, gap, r)
@@ -139,22 +152,25 @@ def solve_vi(
         while True:
             with np.errstate(over="ignore", invalid="ignore"):
                 yt = np.minimum(pv, y + t * dy)
-                rt = fv - op.matvec(yt)
+                ayt = op.matvec(yt)
+                rt = fv - ayt
                 kkt_t = _kkt(pv - yt, rt)
-                et = merit(yt)
+                et = _merit(op, hwf, yt, ayt)
             if math.isfinite(et) and math.isfinite(kkt_t):
                 if et <= e + 1e-14 * (abs(e) + 1.0):
                     break
                 if roundoff is None:
                     scale = _residual_scale(bands, y, fv)
-                    roundoff = _BACKWARD_TOL * float(np.dot(op.mesh.hw * np.abs(y), scale))
+                    roundoff = _BACKWARD_TOL * float(np.dot(hw * np.abs(y), scale))
                 if et <= e + roundoff:
                     break
             t *= 0.5
             if t < _STEP_FLOOR:
                 raise StagnationError(f"Newton step underflowed at residual {kkt:.3e}")
         y, r, kkt, e = yt, rt, kkt_t, et
-    return VISolveReport(GridFunction(op.mesh, y), iters, kkt, kkt <= params.tol)
+    # an accepted trial is finite: a NaN entry makes kkt_t NaN, and an entry
+    # of -inf makes <f, y_t> not finite
+    return VISolveReport(GridFunction._adopt(mesh, y), iters, kkt, kkt <= params.tol)
 
 
 def solve_vi_projected(op, f: GridFunction, psi: GridFunction, params: VIParams) -> VISolveReport:

@@ -209,6 +209,14 @@ class TestGridFunction:
         raw[0] = 99.0
         assert u.values[0] == 0.0
 
+    def test_copy_is_independent(self):
+        mesh = make_mesh(4, "dirichlet")
+        u = GridFunction(mesh, np.arange(3.0))
+        v = u.copy()
+        assert v.mesh is u.mesh
+        np.testing.assert_array_equal(v.values, u.values)
+        assert not np.shares_memory(v.values, u.values)
+
 
 class TestDualNorm:
     def test_constant_on_neumann(self):

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import eigh
 
 from qvar.errors import GridMismatchError
-from qvar.grid import GridFunction, _h1_gram_banded, make_mesh, norm
+from qvar.grid import GridFunction, _h1_gram_banded, _h1_gram_cholesky, make_mesh, norm
 from qvar.obstacle import ObstacleMap, check_order_preserving, eval_obstacle, lipschitz_bound
 from qvar.problems import builtin_problem, gauss_kernel, one_kernel
 
@@ -39,6 +39,11 @@ class TestEval:
             a = eval_obstacle(kmap, y)
             b = eval_obstacle(cmap, y)
             assert np.max(np.abs(a.values - b.values)) <= 1e-12
+
+    def test_constant_mean_overflowing_level_is_value_error(self, mesh):
+        omap = ObstacleMap.constant_mean(mesh, 0.5, 1e308)
+        with pytest.raises(ValueError, match="^grid function values must be finite$"):
+            eval_obstacle(omap, GridFunction.constant(mesh, 1e10))
 
     def test_fixed_returns_base(self, mesh):
         psi = GridFunction(mesh, np.linspace(0.0, 1.0, mesh.dof_count))
@@ -148,6 +153,20 @@ class TestH1BoundReference:
         omap = ObstacleMap.kernel(mesh, GridFunction.constant(mesh, 0.5), 0.25, profile)
         want = dense_h1_bound(omap, profile)
         assert lipschitz_bound(omap) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_matches_dense_svd(self, n, bc):
+        # the top singular value of C = alpha U K diag(sqrt(hw)) formed
+        # densely, with U = sqrt(D) L^T from the h1 Gram factor L D L^T
+        mesh = make_mesh(n, bc)
+        profile = gauss_kernel(0.25)
+        omap = ObstacleMap.kernel(mesh, GridFunction.constant(mesh, 0.5), 0.25, profile)
+        d, e = _h1_gram_cholesky(mesh)
+        U = np.diag(np.sqrt(d)) + np.diag(np.sqrt(d[:-1]) * e, 1)
+        C = omap.alpha * U @ dense_kernel(mesh, profile) @ np.diag(np.sqrt(mesh.hw))
+        want = np.linalg.svd(C, compute_uv=False)[0]
+        assert lipschitz_bound(omap) == pytest.approx(want, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("sigma", [0.01, 0.03, 0.05, 0.25])
     def test_two_dofs_deterministic(self, sigma):

@@ -266,11 +266,12 @@ class TestTridiagSolve:
             _tridiag_solve(np.zeros(m - 1), diag, np.zeros(m - 1), np.ones(m), "what")
         assert str(info.value) == "what: singular matrix"
 
-    # (m, index of the NaN among sub, diag, sup, rhs); one dof has no off-diagonals
+    # (m, index of the bad entry among sub, diag, sup, rhs); one dof has no off-diagonals
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("m, slot", [(1, 1), (1, 3)] + [(4, slot) for slot in range(4)])
-    def test_nan_entry_is_value_error(self, m, slot):
+    def test_nan_entry_is_value_error(self, m, slot, bad):
         args = [np.ones(m - 1), np.full(m, 4.0), np.ones(m - 1), np.ones(m)]
-        args[slot][0] = np.nan
+        args[slot][0] = bad
         with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
             _tridiag_solve(*args, "what")
 
@@ -458,6 +459,16 @@ class TestPencilConstants:
             c, L = diagonal_gram_extremes(op)
         assert c == pytest.approx(lam[0], rel=1e-9, abs=0.0)
         assert L == pytest.approx(lam[1], rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("n", [64, 256, 2048])
+    def test_kernel_qvi_constants_accuracy(self, n):
+        # certify prints Rayleigh quotients: c is off by up to about m^2 eps
+        # relative (1.2e-12 at n = 2048), on either side of the exact value
+        lam = self.lumped_extremes(n)
+        lam = lam / (1.0 + lam)
+        con = estimate_constants(builtin_problem("kernel_qvi", n=n).operator)
+        assert con.c == pytest.approx(lam[0], rel=1e-11, abs=0.0)
+        assert con.L == pytest.approx(lam[1], rel=1e-11, abs=0.0)
 
     def test_example1d_certificate_row(self):
         row = problem_certificate(builtin_problem("example1d", n=64)).csv_row()

@@ -21,6 +21,7 @@ from qvar.operators import (
 )
 from qvar.vi_solver import (
     VIParams,
+    _merit,
     active_set_candidates,
     kkt_residual,
     solve_vi,
@@ -426,6 +427,54 @@ class TestNewton:
         with pytest.raises(StagnationError, match="underflowed"):
             solve_vi(op, f, GridFunction.constant(mesh, 1.0), VIParams())
 
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_linear_merit_is_energy_minus_pairing(self, bc):
+        # a linear operator's trial merit is taken from the A y its residual
+        # holds; it must carry the bits of op.energy(y) - <f, y>
+        rng = np.random.default_rng(11)
+        op, f, _ = random_instance(rng, 17, bc)
+        hwf = op.mesh.hw * f.values
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(10):
+                y = scale * rng.standard_normal(op.mesh.dof_count)
+                assert _merit(op, hwf, y, op.matvec(y)) == op.energy(y) - float(np.dot(hwf, y))
+
+    def test_infinite_band_with_no_node_held_is_value_error(self):
+        class InfiniteBand:
+            """A linear operator whose Jacobian has an inf on its diagonal."""
+
+            def __init__(self, base):
+                self.base = base
+                self.mesh = base.mesh
+                self.matvec = base.matvec
+                self.energy = base.energy
+
+            def jacobian_bands(self, u):
+                diag = self.base.diag.copy()
+                diag[0] = np.inf
+                return self.base.lower, diag, self.base.upper
+
+        # from 0 under an obstacle at 1 no node is held, so the bands reach
+        # the tridiagonal solve unmasked
+        mesh = make_mesh(8, "dirichlet")
+        op = InfiniteBand(assemble_linear(mesh, 1.0, 0.0))
+        f = GridFunction.constant(mesh, 1.0)
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            solve_vi(op, f, GridFunction.constant(mesh, 1.0), VIParams())
+
+    @pytest.mark.parametrize("level", [0.0, 0.05])
+    def test_solution_shares_no_memory_with_inputs(self, level):
+        # psi = 0 is solved by the default start, which is then returned
+        mesh = make_mesh(64, "dirichlet")
+        op = assemble_linear(mesh, 1.0, 0.0)
+        f = GridFunction.constant(mesh, 1.0)
+        psi = GridFunction.constant(mesh, level)
+        solved = solve_vi(op, f, psi, VIParams()).solution
+        for y0 in (None, psi, solved, GridFunction.constant(mesh, 1.0)):
+            rep = solve_vi(op, f, psi, VIParams(), y0=y0)
+            assert rep.converged
+            inputs = (f, psi) if y0 is None else (f, psi, y0)
+            assert not any(np.shares_memory(rep.solution.values, g.values) for g in inputs)
 
     def test_error_inside_energy_propagates(self):
         class BrokenPotential:
