@@ -26,7 +26,7 @@ from .errors import (
 )
 from .grid import GridFunction, make_mesh, to_csv
 from .operators import assemble_linear
-from .problems import _TAKES, BUILTINS, builtin_problem
+from .problems import _TAKES, BUILTINS, _resolve_kernel, builtin_problem
 from .qvi_solver import (
     OuterParams,
     QVIProblem,
@@ -181,15 +181,10 @@ def _apply_problem_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) 
         _require_range(value >= 0, line_no, key,
                        f"must be nonnegative (increasing map), got {value}")
     elif key == "kernel":
-        _require_range(raw == "one" or (raw.startswith("gauss(") and raw.endswith(")")),
-                       line_no, key, f"must be 'one' or 'gauss(sigma)', got {raw!r}")
-        if raw != "one":
-            try:  # nan, inf and too small widths fail later, in gauss_kernel
-                float(raw[6:-1])
-            except ValueError:
-                raise ConfigError(
-                    f"line {line_no}: key '{key}' expects a number as the gauss width, got {raw!r}"
-                ) from None
+        try:
+            _resolve_kernel(raw)
+        except ValueError as exc:
+            raise ConfigError(f"line {line_no}: key '{key}' {exc}") from None
         value = raw
     elif key == "psi_file":
         value = raw

@@ -43,11 +43,16 @@ def one_kernel(d):
 
 
 def _resolve_kernel(spec: str):
+    """The profile of kernel spec 'one' or 'gauss(sigma)'; errors read after "key 'kernel'"."""
     if spec == "one":
         return one_kernel
-    if isinstance(spec, str) and spec.startswith("gauss(") and spec.endswith(")"):
-        return gauss_kernel(float(spec[6:-1]))
-    raise ValueError(f"unknown kernel spec {spec!r}; use 'one' or 'gauss(sigma)'")
+    if not (isinstance(spec, str) and spec.startswith("gauss(") and spec.endswith(")")):
+        raise ValueError(f"must be 'one' or 'gauss(sigma)', got {spec!r}")
+    try:
+        sigma = float(spec[6:-1])
+    except ValueError:
+        raise ValueError(f"expects a number as the gauss width, got {spec!r}") from None
+    return gauss_kernel(sigma)
 
 
 def _psi(mesh, psi_level: float, psi_file: str | None) -> GridFunction:

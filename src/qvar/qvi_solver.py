@@ -123,7 +123,7 @@ def contraction_certificate(constants: OperatorConstants, L_phi: float) -> Contr
     part, lam*sin, has defect and Lipschitz constant both |lam|; L_A is
     L - gamma.  The split is reported only, rho uses L.
     """
-    if L_phi < 0:
+    if not L_phi >= 0:  # also rejects nan
         raise ValueError("invalid Lipschitz data for the certificate")
     denom = constants.c - constants.gamma
     if denom > 0:

@@ -341,14 +341,18 @@ class TestTraceAndCertify:
         assert run_command(["certify", "-c", cfg]) == 2
 
     @pytest.mark.parametrize("command", ["certify", "solve"])
-    @pytest.mark.parametrize("sigma", ["nan", "1e-200", "inf"])
+    @pytest.mark.parametrize("sigma", ["nan", "1e-200", "inf", "-1"])
     def test_invalid_gauss_width_is_config_error(self, tmp_path, capsys, command, sigma):
+        # the width is checked where the key is read, so the error names its line
         cfg = write_cfg(
             tmp_path,
             f"out = {tmp_path}\n[problem]\nname = kernel_qvi\nn = 16\nkernel = gauss({sigma})\n",
         )
         assert run_command([command, "-c", cfg]) == 4
-        assert "config error: gauss kernel width" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: line 5: key 'kernel' gauss kernel width must be positive with "
+            f"2*sigma^2 finite and >= 2.23e-308, got {float(sigma)}\n"
+        )
 
 
 class TestStudies:

@@ -8,7 +8,15 @@ from scipy.linalg import eigh
 
 from qvar.errors import GridMismatchError
 from qvar.grid import GridFunction, _h1_gram_banded, _h1_gram_cholesky, make_mesh, norm
-from qvar.obstacle import ObstacleMap, check_order_preserving, eval_obstacle, lipschitz_bound
+from qvar.obstacle import (
+    ConstantMeanMap,
+    FixedMap,
+    KernelMap,
+    ObstacleMap,
+    check_order_preserving,
+    eval_obstacle,
+    lipschitz_bound,
+)
 from qvar.problems import builtin_problem, gauss_kernel, one_kernel
 
 
@@ -242,16 +250,22 @@ class TestKernelSampling:
 
 
 
+def column_profile(column):
+    """A profile that hands ObstacleMap.kernel the given column, whatever the
+    distances it is sampled at."""
+    return lambda d: np.asarray(column, dtype=np.float64)
+
+
 class TestKernelConstruction:
     def test_kernel_map_needs_column(self, mesh):
         psi = GridFunction.zeros(mesh)
-        with pytest.raises(ValueError, match=r"^kernel maps need a Toeplitz column k\(\|x_i - x_j\|\)$"):
-            ObstacleMap(mesh, "kernel", alpha=0.25, psi_base=psi)
+        with pytest.raises(TypeError, match="column"):
+            KernelMap(mesh, psi, 0.25)
 
     def test_column_length_must_match_dofs(self, mesh):
         psi = GridFunction.zeros(mesh)
         with pytest.raises(GridMismatchError, match=r"^kernel column must have 17 entries, got \(16,\)$"):
-            ObstacleMap(mesh, "kernel", alpha=0.25, psi_base=psi, kernel_column=np.ones(16))
+            ObstacleMap.kernel(mesh, psi, 0.25, column_profile(np.ones(16)))
 
 
 _MESH = make_mesh(16, "dirichlet")
@@ -260,18 +274,49 @@ _COLUMN = np.ones(_MESH.dof_count)
 
 
 class TestUnreadInputs:
+    # each kind takes exactly the inputs it reads; any other is a TypeError
     @pytest.mark.parametrize(
-        "variant, inputs, unread",
+        "kind, args, unread",
         [
-            ("fixed", dict(psi_base=_PSI, alpha=0.5), "alpha"),
-            ("fixed", dict(psi_base=_PSI, kernel_column=_COLUMN), "kernel_column"),
-            ("constant_mean", dict(c0=0.5, alpha=0.25, psi_base=_PSI), "psi_base"),
-            ("kernel", dict(c0=9.0, alpha=0.25, psi_base=_PSI, kernel_column=_COLUMN), "c0"),
+            (FixedMap, dict(psi=_PSI, alpha=0.5), "alpha"),
+            (FixedMap, dict(psi=_PSI, column=_COLUMN), "column"),
+            (ConstantMeanMap, dict(c0=0.5, alpha=0.25, psi=_PSI), "psi"),
+            (KernelMap, dict(c0=9.0, alpha=0.25, psi=_PSI, column=_COLUMN), "c0"),
         ],
+        ids=["fixed-alpha", "fixed-column", "constant_mean-psi", "kernel-c0"],
     )
-    def test_input_the_variant_does_not_read_is_rejected(self, variant, inputs, unread):
-        with pytest.raises(ValueError, match=f"^{variant} maps do not read {unread}$"):
-            ObstacleMap(_MESH, variant, **inputs)
+    def test_input_the_kind_does_not_read_is_rejected(self, kind, args, unread):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{unread}'$"):
+            kind(_MESH, **args)
+
+
+class TestNonFiniteInputs:
+    # a nan alpha passed `alpha < 0` and certified rho = 0
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_constant_mean_alpha(self, mesh, alpha):
+        with pytest.raises(ValueError, match="^coupling weight alpha must be finite and nonnegative"):
+            ObstacleMap.constant_mean(mesh, 0.5, alpha)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_kernel_alpha(self, mesh, alpha):
+        with pytest.raises(ValueError, match="^coupling weight alpha must be finite and nonnegative"):
+            ObstacleMap.kernel(mesh, GridFunction.zeros(mesh), alpha, one_kernel)
+
+    @pytest.mark.parametrize("c0", [math.nan, math.inf, -math.inf])
+    def test_constant_mean_c0(self, mesh, c0):
+        with pytest.raises(ValueError, match="^base level c0 must be finite"):
+            ObstacleMap.constant_mean(mesh, c0, 0.25)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_kernel_column_entry(self, mesh, bad):
+        column = np.ones(mesh.dof_count)
+        column[3] = bad
+        with pytest.raises(ValueError, match="^kernel column entries must be finite$"):
+            ObstacleMap.kernel(mesh, GridFunction.zeros(mesh), 0.25, column_profile(column))
+
+    def test_nan_alpha_problem_is_not_certified(self):
+        with pytest.raises(ValueError, match="^coupling weight alpha"):
+            builtin_problem("example1d", n=8, alpha=math.nan)
 
 
 class TestOrderPreservation:
@@ -287,7 +332,7 @@ class TestOrderPreservation:
         psi = GridFunction.constant(mesh, 0.5)
         column = np.ones(mesh.dof_count)
         column[2] = -500.0
-        omap = ObstacleMap(mesh, "kernel", alpha=0.25, psi_base=psi, kernel_column=column)
+        omap = ObstacleMap.kernel(mesh, psi, 0.25, column_profile(column))
         # explicit violating pair: raising node 5 lowers the obstacle at node 3
         y1 = GridFunction.zeros(mesh)
         bump = np.zeros(mesh.dof_count)
@@ -301,7 +346,7 @@ class TestOrderPreservation:
         psi = GridFunction.constant(mesh, 0.5)
         column = np.ones(mesh.dof_count)
         column[2] = -500.0
-        omap = ObstacleMap(mesh, "kernel", alpha=0.0, psi_base=psi, kernel_column=column)
+        omap = ObstacleMap.kernel(mesh, psi, 0.0, column_profile(column))
         assert check_order_preserving(omap)
 
     def test_negative_alpha_rejected(self, mesh):

@@ -57,6 +57,12 @@ class TestCertificate:
         assert cert.rho == np.inf
         assert not cert.smallness_ok
 
+    @pytest.mark.parametrize("L_phi", [np.nan, -0.1])
+    def test_invalid_obstacle_lipschitz_constant_rejected(self, L_phi):
+        # a nan L_phi passed `L_phi < 0` and certified rho = 0
+        with pytest.raises(ValueError, match="^invalid Lipschitz data for the certificate$"):
+            contraction_certificate(self.constants(1.0, 1.0, 0.0), L_phi)
+
     def test_defect_exceeding_coercivity(self):
         cert = contraction_certificate(self.constants(1.0, 1.2, 1.0), 0.1)
         assert not cert.smallness_ok
