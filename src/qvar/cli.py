@@ -11,7 +11,7 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,8 +24,9 @@ from .errors import (
     QvarError,
     SolverError,
 )
-from .grid import GridFunction, make_mesh, to_csv
-from .operators import assemble_linear
+from .grid import DIRICHLET, GridFunction, make_mesh, to_csv
+from .obstacle import _coupling
+from .operators import _exponent, _regularization, assemble_linear
 from .problems import _TAKES, BUILTINS, _resolve_kernel, builtin_problem
 from .qvi_solver import (
     OuterParams,
@@ -35,6 +36,8 @@ from .qvi_solver import (
     solve_qvi_minimal,
 )
 from .studies import (
+    _check_family,
+    _check_path,
     run_data_robustness,
     run_mesh_refinement,
     run_operator_perturbation,
@@ -49,6 +52,11 @@ _BUILDER_KEYS = {
 }
 # [problem] key -> builtin_problem keyword; every builtin takes n, bc, f and F
 _PROBLEM_KEYS = {"n": "n", "bc": "bc", "f": "f_level", "F": "F_level", **_BUILDER_KEYS}
+# [problem] key -> the library call that owns its range rule (make_mesh's for n and bc)
+_PROBLEM_CHECKS = {
+    "n": lambda n: make_mesh(n, DIRICHLET), "bc": lambda bc: make_mesh(2, bc),
+    "p": _exponent, "eps_op": _regularization, "alpha": _coupling, "kernel": _resolve_kernel,
+}
 
 _STUDY_KINDS = ("regpath", "perturb", "refine", "robust")
 
@@ -98,6 +106,14 @@ def _parse_list(raw: str, line_no: int, key: str, cast) -> list:
 def _require_range(ok: bool, line_no: int, key: str, message: str) -> None:
     if not ok:
         raise ConfigError(f"line {line_no}: key '{key}' {message}")
+
+
+def _checked(line_no: int, key: str, check, *args, **kwargs):
+    """check(*args, **kwargs), with its error reported after the line and key."""
+    try:
+        return check(*args, **kwargs)
+    except (ValueError, QvarError) as exc:
+        raise ConfigError(f"line {line_no}: key '{key}' {exc}") from None
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -155,82 +171,63 @@ def _apply_top_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -> N
 
 def _apply_problem_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -> None:
     if key == "name":
-        if raw not in BUILTINS:
-            raise ConfigError(
-                f"line {line_no}: key 'name' must be one of {', '.join(BUILTINS)}, got {raw!r}"
-            )
+        _require_range(raw in BUILTINS, line_no, key,
+                       f"must be one of {', '.join(BUILTINS)}, got {raw!r}")
         cfg.problem_name = raw
         return
     if key not in _PROBLEM_KEYS:
         raise ConfigError(f"line {line_no}: unknown key '{key}' in [problem]")
     if key == "n":
         value = _parse_int(raw, line_no, key)
-        _require_range(value >= 2, line_no, key, f"must be >= 2, got {value}")
-    elif key == "bc":
-        _require_range(raw in ("dirichlet", "neumann"), line_no, key,
-                       f"must be dirichlet or neumann, got {raw!r}")
+    elif key in ("bc", "kernel", "psi_file"):
         value = raw
-    elif key == "p":
+    else:  # p, eps_op, lambda, alpha, c0, psi, f and F
         value = _parse_float(raw, line_no, key)
-        _require_range(value >= 2, line_no, key, f"must be >= 2, got {value}")
-    elif key == "eps_op":
-        value = _parse_float(raw, line_no, key)
-        _require_range(value >= 0, line_no, key, f"must be nonnegative, got {value}")
-    elif key == "alpha":
-        value = _parse_float(raw, line_no, key)
-        _require_range(value >= 0, line_no, key,
-                       f"must be nonnegative (increasing map), got {value}")
-    elif key == "kernel":
-        try:
-            _resolve_kernel(raw)
-        except ValueError as exc:
-            raise ConfigError(f"line {line_no}: key '{key}' {exc}") from None
-        value = raw
-    elif key == "psi_file":
-        value = raw
-    else:  # lambda, c0, psi, f and F
-        value = _parse_float(raw, line_no, key)
+    if key in _PROBLEM_CHECKS:
+        _checked(line_no, key, _PROBLEM_CHECKS[key], value)
     cfg.overrides[_PROBLEM_KEYS[key]] = value
 
 
 def _apply_solver_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -> None:
     targets = {
-        "tol_outer": (cfg.outer, "tol", _parse_float),
-        "tol_inner": (cfg.inner, "tol", _parse_float),
-        "max_outer": (cfg.outer, "max_iter", _parse_int),
-        "max_inner": (cfg.inner, "max_iter", _parse_int),
+        "tol_outer": ("outer", "tol", _parse_float),
+        "tol_inner": ("inner", "tol", _parse_float),
+        "max_outer": ("outer", "max_iter", _parse_int),
+        "max_inner": ("inner", "max_iter", _parse_int),
     }
     if key not in targets:
         raise ConfigError(f"line {line_no}: unknown key '{key}' in [solver]")
-    params, attr, parse = targets[key]
-    value = parse(raw, line_no, key)
-    _require_range(value > 0, line_no, key, "must be positive")
-    setattr(params, attr, value)
+    which, attr, parse = targets[key]
+    # a new parameter set, so that its own checks run on the value
+    changed = {attr: parse(raw, line_no, key)}
+    setattr(cfg, which, _checked(line_no, key, replace, getattr(cfg, which), **changed))
 
 
 def _apply_study_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -> None:
+    value = raw
     if key == "kind":
         # the subcommand picks the study; the key is checked, not used
         _require_range(raw in _STUDY_KINDS, line_no, key,
                        f"must be one of {', '.join(_STUDY_KINDS)}, got {raw!r}")
-        return
-    value = raw
-    if key in ("eps_list", "delta_list", "f_deltas", "phi_deltas"):
+    elif key in ("eps_list", "delta_list"):
+        value = _parse_list(raw, line_no, key, float)
+        _checked(line_no, key, _check_path, value, key)
+    elif key in ("f_deltas", "phi_deltas"):
         value = _parse_list(raw, line_no, key, float)
         _require_range(all(v > 0 for v in value), line_no, key, "entries must be positive")
     elif key == "n_list":
         value = _parse_list(raw, line_no, key, int)
-        _require_range(all(v >= 2 for v in value), line_no, key, "entries must be >= 2")
+        for n in value:
+            _checked(line_no, key, make_mesh, n, DIRICHLET)
     elif key == "family":
-        _require_range(raw in ("scaled_identity", "coefficient"), line_no, key,
-                       f"must be scaled_identity or coefficient, got {raw!r}")
+        _checked(line_no, key, _check_family, raw)
     elif key == "reference":
-        # smallest-eps, const:<finite number>, or the eps >= 0 of a reference solve
+        # smallest-eps, an eps >= 0, or const:<level> as a function of the mesh
         if raw.startswith("const:"):
-            _parse_float(raw[6:], line_no, key)
+            value = functools.partial(GridFunction.constant, c=_parse_float(raw[6:], line_no, key))
         elif raw != "smallest-eps":
-            eps = _parse_float(raw, line_no, key)
-            _require_range(eps >= 0, line_no, key, f"must be nonnegative, got {eps}")
+            value = _parse_float(raw, line_no, key)
+            _require_range(value >= 0, line_no, key, f"must be nonnegative, got {value}")
     else:
         raise ConfigError(f"line {line_no}: unknown key '{key}' in [study]")
     cfg.study[key] = value
@@ -266,13 +263,6 @@ def _make_out_dir(out: str) -> None:
         raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from None
 
 
-def _study_reference(cfg: ExperimentConfig, problem: QVIProblem):
-    raw = cfg.study.get("reference", "smallest-eps")
-    if isinstance(raw, str) and raw.startswith("const:"):
-        return GridFunction.constant(problem.f.mesh, float(raw[6:]))
-    return raw
-
-
 def _cmd_solve(cfg: ExperimentConfig, problem: QVIProblem, trace_mode: bool) -> int:
     if trace_mode or np.min(problem.f.values) < 0:
         y0 = GridFunction.zeros(problem.operator.mesh)
@@ -303,10 +293,11 @@ def _cmd_certify(problem: QVIProblem) -> int:
 def _cmd_study(cfg: ExperimentConfig, problem: QVIProblem, kind: str) -> int:
     outer, inner = cfg.outer, cfg.inner
     if kind == "regpath":
+        reference = cfg.study.get("reference", "smallest-eps")
         result = run_regularization_path(
             problem,
             cfg.study.get("eps_list", [0.5 / 2**k for k in range(6)]),
-            _study_reference(cfg, problem),
+            reference(problem.f.mesh) if callable(reference) else reference,
             outer, inner,
         )
     elif kind == "perturb":
@@ -349,7 +340,10 @@ def _cmd_oracle_check(trials: int, ndof: int, seed: int) -> int:
         raise ConfigError(f"--trials must be >= 1, got {trials}")
     if ndof < 1 or ndof > 16:
         raise ConfigError(f"--ndof must lie in [1, 16], got {ndof}")
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except ValueError as exc:
+        raise ConfigError(f"--seed {exc}") from None
     params = VIParams(tol=1e-11, max_iter=20000)
     max_dev = 0.0
     max_kkt = 0.0

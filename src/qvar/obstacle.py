@@ -163,9 +163,9 @@ class KernelMap(FixedMap):
         d, e = _h1_gram_cholesky(self.mesh)
         diag = np.sqrt(d)
         upper = diag[:-1] * e
-        scale = self.alpha * np.sqrt(self.mesh.hw)
+        scale = np.sqrt(self.mesh.hw)  # of C / alpha, so no finite alpha overflows C^T C
         if m == 1:
-            return float(abs(diag[0] * self._apply_kernel(scale)[0]))
+            return self.alpha * float(abs(diag[0] * self._apply_kernel(scale)[0]))
 
         def normal_matvec(x):
             # C^T C x, with U and U^T applied from their two bands
@@ -180,7 +180,7 @@ class KernelMap(FixedMap):
             # ARPACK's result on two dofs moves in the last bits from call to
             # call; the top eigenvalue of the formed 2 x 2 normal matrix does not
             normal = np.column_stack([normal_matvec(x) for x in np.eye(2)])
-            return float(np.sqrt(max(np.linalg.eigvalsh(normal)[-1], 0.0)))
+            return self.alpha * float(np.sqrt(max(np.linalg.eigvalsh(normal)[-1], 0.0)))
 
         # ARPACK is imported here, not at module level: it adds megabytes to
         # every `import qvar` that never asks for an h1 kernel bound
@@ -188,7 +188,7 @@ class KernelMap(FixedMap):
 
         CtC = LinearOperator((m, m), matvec=normal_matvec, dtype=np.float64)
         mu = eigsh(CtC, k=1, which="LA", tol=0, v0=np.ones(m), return_eigenvectors=False)
-        return float(np.sqrt(max(mu[0], 0.0)))
+        return self.alpha * float(np.sqrt(max(mu[0], 0.0)))
 
     def _order_preserving(self) -> bool:
         """hw > 0 and max(y, 0) is increasing, so the map is exactly when

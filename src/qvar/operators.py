@@ -157,19 +157,25 @@ def assemble_linear(mesh: Mesh, a, a0) -> LinearEllipticOperator:
     return LinearEllipticOperator(mesh, lower, diag, upper)
 
 
+def _exponent(p: float) -> float:
+    if not p >= 2:  # the p >= 2 of the stability results; NaN fails too
+        raise ValueError(f"exponent must satisfy p >= 2, got {p}")
+    return float(p)
+
+
+def _regularization(eps: float) -> float:
+    if not eps >= 0:  # NaN fails too
+        raise ValueError(f"regularization eps must be nonnegative, got {eps}")
+    return float(eps)
+
+
 class PLaplacianOperator:
     """Plain (eps=0) or regularized p-Laplacian with edge-midpoint fluxes."""
 
     def __init__(self, mesh: Mesh, p: float, eps: float = 0.0):
         if mesh.bc != DIRICHLET:
             raise GridMismatchError("the p-Laplacian is assembled on dirichlet meshes only")
-        if p < 2:
-            raise ValueError(f"exponent must satisfy p >= 2, got {p}")
-        if eps < 0:
-            raise ValueError(f"regularization must be nonnegative, got {eps}")
-        self.mesh = mesh
-        self.p = float(p)
-        self.eps = float(eps)
+        self.mesh, self.p, self.eps = mesh, _exponent(p), _regularization(eps)
 
     def _edge_gradients(self, u: np.ndarray) -> np.ndarray:
         full = np.concatenate(([0.0], u, [0.0]))
@@ -264,9 +270,7 @@ def add_regularization(op, eps: float):
     i.e. the discrete version of adding eps*y in the pivot-space sense.  For
     linear operators the result is again an assembled tridiagonal operator.
     """
-    if eps < 0:
-        raise ValueError(f"regularization eps must be nonnegative, got {eps}")
-    if eps == 0:
+    if _regularization(eps) == 0:
         return op
     if isinstance(op, LinearEllipticOperator):
         return LinearEllipticOperator(op.mesh, op.lower, op.diag + eps, op.upper)

@@ -41,9 +41,7 @@ class OuterParams:
     tol: float = 1e-8
     max_iter: int = 200
 
-    def __post_init__(self):
-        if self.tol <= 0 or self.max_iter <= 0:
-            raise ValueError("outer tolerance and iteration cap must be positive")
+    __post_init__ = VIParams.__post_init__
 
 
 @dataclass

@@ -35,6 +35,7 @@ from .vi_solver import VIParams
 
 _EXACT_HIT = 1e-10
 _ORDER_TOL = 1e-8
+FAMILIES = ("scaled_identity", "coefficient")  # of run_operator_perturbation
 
 
 @dataclass(frozen=True)
@@ -167,6 +168,11 @@ def _check_path(values, what: str) -> None:
         raise ValueError(f"{what} must be positive")
 
 
+def _check_family(family: str) -> None:
+    if family not in FAMILIES:
+        raise ValueError(f"perturbation family must be one of {FAMILIES}, got {family!r}")
+
+
 _PATH_AUX = ("solution_sup", "outer_iterations")
 
 
@@ -194,9 +200,9 @@ def run_regularization_path(
 ) -> StudyResult:
     """Solve the eps-regularized problem along a decreasing path.
 
-    `reference` is an exact grid function, the eps of a separate reference
-    solve, or "smallest-eps", which takes the path's last solve.  Verdicts: `eps_monotone` (solutions non-increasing in eps) and
-    `errors_nonincreasing` (error against the reference shrinks with eps).
+    `reference` is an exact grid function, the eps (a number) of a separate reference solve,
+    or "smallest-eps", which takes the path's last solve.  Verdicts: `eps_monotone` (solutions
+    non-increasing in eps) and `errors_nonincreasing` (error against the reference shrinks with eps).
     """
     eps_list = [float(e) for e in eps_list]
     _check_path(eps_list, "eps_list")
@@ -204,9 +210,8 @@ def run_regularization_path(
     if isinstance(reference, GridFunction):
         ref, ref_kind = reference, "exact"
     elif not smallest:
-        eps_ref = float(reference)
-        ref = solve_qvi_regularized(problem, eps_ref, outer=outer, inner=inner).solution
-        ref_kind = f"eps={eps_ref:g}"
+        ref = solve_qvi_regularized(problem, reference, outer=outer, inner=inner).solution
+        ref_kind = f"eps={reference:g}"
 
     reports = _chain(
         lambda e, start: solve_qvi_regularized(problem, e, outer=outer, inner=inner, start=start),
@@ -242,8 +247,7 @@ def run_operator_perturbation(
     same operators; it refuses nonlinear operators and has no verdict."""
     delta_list = [float(d) for d in delta_list]
     _check_path(delta_list, "delta_list")
-    if family not in ("scaled_identity", "coefficient"):
-        raise ValueError(f"unknown perturbation family {family!r}")
+    _check_family(family)
     if family == "coefficient" and not isinstance(problem.operator, LinearEllipticOperator):
         raise ValueError("the coefficient family needs an assembled linear operator")
 

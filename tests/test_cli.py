@@ -58,10 +58,13 @@ class TestParseConfig:
             parse_config("[problem]\nn = abc\n")
 
     def test_out_of_range(self):
-        with pytest.raises(ConfigError, match="'n' must be >= 2"):
+        # the library's rule and message, after the line and key
+        with pytest.raises(ConfigError) as info:
             parse_config("[problem]\nn = 1\n")
-        with pytest.raises(ConfigError, match="'p'"):
+        assert str(info.value) == "line 2: key 'n' cell count must be >= 2, got 1"
+        with pytest.raises(ConfigError) as info:
             parse_config("[problem]\np = 1.5\n")
+        assert str(info.value) == "line 2: key 'p' exponent must satisfy p >= 2, got 1.5"
         with pytest.raises(ConfigError, match="omega"):
             parse_config("[solver]\nomega = 2.5\n")
 
@@ -86,8 +89,13 @@ class TestParseConfig:
         assert cfg.outer.max_iter == 50
 
     def test_reference_forms(self):
-        for raw in ("smallest-eps", "1e-6", "0", "const:0.5", "const:-1"):
-            assert parse_config(f"[study]\nreference = {raw}\n").study["reference"] == raw
+        # each form is parsed once, into the value run_regularization_path takes
+        for raw, want in (("smallest-eps", "smallest-eps"), ("1e-6", 1e-6), ("0", 0.0)):
+            assert parse_config(f"[study]\nreference = {raw}\n").study["reference"] == want
+        mesh = builtin_problem("example1d", n=8).f.mesh
+        for raw, level in (("const:0.5", 0.5), ("const:-1", -1.0)):
+            reference = parse_config(f"[study]\nreference = {raw}\n").study["reference"]
+            assert _uniform(reference(mesh)) == (level,)
         cases = {
             "abc": "line 2: key 'reference' expects a number, got 'abc'",
             "const:abc": "line 2: key 'reference' expects a number, got 'abc'",
@@ -668,6 +676,77 @@ class TestConfigErrorMessages:
                 ["certify"],
                 "line 3: key 'kernel' expects a number as the gauss width, got 'gauss(abc)'",
             ),
+            # range rules the library owns: its message after the line and key
+            ("[problem]\nn = 1\n", ["solve"], "line 2: key 'n' cell count must be >= 2, got 1"),
+            (
+                "[problem]\nbc = periodic\n",
+                ["solve"],
+                "line 2: key 'bc' boundary tag must be one of ('dirichlet', 'neumann'), "
+                "got 'periodic'",
+            ),
+            (
+                "[problem]\nname = plaplacian\np = 1.5\n",
+                ["certify"],
+                "line 3: key 'p' exponent must satisfy p >= 2, got 1.5",
+            ),
+            (
+                "[problem]\nname = plaplacian\neps_op = -1\n",
+                ["certify"],
+                "line 3: key 'eps_op' regularization eps must be nonnegative, got -1.0",
+            ),
+            (
+                "[problem]\nalpha = -0.5\n",
+                ["certify"],
+                "line 2: key 'alpha' coupling weight alpha must be finite and nonnegative, "
+                "got -0.5",
+            ),
+            (
+                "[solver]\ntol_outer = 0\n",
+                ["solve"],
+                "line 2: key 'tol_outer' tolerance must be positive, got 0.0",
+            ),
+            (
+                "[solver]\ntol_inner = -1e-3\n",
+                ["solve"],
+                "line 2: key 'tol_inner' tolerance must be positive, got -0.001",
+            ),
+            (
+                "[solver]\nmax_outer = 0\n",
+                ["solve"],
+                "line 2: key 'max_outer' max_iter must be positive, got 0",
+            ),
+            (
+                "[solver]\nmax_inner = -5\n",
+                ["solve"],
+                "line 2: key 'max_inner' max_iter must be positive, got -5",
+            ),
+            (
+                "[study]\neps_list = 0.5,0.25\n",
+                ["regpath"],
+                "line 2: key 'eps_list' eps_list needs at least 4 entries, got 2",
+            ),
+            (
+                "[study]\neps_list = 0.5,0.25,0.125,0\n",
+                ["regpath"],
+                "line 2: key 'eps_list' eps_list must be positive",
+            ),
+            (
+                "[study]\ndelta_list = 0.4,0.2,0.2,0.1\n",
+                ["perturb"],
+                "line 2: key 'delta_list' delta_list must be strictly decreasing",
+            ),
+            (
+                "[study]\nn_list = 1,2,4,8\n",
+                ["refine"],
+                "line 2: key 'n_list' cell count must be >= 2, got 1",
+            ),
+            (
+                "[study]\nfamily = rotation\n",
+                ["perturb"],
+                "line 2: key 'family' perturbation family must be one of "
+                "('scaled_identity', 'coefficient'), got 'rotation'",
+            ),
+            (None, ["oracle-check", "--seed", "-3"], "--seed expected non-negative integer"),
         ],
     )
     def test_message_and_exit_code(self, tmp_path, capsys, text, argv, message):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from qvar.cli import run_command
 from qvar.errors import GridMismatchError
 from qvar.grid import GridFunction, _h1_gram_banded, _h1_gram_cholesky, make_mesh, norm
 from qvar.obstacle import (
@@ -185,6 +186,28 @@ class TestH1BoundReference:
         bounds = {lipschitz_bound(omap) for _ in range(40)}
         assert len(bounds) == 1
         assert bounds.pop() == pytest.approx(dense_h1_bound(omap, profile), rel=1e-12, abs=0.0)
+
+
+class TestLargeCoupling:
+    # the bound is alpha times that of alpha = 1; with alpha inside C^T C it
+    # overflowed from alpha = 1e154 (ArpackError, or nan on two dofs)
+    @pytest.mark.parametrize("n", [2, 3, 4, 64])
+    def test_bound_is_alpha_times_unit_bound(self, n):
+        mesh = make_mesh(n, "dirichlet")
+        psi = GridFunction.constant(mesh, 0.05)
+        unit = lipschitz_bound(ObstacleMap.kernel(mesh, psi, 1.0, gauss_kernel(0.25)))
+        bound = lipschitz_bound(ObstacleMap.kernel(mesh, psi, 1e154, gauss_kernel(0.25)))
+        assert math.isfinite(bound)
+        assert bound == 1e154 * unit
+
+    @pytest.mark.parametrize("alpha", ["1e154", "1e200", "1e308"])
+    def test_certify_reports_violated_smallness(self, tmp_path, capsys, alpha):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[problem]\nname = kernel_qvi\nn = 64\nalpha = {alpha}\n")
+        assert run_command(["certify", "-c", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out.endswith(" (smallness violated)\n")
+        assert err == ""
 
 
 class TestToeplitzPath:

@@ -584,6 +584,22 @@ class TestRegularization:
         with pytest.raises(ValueError):
             add_regularization(op, -0.1)
 
+    @pytest.mark.parametrize("p, eps, message", [
+        (1.5, 0.0, "exponent must satisfy p >= 2, got 1.5"),
+        (float("nan"), 0.0, "exponent must satisfy p >= 2, got nan"),
+        (3.0, -1e-3, "regularization eps must be nonnegative, got -0.001"),
+        (3.0, float("nan"), "regularization eps must be nonnegative, got nan"),
+    ])
+    def test_plaplacian_parameters_rejected(self, p, eps, message):
+        # one rule each for p and for eps, shared with the config reader; nan fails too
+        with pytest.raises(ValueError) as info:
+            PLaplacianOperator(make_mesh(8, "dirichlet"), p, eps)
+        assert str(info.value) == message
+
+    def test_nan_regularization_rejected(self):
+        with pytest.raises(ValueError, match="^regularization eps must be nonnegative, got nan$"):
+            add_regularization(assemble_linear(make_mesh(8, "neumann"), 1.0, 1.0), float("nan"))
+
     def test_regularized_sine_energy_gradient(self):
         # the gradient of the potential in the weighted pairing is the operator
         mesh = make_mesh(32, "neumann")

@@ -103,6 +103,12 @@ class TestRegularizationPath:
         assert res.fit.slope >= 0.9
         assert res.verdicts["eps_monotone"]
 
+    @pytest.mark.parametrize("reference", ["1e-6", "smallest_eps"])
+    def test_string_reference_other_than_smallest_eps_refused(self, reference):
+        # the eps of a reference solve is a number; a string is not parsed here
+        with pytest.raises(TypeError):
+            run_regularization_path(builtin_problem("example1d", n=8), EXAMPLE_EPS, reference)
+
     def test_smallest_eps_reference(self, monkeypatch):
         import qvar.studies
 

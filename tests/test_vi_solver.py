@@ -19,6 +19,7 @@ from qvar.operators import (
     estimate_constants,
     solve_unconstrained,
 )
+from qvar.qvi_solver import OuterParams
 from qvar.vi_solver import (
     VIParams,
     _merit,
@@ -41,6 +42,20 @@ class TestParams:
     def test_tol_positive(self):
         with pytest.raises(ValueError):
             VIParams(tol=0.0)
+
+    @pytest.mark.parametrize("params", [VIParams, OuterParams])
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("tol", -1e-3, "tolerance must be positive, got -0.001"),
+            ("max_iter", 0, "max_iter must be positive, got 0"),
+        ],
+    )
+    def test_message_names_field_and_value(self, params, field, value, message):
+        # the outer and inner parameter sets share one rule and its message
+        with pytest.raises(ValueError) as info:
+            params(**{field: value})
+        assert str(info.value) == message
 
 
 class TestLinear:

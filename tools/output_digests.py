@@ -40,7 +40,10 @@ The matrix:
   Newton;
 - regpath, perturb (both families), refine and robust on neumann
   fixed_obstacle and kernel_qvi at n = 32, whose a0 = 0 stiffness is
-  singular.
+  singular;
+- one out-of-range value for each config key whose range rule the library
+  owns, and oracle-check --seed -3: each exits 4 with the library's message
+  after the line and key (or after --seed), so these rows pin its bytes.
 Rows are only ever appended, so that the dump index of every earlier
 command stays put.
 """
@@ -63,6 +66,22 @@ SOLVE_SIZES = (2, 8, 16, 64, 100)
 KERNELS = ("one", "gauss(0.05)", "gauss(5.0)")
 KERNEL_SIZES = (8, 100)
 STUDY_SIZE = 32
+# (command, config) with one value out of the range that a library check owns
+BAD_VALUES = (
+    ("solve", "[problem]\nn = 1\n"),
+    ("solve", "[problem]\nbc = periodic\n"),
+    ("certify", "[problem]\nname = plaplacian\np = 1.5\n"),
+    ("certify", "[problem]\nname = plaplacian\neps_op = -1\n"),
+    ("certify", "[problem]\nalpha = -0.5\n"),
+    ("solve", "[solver]\ntol_outer = 0\n"),
+    ("solve", "[solver]\ntol_inner = -1e-3\n"),
+    ("solve", "[solver]\nmax_outer = 0\n"),
+    ("solve", "[solver]\nmax_inner = -5\n"),
+    ("regpath", "[study]\neps_list = 0.5,0.25\n"),
+    ("perturb", "[study]\ndelta_list = 0.4,0.2,0.2,0.1\n"),
+    ("refine", "[study]\nn_list = 1,2,4,8\n"),
+    ("perturb", "[study]\nfamily = rotation\n"),
+)
 
 
 def _studies(name: str, problem: str, tag: str):
@@ -103,6 +122,10 @@ def _matrix():
     for name in ("fixed_obstacle", "kernel_qvi"):
         yield from _studies(name, f"[problem]\nname = {name}\nbc = neumann\nn = {STUDY_SIZE}\n",
                             " bc=neumann")
+    for cmd, config in BAD_VALUES:
+        bad = config.rstrip("\n").rsplit("\n", 1)[1].replace(" ", "")
+        yield f"{cmd} bad {bad}", [cmd], config
+    yield "oracle-check seed=-3", ["oracle-check", "--seed", "-3"], None
 
 
 def _sha(data: bytes) -> str:
