@@ -37,6 +37,7 @@ from .qvi_solver import (
 )
 from .studies import (
     _check_family,
+    _check_levels,
     _check_path,
     run_data_robustness,
     run_mesh_refinement,
@@ -70,13 +71,18 @@ class ExperimentConfig:
     study: dict = field(default_factory=dict)
     seed: int = 42
     out: str = "."
+    lines: dict = field(default_factory=dict)  # [problem] key -> its line in the config
 
     def build_problem(self, n: int | None = None) -> QVIProblem:
-        """The named builtin with the [problem] overrides, on n cells if given."""
-        overrides = dict(self.overrides)
-        if n is not None:
-            overrides["n"] = n
-        return builtin_problem(self.problem_name, **overrides)
+        """The named builtin with the [problem] overrides, on n cells if given;
+        a mesh its builder refuses is reported at the line of `bc`, which picked it."""
+        overrides = self.overrides if n is None else {**self.overrides, "n": n}
+        try:
+            return builtin_problem(self.problem_name, **overrides)
+        except GridMismatchError as exc:
+            if "bc" not in self.lines:  # built in code, not parsed
+                raise
+            raise ConfigError(f"line {self.lines['bc']}: key 'bc' {exc}") from None
 
 
 def _parse_float(raw: str, line_no: int, key: str) -> float:
@@ -84,8 +90,7 @@ def _parse_float(raw: str, line_no: int, key: str) -> float:
         value = float(raw)
     except ValueError:
         raise ConfigError(f"line {line_no}: key '{key}' expects a number, got {raw!r}") from None
-    if not np.isfinite(value):
-        raise ConfigError(f"line {line_no}: key '{key}' must be finite, got {raw!r}")
+    _require_range(np.isfinite(value), line_no, key, f"must be finite, got {raw!r}")
     return value
 
 
@@ -97,10 +102,14 @@ def _parse_int(raw: str, line_no: int, key: str) -> int:
 
 
 def _parse_list(raw: str, line_no: int, key: str, cast) -> list:
+    parts = [part.strip() for part in raw.split(",") if part.strip()]
     try:
-        return [cast(part.strip()) for part in raw.split(",") if part.strip()]
+        values = [cast(part) for part in parts]
     except ValueError:
         raise ConfigError(f"line {line_no}: key '{key}' expects a comma-separated list, got {raw!r}") from None
+    for value, part in zip(values, parts):
+        _require_range(np.isfinite(value), line_no, key, f"must be finite, got {part!r}")
+    return values
 
 
 def _require_range(ok: bool, line_no: int, key: str, message: str) -> None:
@@ -126,8 +135,6 @@ def parse_config(text: str) -> ExperimentConfig:
     """
     cfg = ExperimentConfig()
     apply = _apply_top_key
-    # builder keyword -> (config key, line) of the overrides only some builtins take
-    builder_lines = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -143,13 +150,12 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, raw = line.partition("=")
         key = key.strip()
         apply(cfg, key, raw.strip(), line_no)
-        name = _BUILDER_KEYS.get(key)
-        if apply is _apply_problem_key and name is not None:
-            builder_lines[name] = (key, line_no)
+        if apply is _apply_problem_key:
+            cfg.lines[key] = line_no
     # checked once the whole document is read: `name` may follow the key
     takes = _TAKES[cfg.problem_name]
-    foreign = [(line_no, key) for name, (key, line_no) in builder_lines.items()
-               if name not in takes]
+    foreign = [(line_no, key) for key, line_no in cfg.lines.items()
+               if key in _BUILDER_KEYS and _BUILDER_KEYS[key] not in takes]
     if foreign:
         line_no, key = min(foreign)
         spelled = ", ".join(k for k, name in _BUILDER_KEYS.items() if name in takes)
@@ -219,6 +225,7 @@ def _apply_study_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) ->
         value = _parse_list(raw, line_no, key, int)
         for n in value:
             _checked(line_no, key, make_mesh, n, DIRICHLET)
+        _checked(line_no, key, _check_levels, value)
     elif key == "family":
         _checked(line_no, key, _check_family, raw)
     elif key == "reference":
@@ -291,34 +298,33 @@ def _cmd_certify(problem: QVIProblem) -> int:
 
 
 def _cmd_study(cfg: ExperimentConfig, problem: QVIProblem, kind: str) -> int:
-    outer, inner = cfg.outer, cfg.inner
     if kind == "regpath":
         reference = cfg.study.get("reference", "smallest-eps")
         result = run_regularization_path(
             problem,
             cfg.study.get("eps_list", [0.5 / 2**k for k in range(6)]),
             reference(problem.f.mesh) if callable(reference) else reference,
-            outer, inner,
+            cfg.outer, cfg.inner,
         )
     elif kind == "perturb":
         result = run_operator_perturbation(
             problem,
             cfg.study.get("family", "scaled_identity"),
             cfg.study.get("delta_list", [0.4, 0.2, 0.1, 0.05, 0.025]),
-            outer, inner,
+            cfg.outer, cfg.inner,
         )
     elif kind == "refine":
         result = run_mesh_refinement(
             lambda n: cfg.build_problem(n=n),
             cfg.study.get("n_list", [8, 16, 32, 64, 128, 256]),
-            outer, inner,
+            cfg.outer, cfg.inner,
         )
     else:  # robust
         result = run_data_robustness(
             problem,
             cfg.study.get("f_deltas", [0.2, 0.1, 0.05, 0.025]),
             cfg.study.get("phi_deltas"),
-            outer, inner,
+            cfg.outer, cfg.inner,
         )
     result.seed = cfg.seed
     path = os.path.join(cfg.out, f"{result.name}.csv")

@@ -10,8 +10,11 @@ output metadata.  Parameter points are solved one after another in list
 order, the order of the sequences (eps -> 0, h -> 0, A_n -> A) the studies
 walk, and each point's first inner solve starts from its neighbour's
 solution: the stability theorem makes it a near-solution of the next
-problem.  The inner problem has one solution, so the seed moves only digits
-at the inner tolerance.
+problem.  `_chain` is the one loop over points: a regularization path's
+numeric reference is its walk's last point, and a stability check's force
+pair is one point, whose second force starts from its first.  The inner
+problem has one solution, so the seed moves only digits at the inner
+tolerance.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, NestingError, SolverError
 from .grid import DIRICHLET, GridFunction, dual_norm, leq, norm
-from .operators import LinearEllipticOperator, add_regularization
+from .operators import LinearEllipticOperator, _regularization, add_regularization
 from .qvi_solver import (
     OuterParams,
     QVIProblem,
@@ -129,32 +132,21 @@ def _result(name, rows, aux_names, verdicts, reference, reports, fit=True) -> St
     return StudyResult(name, rows, aux_names, rate, verdicts, reference=reference, reports=reports)
 
 
-def _map_indexed(fn, items: list, what: str):
-    """Solve every parameter point in list order; the first failing point
-    aborts the study with its position flagged."""
-    results = []
+def _chain(solve, items: list, what: str, start: GridFunction | None = None) -> list:
+    """Solve every parameter point in list order through solve(item, start),
+    where start is the previous point's solution and, for the first point,
+    the given one; the first failing point aborts the study with its
+    position flagged."""
+    reports = []
     for k, item in enumerate(items):
         try:
-            results.append(fn(item))
+            reports.append(solve(item, reports[-1].solution if reports else start))
         except SolverError as exc:
             raise SolverError(
                 f"{what} aborted at parameter point {k + 1} of {len(items)} "
                 f"({k} rows completed): {exc}"
             ) from exc
-    return results
-
-
-def _chain(solve, items: list, what: str, start: GridFunction | None = None) -> list:
-    """Solve every parameter point in list order through solve(item, start),
-    where start is the previous point's solution and, for the first point,
-    the given one; failures are flagged as in _map_indexed."""
-    reports = []
-
-    def point(item):
-        reports.append(solve(item, reports[-1].solution if reports else start))
-        return reports[-1]
-
-    return _map_indexed(point, items, what)
+    return reports
 
 
 def _check_path(values, what: str) -> None:
@@ -166,6 +158,18 @@ def _check_path(values, what: str) -> None:
         raise ValueError(f"{what} must be strictly decreasing")
     if values[-1] <= 0:
         raise ValueError(f"{what} must be positive")
+
+
+def _check_levels(n_list) -> None:
+    """Refinement cell counts must be strictly increasing, divide the last
+    (the reference) and be at least 4; checked before any solve."""
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError("n_list must be strictly increasing")
+    for n in n_list[:-1]:
+        if n_list[-1] % n != 0:
+            raise NestingError(f"{n} does not divide the reference cell count {n_list[-1]}")
+    if len(n_list) < 4:
+        raise InsufficientDataError(f"n_list needs at least 4 entries, got {len(n_list)}")
 
 
 def _check_family(family: str) -> None:
@@ -200,31 +204,27 @@ def run_regularization_path(
 ) -> StudyResult:
     """Solve the eps-regularized problem along a decreasing path.
 
-    `reference` is an exact grid function, the eps (a number) of a separate reference solve,
-    or "smallest-eps", which takes the path's last solve.  Verdicts: `eps_monotone` (solutions
-    non-increasing in eps) and `errors_nonincreasing` (error against the reference shrinks with eps).
+    `reference` is an exact grid function, or else the walk's last solve: the eps (a
+    number) of one more point after the path, or "smallest-eps", the path's own last.
+    Verdicts: `eps_monotone` (solutions non-increasing in eps) and `errors_nonincreasing`
+    (error against the reference shrinks with eps).
     """
     eps_list = [float(e) for e in eps_list]
     _check_path(eps_list, "eps_list")
-    smallest = reference == "smallest-eps"
-    if isinstance(reference, GridFunction):
-        ref, ref_kind = reference, "exact"
-    elif not smallest:
-        ref = solve_qvi_regularized(problem, reference, outer=outer, inner=inner).solution
-        ref_kind = f"eps={reference:g}"
-
+    exact = isinstance(reference, GridFunction)
+    walk = list(eps_list)
+    if not (exact or reference == "smallest-eps"):
+        walk.append(_regularization(reference))  # checked before any solve
     reports = _chain(
         lambda e, start: solve_qvi_regularized(problem, e, outer=outer, inner=inner, start=start),
-        eps_list,
+        walk,
         "regularization path",
     )
-    if smallest:
-        # the path's last solve is the smallest-eps reference
-        ref, ref_kind = reports[-1].solution, f"eps={eps_list[-1]:g}"
+    ref, ref_kind = (reference, "exact") if exact else (reports[-1].solution, f"eps={walk[-1]:g}")
     rows = _path_rows(eps_list, reports, ref)
     errors = [row[1] for row in rows]
     verdicts = {
-        "eps_monotone": _ordered(reports),
+        "eps_monotone": _ordered(reports[: len(eps_list)]),
         "errors_nonincreasing": all(b <= a + 1e-10 for a, b in zip(errors, errors[1:])),
     }
     return _result("regpath", rows, _PATH_AUX, verdicts, ref_kind, reports)
@@ -293,14 +293,7 @@ def run_mesh_refinement(
     the reference; coarse solutions are compared at shared nodes (discrete l2).
     Each mesh starts from the previous solution interpolated linearly."""
     n_list = [int(n) for n in n_list]
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be strictly increasing")
-    n_ref = n_list[-1]
-    for n in n_list[:-1]:
-        if n_ref % n != 0:
-            raise NestingError(f"{n} does not divide the reference cell count {n_ref}")
-    if len(n_list) < 4:
-        raise InsufficientDataError(f"n_list needs at least 4 entries, got {len(n_list)}")
+    _check_levels(n_list)
 
     def solve_on(n, coarse):
         problem = problem_template(n)
@@ -365,9 +358,7 @@ def run_data_robustness(
         for tot, df, dphi, rep in zip(totals, f_deltas, phi_deltas, reports)
     ]
     monotone_in_f = all(
-        leq(base, rep.solution, _ORDER_TOL)
-        for df, rep in zip(f_deltas, reports)
-        if df > 0
+        leq(base, rep.solution, _ORDER_TOL) for df, rep in zip(f_deltas, reports) if df > 0
     )
     aux_names = ("f_delta", "phi_delta", "outer_iterations")
     verdicts = {"monotone_in_f": monotone_in_f}
@@ -389,22 +380,25 @@ def run_stability_bound_check(
     denom = (cert.c - cert.gamma) * (1.0 - cert.rho)
     y0 = GridFunction.zeros(problem.operator.mesh)
 
-    def solve(f):
-        return solve_qvi_fixed_point(
-            QVIProblem(problem.operator, f, problem.obstacle_map, None), y0, outer, inner
-        )
+    def solve(f, start):
+        pert = QVIProblem(problem.operator, f, problem.obstacle_map, None)
+        return solve_qvi_fixed_point(pert, y0, outer, inner, start=start)
+
+    # one walk point per pair: its first force starts from the previous pair's
+    # second solution, its second force from its first
+    firsts = []
+
+    def solve_pair(pair, start):
+        firsts.append(solve(pair[0], start))
+        return solve(pair[1], firsts[-1].solution)
 
     force_pairs = list(force_pairs)
-    solved = _map_indexed(
-        lambda pair: (solve(pair[0]), solve(pair[1])), force_pairs, what="stability check"
-    )
-    rows = []
-    for k, ((f1, f2), (r1, r2)) in enumerate(zip(force_pairs, solved)):
-        dist = norm(r1.solution - r2.solution, "h1")
-        bound = dual_norm(f1 - f2) / denom
-        rows.append((k + 1, dist, bound, dist / bound if bound > 0 else 0.0))
+    seconds = _chain(solve_pair, force_pairs, "stability check")
+    dists = [norm(r1.solution - r2.solution, "h1") for r1, r2 in zip(firsts, seconds)]
+    bounds = [dual_norm(f1 - f2) / denom for f1, f2 in force_pairs]
+    rows = [(k + 1, d, b, d / b if b > 0 else 0.0) for k, (d, b) in enumerate(zip(dists, bounds))]
     verdicts = {"bound_holds": all(row[3] <= 1.05 for row in rows)}
-    reports = [rep for pair in solved for rep in pair]
+    reports = [rep for pair in zip(firsts, seconds) for rep in pair]
     return _result(
         "stability", rows, ("bound", "ratio"), verdicts, "pairwise", reports, fit=False
     )

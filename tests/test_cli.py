@@ -747,6 +747,44 @@ class TestConfigErrorMessages:
                 "('scaled_identity', 'coefficient'), got 'rotation'",
             ),
             (None, ["oracle-check", "--seed", "-3"], "--seed expected non-negative integer"),
+            # list entries are finite, as every number is
+            (
+                "[problem]\nn = 8\n[study]\neps_list = inf,1,0.5,0.25\n",
+                ["regpath"],
+                "line 4: key 'eps_list' must be finite, got 'inf'",
+            ),
+            (
+                "[problem]\nn = 8\n[study]\neps_list = 1,nan,0.5,0.25\n",
+                ["regpath"],
+                "line 4: key 'eps_list' must be finite, got 'nan'",
+            ),
+            (
+                "[problem]\nn = 8\n[study]\nf_deltas = inf,1,0.5,0.25\n",
+                ["robust"],
+                "line 4: key 'f_deltas' must be finite, got 'inf'",
+            ),
+            # the builder's refusal of the mesh that bc picked
+            (
+                "[problem]\nname = plaplacian\nbc = neumann\nn = 8\n",
+                ["certify"],
+                "line 3: key 'bc' the p-Laplacian is assembled on dirichlet meshes only",
+            ),
+            # refine's rules on n_list, checked on its line
+            (
+                "[study]\nn_list = 16,8,32,64\n",
+                ["refine"],
+                "line 2: key 'n_list' n_list must be strictly increasing",
+            ),
+            (
+                "[study]\nn_list = 8,12,32,64\n",
+                ["refine"],
+                "line 2: key 'n_list' 12 does not divide the reference cell count 64",
+            ),
+            (
+                "[study]\nn_list = 8,16,32\n",
+                ["refine"],
+                "line 2: key 'n_list' n_list needs at least 4 entries, got 3",
+            ),
         ],
     )
     def test_message_and_exit_code(self, tmp_path, capsys, text, argv, message):

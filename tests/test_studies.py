@@ -128,6 +128,37 @@ class TestRegularizationPath:
         assert res.reference == "eps=0.0625"
         assert res.rows[-1][1] <= 1e-12
 
+    def test_negative_reference_rejected_before_any_solve(self, monkeypatch):
+        import qvar.studies
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking the reference")
+
+        monkeypatch.setattr(qvar.studies, "solve_qvi_regularized", no_solve)
+        with pytest.raises(ValueError, match="regularization eps must be nonnegative"):
+            run_regularization_path(builtin_problem("example1d", n=8), EXAMPLE_EPS, -1e-6)
+
+    def test_numeric_reference_is_a_seeded_walk_point(self, monkeypatch):
+        import qvar.studies
+
+        calls = []  # (eps, start, solution) of each solve
+        original = qvar.studies.solve_qvi_regularized
+
+        def record(problem, eps, start=None, **kwargs):
+            rep = original(problem, eps, start=start, **kwargs)
+            calls.append((eps, start, rep.solution))
+            return rep
+
+        # the reference eps is one more point, started from the path's last solution
+        monkeypatch.setattr(qvar.studies, "solve_qvi_regularized", record)
+        eps_list = [0.5, 0.25, 0.125, 0.0625]
+        res = run_regularization_path(builtin_problem("fixed_obstacle", n=64), eps_list, 1e-6)
+        assert [eps for eps, _, _ in calls] == eps_list + [1e-6]
+        assert calls[-1][1] is calls[-2][2]
+        assert res.reference == "eps=1e-06"
+        assert [row[0] for row in res.rows] == eps_list
+        assert res.reports[-1].inner_iterations <= 2  # 53 from a cold start at n = 256
+
 
 class TestOperatorPerturbation:
     def test_scaled_identity_matches_regpath(self):
@@ -312,6 +343,49 @@ class TestStabilityBoundCheck:
         res = run_stability_bound_check(prob, pairs)
         assert all(np.isfinite(row[2]) and row[2] > 0 for row in res.rows)
         assert res.verdicts["bound_holds"]
+
+    @staticmethod
+    def _sine_pairs(mesh, deltas):
+        x = mesh.nodes()[1:-1]
+        return [
+            (GridFunction.constant(mesh, 1.0), GridFunction(mesh, 1.0 + d * np.sin(np.pi * x)))
+            for d in deltas
+        ]
+
+    def test_seeded_newton_total(self):
+        # each solve starts from the previous solution; cold starts took 456
+        prob = builtin_problem("kernel_qvi", n=256, alpha=0.02)
+        pairs = self._sine_pairs(prob.f.mesh, [0.2, 0.1, 0.05, 0.025])
+        res = run_stability_bound_check(prob, pairs)
+        assert sum(rep.inner_iterations for rep in res.reports) <= 200
+        assert res.verdicts["bound_holds"]
+
+    def test_failing_pair_position(self, monkeypatch):
+        import qvar.studies
+
+        calls = []  # (start, solution) of each solve
+        original = qvar.studies.solve_qvi_fixed_point
+
+        def fail_fifth(problem, y0, outer=None, inner=None, start=None):
+            if len(calls) == 4:
+                calls.append((start, None))
+                raise SolverError("planted failure")
+            rep = original(problem, y0, outer, inner, start=start)
+            calls.append((start, rep.solution))
+            return rep
+
+        # the fifth solve is the first force of pair 3, after two finished pairs
+        monkeypatch.setattr(qvar.studies, "solve_qvi_fixed_point", fail_fifth)
+        prob = builtin_problem("kernel_qvi", n=32)
+        with pytest.raises(SolverError) as info:
+            run_stability_bound_check(prob, self._sine_pairs(prob.f.mesh, [0.4, 0.2, 0.1, 0.05]))
+        assert str(info.value) == (
+            "stability check aborted at parameter point 3 of 4 (2 rows completed): "
+            "planted failure"
+        )
+        assert calls[0][0] is None
+        for (_, prev), (start, _) in zip(calls, calls[1:]):
+            assert start is prev
 
     def test_requires_passing_certificate(self):
         prob = builtin_problem("example1d", n=16, alpha=2.0)

@@ -43,7 +43,11 @@ The matrix:
   singular;
 - one out-of-range value for each config key whose range rule the library
   owns, and oracle-check --seed -3: each exits 4 with the library's message
-  after the line and key (or after --seed), so these rows pin its bytes.
+  after the line and key (or after --seed), so these rows pin its bytes;
+- regpath with reference = 1e-6 on every builtin and boundary condition at
+  n = 32, whose reference eps is the last point of the walk;
+- inf and nan list entries, plaplacian on a neumann mesh and refine's three
+  n_list rules: each exits 4 with its message after the line and key.
 Rows are only ever appended, so that the dump index of every earlier
 command stays put.
 """
@@ -82,6 +86,29 @@ BAD_VALUES = (
     ("refine", "[study]\nn_list = 1,2,4,8\n"),
     ("perturb", "[study]\nfamily = rotation\n"),
 )
+# (command, config) of the messages located since: non-finite list entries,
+# the builder's refusal of the mesh that bc picked, and refine's n_list rules
+BAD_ENTRIES = (
+    ("regpath", "[problem]\nn = 8\n[study]\neps_list = inf,1,0.5,0.25\n"),
+    ("regpath", "[problem]\nn = 8\n[study]\neps_list = 1,nan,0.5,0.25\n"),
+    ("robust", "[problem]\nn = 8\n[study]\nf_deltas = inf,1,0.5,0.25\n"),
+    ("certify", "[problem]\nname = plaplacian\nn = 8\nbc = neumann\n"),
+    ("refine", "[study]\nn_list = 16,8,32,64\n"),
+    ("refine", "[study]\nn_list = 8,12,32,64\n"),
+    ("refine", "[study]\nn_list = 8,16,32\n"),
+)
+
+
+def _bcs(name: str):
+    """The boundary conditions a builtin is assembled on."""
+    return ("dirichlet",) if name == "plaplacian" else ("dirichlet", "neumann")
+
+
+def _bad(rows):
+    """One labelled command per (command, config) row, named by its last line."""
+    for cmd, config in rows:
+        bad = config.rstrip("\n").rsplit("\n", 1)[1].replace(" ", "")
+        yield f"{cmd} bad {bad}", [cmd], config
 
 
 def _studies(name: str, problem: str, tag: str):
@@ -100,7 +127,7 @@ def _studies(name: str, problem: str, tag: str):
 def _matrix():
     """(label, argv, config text) for every command of the matrix."""
     for name in BUILTINS:
-        for bc in ("dirichlet",) if name == "plaplacian" else ("dirichlet", "neumann"):
+        for bc in _bcs(name):
             for n in SOLVE_SIZES:
                 config = f"[problem]\nname = {name}\nbc = {bc}\nn = {n}\n"
                 for cmd in SOLVE_COMMANDS:
@@ -122,10 +149,14 @@ def _matrix():
     for name in ("fixed_obstacle", "kernel_qvi"):
         yield from _studies(name, f"[problem]\nname = {name}\nbc = neumann\nn = {STUDY_SIZE}\n",
                             " bc=neumann")
-    for cmd, config in BAD_VALUES:
-        bad = config.rstrip("\n").rsplit("\n", 1)[1].replace(" ", "")
-        yield f"{cmd} bad {bad}", [cmd], config
+    yield from _bad(BAD_VALUES)
     yield "oracle-check seed=-3", ["oracle-check", "--seed", "-3"], None
+    for name in BUILTINS:
+        for bc in _bcs(name):
+            config = f"[problem]\nname = {name}\nbc = {bc}\nn = {STUDY_SIZE}\n"
+            yield (f"regpath {name} bc={bc} reference=1e-6", ["regpath"],
+                   config + "[study]\nreference = 1e-6\n")
+    yield from _bad(BAD_ENTRIES)
 
 
 def _sha(data: bytes) -> str:
