@@ -233,8 +233,7 @@ def _apply_study_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) ->
         if raw.startswith("const:"):
             value = functools.partial(GridFunction.constant, c=_parse_float(raw[6:], line_no, key))
         elif raw != "smallest-eps":
-            value = _parse_float(raw, line_no, key)
-            _require_range(value >= 0, line_no, key, f"must be nonnegative, got {value}")
+            value = _checked(line_no, key, _regularization, _parse_float(raw, line_no, key))
     else:
         raise ConfigError(f"line {line_no}: unknown key '{key}' in [study]")
     cfg.study[key] = value

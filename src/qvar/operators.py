@@ -10,13 +10,21 @@ plain addition of eps*u.
 Every operator has a `mesh`, `matvec(u)` (the nodal values of A(u)),
 `jacobian_bands(u)` (the tridiagonal Jacobian at u as (lower, diag, upper)
 bands) and `energy(u)` (a potential whose gradient in the weighted pairing is
-A, the merit that globalizes the inner Newton solver).  Bands are stored as
-LAPACK takes them: m diagonal entries, and m - 1 off-diagonal ones with
-lower[i] in row i+1 and upper[i] in row i.
+A, the merit that globalizes the inner Newton solver); `solve_vi` needs only
+these three.  Bands are stored as LAPACK takes them: m diagonal entries, and
+m - 1 off-diagonal ones with lower[i] in row i+1 and upper[i] in row i.
+
+Each operator class also states its own structure: `regularized(eps)` is
+u -> A(u) + eps*u as an operator of the same class, and `linear_split()` is
+(linear part, gamma, L_rest), a linear part whose remainder has one-sided
+monotonicity defect at most gamma and Lipschitz constant at most L_rest in
+the l2 pairing, hence in the h1 norm pair.  The structural constants and the
+maximal mode's supersolution both take the linear part from there.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +123,13 @@ class LinearEllipticOperator:
         """Quadratic potential 0.5 <A u, u> in the weighted pairing."""
         return float(0.5 * np.dot(u, self.mesh.hw * self.matvec(u)))
 
+    def regularized(self, eps: float) -> LinearEllipticOperator:
+        """The assembled operator with eps added to the diagonal."""
+        return LinearEllipticOperator(self.mesh, self.lower, self.diag + eps, self.upper)
+
+    def linear_split(self):
+        return self, 0.0, 0.0
+
 
 def _samples(spec, xs) -> np.ndarray:
     if callable(spec):
@@ -170,12 +185,14 @@ def _regularization(eps: float) -> float:
 
 
 class PLaplacianOperator:
-    """Plain (eps=0) or regularized p-Laplacian with edge-midpoint fluxes."""
+    """Plain (eps=0) or regularized p-Laplacian with edge-midpoint fluxes; the
+    reaction `shift` that `regularized` sets is added last."""
 
     def __init__(self, mesh: Mesh, p: float, eps: float = 0.0):
         if mesh.bc != DIRICHLET:
             raise GridMismatchError("the p-Laplacian is assembled on dirichlet meshes only")
         self.mesh, self.p, self.eps = mesh, _exponent(p), _regularization(eps)
+        self.shift = 0.0
 
     def _edge_gradients(self, u: np.ndarray) -> np.ndarray:
         full = np.concatenate(([0.0], u, [0.0]))
@@ -186,7 +203,8 @@ class PLaplacianOperator:
         s = g * g + self.eps
         with np.errstate(divide="ignore", invalid="ignore"):
             flux = np.where(s > 0.0, s ** ((self.p - 2.0) / 2.0) * g, 0.0)
-        return (flux[:-1] - flux[1:]) / self.mesh.h
+        out = (flux[:-1] - flux[1:]) / self.mesh.h
+        return out + self.shift * u if self.shift else out
 
     def jacobian_bands(self, u: np.ndarray):
         """Tridiagonal Jacobian at u: edge e couples its two end nodes through
@@ -201,20 +219,41 @@ class PLaplacianOperator:
             )
         dflux /= self.mesh.h**2
         off = -dflux[1:-1]
-        return off, dflux[:-1] + dflux[1:], off
+        diag = dflux[:-1] + dflux[1:]
+        return off, diag + self.shift if self.shift else diag, off
 
     def energy(self, u: np.ndarray) -> float:
         """Convex potential whose gradient (in the weighted pairing) is the operator."""
         g = self._edge_gradients(u)
         s = g * g + self.eps
-        return float(self.mesh.h / self.p * np.sum(s ** (self.p / 2.0)))
+        e = float(self.mesh.h / self.p * np.sum(s ** (self.p / 2.0)))
+        return e + 0.5 * self.shift * float(np.dot(u, self.mesh.hw * u)) if self.shift else e
+
+    def regularized(self, eps: float) -> PLaplacianOperator:
+        reg = copy.copy(self)
+        reg.shift = self.shift + eps
+        return reg
+
+    def linear_split(self):
+        """The flux derivative s^{(p-4)/2} ((p-1) g^2 + eps) is at least
+        eps^{(p-2)/2} for p >= 2 (Barrett & Liu, Math. Comp. 61, 1993), so
+        eps^{(p-2)/2} times the a=1, a0=0 stiffness, plus the shift, is a
+        linear part with a monotone remainder; the remainder is 0 for p = 2
+        and not globally Lipschitz for p > 2."""
+        stiff = assemble_linear(self.mesh, 1.0, 0.0)
+        scale = self.eps ** ((self.p - 2.0) / 2.0)
+        linear = LinearEllipticOperator(
+            self.mesh, scale * stiff.lower, scale * stiff.diag, scale * stiff.upper
+        )
+        return add_regularization(linear, self.shift), 0.0, 0.0 if self.p == 2.0 else np.inf
 
 
 class NonMonotoneOperator:
     """Composite A(y) + lam*sin(y) with the bounded nonlinearity lam*sin.
 
     Its Lipschitz constant and one-sided monotonicity defect both equal
-    |lam|, which makes the smallness condition checkable in closed form.
+    |lam|, which makes the smallness condition checkable in closed form.  The
+    reaction `shift` that `regularized` sets is added last.
     """
 
     def __init__(self, base: LinearEllipticOperator, lam: float):
@@ -223,37 +262,31 @@ class NonMonotoneOperator:
         self.base = base
         self.mesh = base.mesh
         self.lam = float(lam)
+        self.shift = 0.0
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
-        return self.base.matvec(u) + self.lam * np.sin(u)
+        out = self.base.matvec(u) + self.lam * np.sin(u)
+        return out + self.shift * u if self.shift else out
 
     def jacobian_bands(self, u: np.ndarray):
-        """Base bands plus lam*cos(u) on the diagonal."""
-        return self.base.lower, self.base.diag + self.lam * np.cos(u), self.base.upper
+        """Base bands plus lam*cos(u) and the shift on the diagonal."""
+        diag = self.base.diag + self.lam * np.cos(u)
+        return self.base.lower, diag + self.shift if self.shift else diag, self.base.upper
 
     def energy(self, u: np.ndarray) -> float:
         """Potential 0.5 <A u, u> - lam <cos(u), 1> of the composite."""
-        return self.base.energy(u) - self.lam * float(np.dot(self.mesh.hw, np.cos(u)))
+        e = self.base.energy(u) - self.lam * float(np.dot(self.mesh.hw, np.cos(u)))
+        return e + 0.5 * self.shift * float(np.dot(u, self.mesh.hw * u)) if self.shift else e
 
+    def regularized(self, eps: float) -> NonMonotoneOperator:
+        reg = copy.copy(self)
+        reg.shift = self.shift + eps
+        return reg
 
-class RegularizedOperator:
-    """Wrapper op(u) + eps*u for nonlinear inner operators."""
-
-    def __init__(self, inner, eps: float):
-        self.inner = inner
-        self.mesh = inner.mesh
-        self.eps = float(eps)
-
-    def matvec(self, u: np.ndarray) -> np.ndarray:
-        return self.inner.matvec(u) + self.eps * u
-
-    def jacobian_bands(self, u: np.ndarray):
-        """Inner bands plus eps on the diagonal."""
-        lower, diag, upper = self.inner.jacobian_bands(u)
-        return lower, diag + self.eps, upper
-
-    def energy(self, u: np.ndarray) -> float:
-        return self.inner.energy(u) + 0.5 * self.eps * float(np.dot(u, self.mesh.hw * u))
+    def linear_split(self):
+        """The shifted base; lam*sin has defect and Lipschitz constant |lam|."""
+        lam = abs(self.lam)
+        return add_regularization(self.base, self.shift), lam, lam
 
 
 def apply(op, u: GridFunction) -> GridFunction:
@@ -264,17 +297,14 @@ def apply(op, u: GridFunction) -> GridFunction:
 
 
 def add_regularization(op, eps: float):
-    """Return u -> op(u) + eps*u.
+    """Return u -> op(u) + eps*u, an operator of op's class (`op.regularized`).
 
     The eps term is the trapezoid-weighted identity in the duality pairing,
     i.e. the discrete version of adding eps*y in the pivot-space sense.  For
     linear operators the result is again an assembled tridiagonal operator.
     """
-    if _regularization(eps) == 0:
-        return op
-    if isinstance(op, LinearEllipticOperator):
-        return LinearEllipticOperator(op.mesh, op.lower, op.diag + eps, op.upper)
-    return RegularizedOperator(op, eps)
+    eps = _regularization(eps)
+    return op.regularized(eps) if eps else op
 
 
 def solve_unconstrained(op: LinearEllipticOperator, f: GridFunction) -> GridFunction:
@@ -370,47 +400,19 @@ def _pencil_extremes(K_off, K_diag, G_off, G_diag):
     return (c if c > K_diag.size * np.finfo(float).eps * L else 0.0), L
 
 
-def _linear_split(op):
-    """(linear part, gamma, L_rest) of an operator: op minus its linear part
-    has one-sided monotonicity defect at most gamma and Lipschitz constant at
-    most L_rest in the l2 pairing, hence in the h1 norm pair.  The constants
-    and the maximal mode's supersolution both take the linear part from here.
-
-    The p-Laplacian flux derivative s^{(p-4)/2} ((p-1) g^2 + eps) is at least
-    eps^{(p-2)/2} for p >= 2 (Barrett & Liu, Math. Comp. 61, 1993), so
-    eps^{(p-2)/2} times the a=1, a0=0 stiffness is a linear part with a
-    monotone remainder; the remainder is 0 for p = 2 and not globally
-    Lipschitz for p > 2.
-    """
-    if isinstance(op, LinearEllipticOperator):
-        return op, 0.0, 0.0
-    if isinstance(op, NonMonotoneOperator):
-        lam = abs(op.lam)
-        return op.base, lam, lam
-    if isinstance(op, PLaplacianOperator):
-        stiff = assemble_linear(op.mesh, 1.0, 0.0)
-        scale = op.eps ** ((op.p - 2.0) / 2.0)
-        linear = LinearEllipticOperator(
-            op.mesh, scale * stiff.lower, scale * stiff.diag, scale * stiff.upper
-        )
-        return linear, 0.0, 0.0 if op.p == 2.0 else np.inf
-    if isinstance(op, RegularizedOperator):
-        linear, gamma, lip = _linear_split(op.inner)
-        return add_regularization(linear, op.eps), gamma, lip
-    raise TypeError(f"no structural constants for {type(op).__name__}")
-
-
 def estimate_constants(op) -> OperatorConstants:
     """Structural constants of an operator in the h1 norm pair.
 
     The operator is split into a linear part and a remainder with closed-form
-    bounds (`_linear_split`).  c and L of the linear part are the extreme
+    bounds (`op.linear_split()`).  c and L of the linear part are the extreme
     eigenvalues of its tridiagonal pencil against the h1 Gram matrix, as
     Rayleigh quotients: their relative error grows like m^2 eps and can fall
     on either side, so they are not proven bounds.  The remainder's defect
     is gamma and its Lipschitz constant is added to L.
     """
-    linear, gamma, lip = _linear_split(op)
+    if not hasattr(op, "linear_split"):
+        raise TypeError(f"no structural constants for {type(op).__name__}")
+    linear, gamma, lip = op.linear_split()
     c, L = _pencil_extremes(*linear.gram_tridiag(), *_h1_gram_banded(op.mesh))
     c = max(c, 0.0)
     L = max(L, c)

@@ -25,7 +25,6 @@ from .grid import GridFunction, dual_norm, leq, norm
 from .obstacle import ObstacleMap, eval_obstacle, lipschitz_bound
 from .operators import (
     OperatorConstants,
-    _linear_split,
     add_regularization,
     estimate_constants,
     solve_unconstrained,
@@ -254,12 +253,12 @@ def solve_qvi_minimal(
 def unconstrained_supersolution(op, F: GridFunction, inner: VIParams | None = None) -> GridFunction:
     """Solve op(y) = F without constraints: the start iterate for the maximal mode.
 
-    An operator whose remainder beyond its linear part (`_linear_split`) is
+    An operator whose remainder beyond its linear part (`op.linear_split()`) is
     Lipschitz gets a direct solve of that linear part; one with a remainder
     that is not (the p-Laplacian for p > 2) gets the inner Newton solver
     with the obstacle pushed to infinity.
     """
-    linear, _, lip = _linear_split(op)
+    linear, _, lip = op.linear_split()
     if lip < np.inf:
         return solve_unconstrained(linear, F)
     inner = inner or VIParams()

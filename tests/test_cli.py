@@ -100,7 +100,7 @@ class TestParseConfig:
             "abc": "line 2: key 'reference' expects a number, got 'abc'",
             "const:abc": "line 2: key 'reference' expects a number, got 'abc'",
             "const:inf": "line 2: key 'reference' must be finite, got 'inf'",
-            "-1e-3": "line 2: key 'reference' must be nonnegative, got -0.001",
+            "-1e-3": "line 2: key 'reference' regularization eps must be nonnegative, got -0.001",
         }
         for raw, message in cases.items():
             with pytest.raises(ConfigError) as info:

@@ -7,7 +7,11 @@ from qvar.errors import EllipticityError, GridMismatchError, SolverError
 from qvar.grid import GridFunction, _h1_gram_banded, dual_norm, duality_pairing, make_mesh, norm
 from qvar.obstacle import ObstacleMap, lipschitz_bound
 from qvar.problems import BUILTINS, builtin_problem, gauss_kernel
-from qvar.qvi_solver import operator_structural_constants, problem_certificate
+from qvar.qvi_solver import (
+    operator_structural_constants,
+    problem_certificate,
+    unconstrained_supersolution,
+)
 from qvar.operators import (
     LinearEllipticOperator,
     NonMonotoneOperator,
@@ -19,7 +23,7 @@ from qvar.operators import (
     solve_unconstrained,
     _tridiag_solve,
 )
-from qvar.vi_solver import _newton_step
+from qvar.vi_solver import VIParams, _newton_step, solve_vi
 
 
 def dense_bands(bands):
@@ -620,6 +624,97 @@ class TestRegularization:
         rng = np.random.default_rng(7)
         u = rng.standard_normal(mesh.dof_count)
         assert np.max(np.abs(reg.matvec(u) - (plap.matvec(u) + 0.5 * u))) <= 1e-13
+
+    @staticmethod
+    def operators():
+        mesh = make_mesh(16, "dirichlet")
+        lin = assemble_linear(mesh, lambda x: 1.0 + 0.5 * x, lambda x: x)
+        return {
+            "linear": lin,
+            "sine": NonMonotoneOperator(lin, 0.3),
+            "plaplacian_p2": PLaplacianOperator(mesh, 2.0, 1e-2),
+            "plaplacian_p3": PLaplacianOperator(mesh, 3.0, 1e-2),
+        }
+
+    @pytest.mark.parametrize("eps", [0.1, 0.3])
+    @pytest.mark.parametrize("name", ["linear", "sine", "plaplacian_p2", "plaplacian_p3"])
+    def test_keeps_class_and_bits(self, name, eps):
+        op = self.operators()[name]
+        reg = add_regularization(op, eps)
+        assert type(reg) is type(op)
+        u = np.random.default_rng(23).uniform(-0.5, 0.5, op.mesh.dof_count)
+        lower, diag, upper = op.jacobian_bands(u)
+        reg_lower, reg_diag, reg_upper = reg.jacobian_bands(u)
+        assert np.array_equal(reg_lower, lower) and np.array_equal(reg_upper, upper)
+        assert np.array_equal(reg_diag, diag + eps)
+        want = op.matvec(u) + eps * u
+        want_energy = op.energy(u) + 0.5 * eps * float(np.dot(u, op.mesh.hw * u))
+        if name == "linear":
+            # eps enters the assembled diagonal, so it rounds together with A u
+            scale = operators._residual_scale(reg.jacobian_bands(u), u, np.zeros_like(u))
+            assert np.all(np.abs(reg.matvec(u) - want) <= 4 * np.finfo(float).eps * scale)
+            assert reg.energy(u) == pytest.approx(want_energy, rel=1e-14)
+        else:
+            # a nonlinear operator adds its shift last
+            assert np.array_equal(reg.matvec(u), want)
+            assert reg.energy(u) == want_energy
+
+    @pytest.mark.parametrize("eps", [0.1, 0.3])
+    @pytest.mark.parametrize("name", list(BUILTINS))
+    def test_builtin_linear_split(self, name, eps):
+        # the regularized split is the plain split with eps on the diagonal of
+        # its linear part, and the constants and the supersolution read it
+        prob = builtin_problem(name, n=16, bc="dirichlet")
+        op = prob.operator
+        reg = add_regularization(op, eps)
+        linear, gamma, lip = op.linear_split()
+        reg_linear, reg_gamma, reg_lip = reg.linear_split()
+        assert (reg_gamma, reg_lip) == (gamma, lip)
+        assert np.array_equal(reg_linear.lower, linear.lower)
+        assert np.array_equal(reg_linear.upper, linear.upper)
+        assert np.array_equal(reg_linear.diag, linear.diag + eps)
+        shifted = LinearEllipticOperator(op.mesh, linear.lower, linear.diag + eps, linear.upper)
+        lin_con = estimate_constants(shifted)
+        assert estimate_constants(reg) == operators.OperatorConstants(
+            c=lin_con.c, L=lin_con.L + lip, gamma=gamma
+        )
+        sup = unconstrained_supersolution(reg, prob.f)
+        if lip < np.inf:
+            assert np.array_equal(sup.values, solve_unconstrained(shifted, prob.f).values)
+        else:
+            # the Newton solve sees the same values as through a wrapper that
+            # adds eps*u after the plain operator
+            class Shifted:
+                mesh = op.mesh
+
+                def matvec(self, u):
+                    return op.matvec(u) + eps * u
+
+                def jacobian_bands(self, u):
+                    lower, diag, upper = op.jacobian_bands(u)
+                    return lower, diag + eps, upper
+
+                def energy(self, u):
+                    return op.energy(u) + 0.5 * eps * float(np.dot(u, op.mesh.hw * u))
+
+            huge = GridFunction.constant(op.mesh, 1e300)
+            direct = solve_vi(Shifted(), prob.f, huge, VIParams()).solution
+            assert np.array_equal(sup.values, direct.values)
+
+    @pytest.mark.parametrize("name", list(BUILTINS))
+    def test_nested_regularization_collapses(self, name):
+        op = builtin_problem(name, n=16, bc="dirichlet").operator
+        a, b = 0.1, 0.3
+        twice = add_regularization(add_regularization(op, a), b)
+        once = add_regularization(op, a + b)
+        assert type(twice) is type(op)
+        if isinstance(op, LinearEllipticOperator):
+            assert np.array_equal(twice.diag, op.diag + a + b)
+        else:
+            assert twice.shift == a + b
+        u = np.random.default_rng(29).uniform(-0.5, 0.5, op.mesh.dof_count)
+        want = once.matvec(u)
+        assert np.max(np.abs(twice.matvec(u) - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 class TestPLaplacianRegularizedConvergence:

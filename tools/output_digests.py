@@ -47,7 +47,9 @@ The matrix:
 - regpath with reference = 1e-6 on every builtin and boundary condition at
   n = 32, whose reference eps is the last point of the walk;
 - inf and nan list entries, plaplacian on a neumann mesh and refine's three
-  n_list rules: each exits 4 with its message after the line and key.
+  n_list rules: each exits 4 with its message after the line and key;
+- regpath with reference = -1e-3, which exits 4 with the library's
+  regularization message after the line and key.
 Rows are only ever appended, so that the dump index of every earlier
 command stays put.
 """
@@ -87,7 +89,8 @@ BAD_VALUES = (
     ("perturb", "[study]\nfamily = rotation\n"),
 )
 # (command, config) of the messages located since: non-finite list entries,
-# the builder's refusal of the mesh that bc picked, and refine's n_list rules
+# the builder's refusal of the mesh that bc picked, refine's n_list rules and
+# a negative regpath reference eps
 BAD_ENTRIES = (
     ("regpath", "[problem]\nn = 8\n[study]\neps_list = inf,1,0.5,0.25\n"),
     ("regpath", "[problem]\nn = 8\n[study]\neps_list = 1,nan,0.5,0.25\n"),
@@ -96,6 +99,7 @@ BAD_ENTRIES = (
     ("refine", "[study]\nn_list = 16,8,32,64\n"),
     ("refine", "[study]\nn_list = 8,12,32,64\n"),
     ("refine", "[study]\nn_list = 8,16,32\n"),
+    ("regpath", "[study]\nreference = -1e-3\n"),
 )
 
 
