@@ -213,18 +213,24 @@ def _check_finite(*arrays) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
-def _cholesky_tridiag(off, diag):
+def _cholesky_tridiag(off, diag, overwrite: bool = False):
     """LDL^T factor (d, e) of the symmetric tridiagonal matrix with bands
     (offdiag, diag), offdiag[i] coupling i and i+1, by LAPACK dpttrf:
     D = diag(d) and L unit lower bidiagonal with L[i+1, i] = e[i].  None when
     the matrix is not positive definite: dpttrf stops at the first pivot
-    d_i <= 0.  It does not test for NaN, which spreads to the last pivot, so
-    a NaN band counts as not definite there."""
+    d_i <= 0.  It passes a NaN pivot, as NaN <= 0 is false, but the NaN
+    spreads to the last pivot, so a NaN band counts as not definite there.
+
+    With overwrite, dpttrf factors in place, into off and diag, instead of
+    into copies.  Pass only arrays made for this call: f2py writes into an
+    array even when its write flag is off."""
     if diag.size == 1:
         # the f2py wrapper rejects an empty off-diagonal
         return (diag.copy(), np.zeros(0)) if diag[0] > 0.0 else None
-    d, e, info = dpttrf(diag, off)
-    if info != 0 or np.isnan(d[-1]):
+    # overwrite_d and overwrite_e by position, which f2py parses faster
+    d, e, info = dpttrf(diag, off, overwrite, overwrite)
+    # with info 0 the last pivot is positive or NaN
+    if info != 0 or not d[-1] > 0.0:
         return None
     return d, e
 

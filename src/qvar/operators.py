@@ -345,10 +345,12 @@ def _pencil_extremes(K_off, K_diag, G_off, G_diag):
     """Smallest and largest eigenvalue (c, L) of the symmetric tridiagonal
     pencil K x = mu G x with G positive definite.
 
-    Each extreme is bracketed by bisection on whether +-(K - mu G) is
-    positive definite (Sylvester's law of inertia), carried to the resolution
-    of floating point.  The test is an LDL^T factorization by LAPACK dpttrf,
-    which succeeds exactly when every pivot d_i is positive.  Each extreme is
+    Each extreme is bracketed by bisection on whether K - mu G, or mu G - K,
+    is positive definite (Sylvester's law of inertia), carried to the
+    resolution of floating point.  The test is an LDL^T factorization by
+    LAPACK dpttrf, which succeeds exactly when every pivot d_i is positive,
+    and which tests the first diagonal entry first: a probe whose first entry
+    is <= 0 is decided without the bands or LAPACK.  Each extreme is
     then refined by three inverse-iteration steps with the last definite
     factor (dpttrs) and a Rayleigh quotient.  c is reported as 0 when K is
     not positive definite or when c is at most m * eps * L, below what the
@@ -359,8 +361,25 @@ def _pencil_extremes(K_off, K_diag, G_off, G_diag):
     if not (K_diag.any() or K_off.any()):
         return 0.0, 0.0
 
+    # both bands in one array, diagonal first, so that a probe is two passes
+    m = K_diag.size
+    K_bands, G_bands = np.concatenate((K_diag, K_off)), np.concatenate((G_diag, G_off))
+    k0, g0 = float(K_diag[0]), float(G_diag[0])
+
     def factor(sign, mu):
-        return _cholesky_tridiag(sign * (K_off - mu * G_off), sign * (K_diag - mu * G_diag))
+        # sign * (K - mu G), built as K - mu G or as mu G - K in one fresh
+        # array that dpttrf factors in place.  mu G - K has the bits of
+        # -(K - mu G) but for an exact zero, +0 for -0, which dpttrf treats
+        # alike.  dpttrf tests the first diagonal entry first; so does this,
+        # and a NaN there is not <= 0 and goes on to dpttrf, which spreads it.
+        if (k0 - mu * g0 if sign > 0 else mu * g0 - k0) <= 0.0:
+            return None
+        bands = mu * G_bands
+        if sign > 0:
+            np.subtract(K_bands, bands, out=bands)
+        else:
+            bands -= K_bands
+        return _cholesky_tridiag(bands[m:], bands[:m], overwrite=True)
 
     def G_apply(x):
         return _tridiag_apply(G_off, G_diag, G_off, x)

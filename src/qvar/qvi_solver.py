@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OrderingViolationError, SolverError
+from .errors import GridMismatchError, OrderingViolationError, SolverError
 from .grid import GridFunction, dual_norm, leq, norm
 from .obstacle import ObstacleMap, eval_obstacle, lipschitz_bound
 from .operators import (
@@ -55,10 +55,10 @@ class QVIProblem:
     def __post_init__(self):
         mesh = self.operator.mesh
         if self.f.mesh != mesh or self.obstacle_map.mesh != mesh:
-            raise ValueError("problem components live on different meshes")
+            raise GridMismatchError("problem components live on different meshes")
         if self.F is not None:
             if self.F.mesh != mesh:
-                raise ValueError("upper force lives on a different mesh")
+                raise GridMismatchError("upper force lives on a different mesh")
             if not leq(self.f, self.F, 0.0):
                 raise ValueError("upper force must dominate the force: f <= F")
 

@@ -2,9 +2,19 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from qvar import operators
+from qvar import grid, operators
 from qvar.errors import EllipticityError, GridMismatchError, SolverError
-from qvar.grid import GridFunction, _h1_gram_banded, dual_norm, duality_pairing, make_mesh, norm
+from qvar.grid import (
+    GridFunction,
+    _cholesky_solve,
+    _cholesky_tridiag,
+    _h1_gram_banded,
+    _h1_gram_cholesky,
+    dual_norm,
+    duality_pairing,
+    make_mesh,
+    norm,
+)
 from qvar.obstacle import ObstacleMap, lipschitz_bound
 from qvar.problems import BUILTINS, builtin_problem, gauss_kernel
 from qvar.qvi_solver import (
@@ -21,6 +31,7 @@ from qvar.operators import (
     assemble_linear,
     estimate_constants,
     solve_unconstrained,
+    _tridiag_apply,
     _tridiag_solve,
 )
 from qvar.vi_solver import VIParams, _newton_step, solve_vi
@@ -36,6 +47,53 @@ def diagonal_gram_extremes(op):
     diag(hw) of the weighted l2 pairing, where closed forms are plain."""
     m = op.mesh.dof_count
     return operators._pencil_extremes(*op.gram_tridiag(), np.zeros(m - 1), op.mesh.hw)
+
+
+def reference_pencil_extremes(K_off, K_diag, G_off, G_diag):
+    """The reference for `operators._pencil_extremes`: the same bisection,
+    with every probe built as sign * (K - mu G) and factored by dpttrf."""
+    if not (K_diag.any() or K_off.any()):
+        return 0.0, 0.0
+
+    def factor(sign, mu):
+        return _cholesky_tridiag(sign * (K_off - mu * G_off), sign * (K_diag - mu * G_diag))
+
+    def G_apply(x):
+        return _tridiag_apply(G_off, G_diag, G_off, x)
+
+    def bisect(sign, definite, other, fac):
+        # `definite` keeps a point where sign * (K - mu G) is positive definite
+        while definite != (mid := 0.5 * (definite + other)) != other:
+            trial = factor(sign, mid)
+            if trial is None:
+                other = mid
+            else:
+                definite, fac = mid, trial
+        return definite, fac
+
+    def refine(fac):
+        x = np.ones_like(K_diag)
+        for _ in range(3):
+            x = _cholesky_solve(fac, G_apply(x))
+            x /= np.linalg.norm(x)
+        kx = _tridiag_apply(K_off, K_diag, K_off, x)
+        return float(np.dot(x, kx) / np.dot(x, G_apply(x)))
+
+    # L: mu G - K turns positive definite above the largest eigenvalue
+    lo, hi = 0.0, 1.0
+    while (fac := factor(-1.0, hi)) is None:
+        lo, hi = hi, 2.0 * hi
+        if not np.isfinite(hi):
+            raise SolverError("operator spectrum has no finite upper bound")
+    hi, fac = bisect(-1.0, hi, lo, fac)
+    L = refine(fac)
+    # c: K - mu G stays positive definite below the smallest eigenvalue
+    fac = factor(1.0, 0.0)
+    if fac is None:
+        return 0.0, L
+    _, fac = bisect(1.0, 0.0, hi, fac)
+    c = refine(fac)
+    return (c if c > K_diag.size * np.finfo(float).eps * L else 0.0), L
 
 
 def fd_jacobian(op, u, step=1e-6):
@@ -493,6 +551,80 @@ class TestPencilConstants:
         cert = problem_certificate(builtin_problem("fixed_obstacle", n=n, bc="neumann"))
         assert cert.c == 0.0
         assert not cert.smallness_ok
+
+
+class TestPencilProbes:
+    """`_pencil_extremes` gives the reference's (c, L) bit for bit, value and
+    sign, and certify leaves its cached mesh data as it found them."""
+
+    @staticmethod
+    def assert_same_bits(bands):
+        got = operators._pencil_extremes(*bands)
+        want = reference_pencil_extremes(*bands)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (got, want)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 33, 64, 100, 1024, 2048])
+    @pytest.mark.parametrize(
+        "name, bc",
+        [(name, bc) for name in BUILTINS for bc in ("dirichlet", "neumann")
+         if (name, bc) != ("plaplacian", "neumann")],
+    )
+    def test_builtins_match_reference(self, name, bc, n):
+        op = builtin_problem(name, n=n, bc=bc).operator
+        for eps in (0.0, 1e-3, 0.3):
+            linear, _, _ = add_regularization(op, eps).linear_split()
+            self.assert_same_bits((*linear.gram_tridiag(), *_h1_gram_banded(op.mesh)))
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_random_operators_match_reference(self, bc):
+        # variable coefficients over six decades, half of them with a0 = 0
+        # (singular on neumann), against the h1 and the diagonal l2 Gram
+        rng = np.random.default_rng(27)
+        for k in range(25):
+            mesh = make_mesh(int(rng.integers(2, 300)), bc)
+            a = rng.uniform(0.01, 10.0, mesh.n) * rng.choice([1e-4, 1.0, 1e4])
+            a0 = rng.uniform(0.0, 5.0, mesh.dof_count) * (k % 2)
+            K = assemble_linear(mesh, a, a0).gram_tridiag()
+            self.assert_same_bits((*K, *_h1_gram_banded(mesh)))
+            self.assert_same_bits((*K, np.zeros(mesh.dof_count - 1), mesh.hw))
+
+    def test_nan_first_entry_reaches_lapack(self, monkeypatch):
+        mesh = make_mesh(8, "dirichlet")
+        K_off, K_diag = assemble_linear(mesh, 1.0, 0.0).gram_tridiag()
+        K_diag[0] = np.nan
+        calls = []
+        dpttrf = grid.dpttrf
+        monkeypatch.setattr(grid, "dpttrf", lambda *a, **kw: calls.append(1) or dpttrf(*a, **kw))
+        for pencil in (operators._pencil_extremes, reference_pencil_extremes):
+            # the doubling search overflows mu G on its way to inf
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                SolverError, match="^operator spectrum has no finite upper bound$"
+            ):
+                pencil(K_off, K_diag, *_h1_gram_banded(mesh))
+            assert calls
+            calls.clear()
+
+    @pytest.mark.parametrize("name", ["kernel_qvi", "example1d"])
+    def test_certify_keeps_cached_inputs(self, name, monkeypatch):
+        # f2py factors in place even into a read-only array, so a probe that
+        # handed dpttrf the cached Gram bands would corrupt every later
+        # certificate and dual norm on the mesh
+        dpttrf = grid.dpttrf
+        calls = []
+        monkeypatch.setattr(grid, "dpttrf", lambda *a, **kw: calls.append(1) or dpttrf(*a, **kw))
+        for n in (2, 8, 64, 2048):
+            prob = builtin_problem(name, n=n)
+            mesh = prob.operator.mesh
+            cached = (*_h1_gram_banded(mesh), *_h1_gram_cholesky(mesh), mesh.hw)
+            before = [a.tobytes() for a in cached]
+            calls.clear()
+            first = problem_certificate(prob)
+            if (name, n) == ("kernel_qvi", 2048):
+                assert len(calls) <= 90  # 108 when every probe called dpttrf
+            assert [a.tobytes() for a in cached] == before
+            again = (*_h1_gram_banded(mesh), *_h1_gram_cholesky(mesh), mesh.hw)
+            assert all(a is b for a, b in zip(again, cached))
+            assert problem_certificate(prob) == first
 
 
 class TestStructuralBounds:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qvar.errors import OrderingViolationError, SolverError
+from qvar.errors import GridMismatchError, OrderingViolationError, SolverError
 from qvar.grid import GridFunction, leq, make_mesh, norm
 from qvar.obstacle import ObstacleMap
 from qvar.operators import OperatorConstants, assemble_linear, solve_unconstrained
@@ -217,6 +217,14 @@ class TestValidation:
                 prob.obstacle_map,
                 GridFunction.constant(prob.f.mesh, 0.5),
             )
+
+    def test_mismatched_meshes_are_grid_mismatch(self):
+        prob = builtin_problem("example1d", n=16)
+        other = GridFunction.constant(make_mesh(8, "neumann"), 1.0)
+        with pytest.raises(GridMismatchError, match="^problem components live on different meshes$"):
+            QVIProblem(prob.operator, other, prob.obstacle_map, None)
+        with pytest.raises(GridMismatchError, match="^upper force lives on a different mesh$"):
+            QVIProblem(prob.operator, prob.f, prob.obstacle_map, other)
 
     def test_ordering_violation_surfaces(self):
         # a negative base level makes the first iterate drop below zero
