@@ -223,8 +223,6 @@ def _apply_study_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) ->
         _require_range(all(v > 0 for v in value), line_no, key, "entries must be positive")
     elif key == "n_list":
         value = _parse_list(raw, line_no, key, int)
-        for n in value:
-            _checked(line_no, key, make_mesh, n, DIRICHLET)
         _checked(line_no, key, _check_levels, value)
     elif key == "family":
         _checked(line_no, key, _check_family, raw)
@@ -271,8 +269,7 @@ def _make_out_dir(out: str) -> None:
 
 def _cmd_solve(cfg: ExperimentConfig, problem: QVIProblem, trace_mode: bool) -> int:
     if trace_mode or np.min(problem.f.values) < 0:
-        y0 = GridFunction.zeros(problem.operator.mesh)
-        report = solve_qvi_fixed_point(problem, y0, cfg.outer, cfg.inner)
+        report = solve_qvi_fixed_point(problem, outer=cfg.outer, inner=cfg.inner)
     else:
         report = solve_qvi_minimal(problem, cfg.outer, cfg.inner)
     sol_path, rep_path = (

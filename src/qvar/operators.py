@@ -152,9 +152,9 @@ def assemble_linear(mesh: Mesh, a, a0) -> LinearEllipticOperator:
     edge_x = (np.arange(mesh.n) + 0.5) * h
     a_e = _samples(a, edge_x)
     a0_n = _samples(a0, mesh.dof_nodes())
-    if np.min(a_e) <= 0:
+    if not np.min(a_e) > 0:  # NaN fails too
         raise EllipticityError(f"diffusion coefficient must be positive, min={np.min(a_e)}")
-    if np.min(a0_n) < 0:
+    if not np.min(a0_n) >= 0:
         raise EllipticityError(f"reaction coefficient must be nonnegative, min={np.min(a0_n)}")
 
     h2 = h * h

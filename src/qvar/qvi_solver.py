@@ -154,7 +154,7 @@ def problem_certificate(problem: QVIProblem) -> ContractionCertificate:
 
 def solve_qvi_fixed_point(
     problem: QVIProblem,
-    y0: GridFunction,
+    y0: GridFunction | None = None,
     outer: OuterParams | None = None,
     inner: VIParams | None = None,
     _order_check: str | None = None,
@@ -162,9 +162,10 @@ def solve_qvi_fixed_point(
 ) -> QVIReport:
     """Iterate y^{k+1} = S(f, Phi(y^k)) until the sup-norm step stagnates.
 
-    Records step norms, consecutive ratios and rho_observed (the largest
-    ratio after a 2-step burn-in; early ratios are polluted by active-set
-    discovery in the inner solver).
+    The iteration starts from y0, 0 by default.  Records step norms,
+    consecutive ratios and rho_observed (the largest ratio after a 2-step
+    burn-in; early ratios are polluted by active-set discovery in the inner
+    solver).
 
     Outer iteration 1 starts its inner solve from `start`, y0 by default; a
     study passes its neighbouring point's solution there, which moves only
@@ -178,7 +179,7 @@ def solve_qvi_fixed_point(
     """
     outer = outer or OuterParams()
     inner = inner or VIParams()
-    y = y0.copy()
+    y = GridFunction.zeros(problem.operator.mesh) if y0 is None else y0.copy()
     psi_prev = None
     step_norms: list[float] = []
     inner_per_outer: list[int] = []
@@ -244,23 +245,23 @@ def solve_qvi_minimal(
     solution.  `start` seeds only the first inner solve."""
     if np.min(problem.f.values) < 0:
         raise ValueError("the monotone modes require a nonnegative force")
-    y0 = GridFunction.zeros(problem.operator.mesh)
     return solve_qvi_fixed_point(
-        problem, y0, outer, inner, _order_check="increasing", start=start
+        problem, outer=outer, inner=inner, _order_check="increasing", start=start
     )
 
 
 def unconstrained_supersolution(op, F: GridFunction, inner: VIParams | None = None) -> GridFunction:
-    """Solve op(y) = F without constraints: the start iterate for the maximal mode.
+    """A y with op(y) >= F: the start iterate for the maximal mode.
 
     An operator whose remainder beyond its linear part (`op.linear_split()`) is
-    Lipschitz gets a direct solve of that linear part; one with a remainder
-    that is not (the p-Laplacian for p > 2) gets the inner Newton solver
-    with the obstacle pushed to infinity.
+    Lipschitz gets a direct solve of that linear part against F + lip: the one
+    nonzero such remainder, lam*sin, is at least -|lam| = -lip.  One with a
+    remainder that is not (the p-Laplacian for p > 2) gets the inner Newton
+    solver on op(y) = F with the obstacle pushed to infinity.
     """
     linear, _, lip = op.linear_split()
     if lip < np.inf:
-        return solve_unconstrained(linear, F)
+        return solve_unconstrained(linear, GridFunction(F.mesh, F.values + lip) if lip else F)
     inner = inner or VIParams()
     huge = GridFunction.constant(op.mesh, 1e300)
     rep = solve_vi(op, F, huge, inner)
@@ -295,11 +296,10 @@ def solve_qvi_regularized(
     inner: VIParams | None = None,
     start: GridFunction | None = None,
 ) -> QVIReport:
-    """Fixed-point solve of the eps-regularized problem from the minimal-mode
-    start y0 = 0; `start` seeds only the first inner solve."""
-    reg_problem = problem.with_operator(add_regularization(problem.operator, eps))
-    y0 = GridFunction.zeros(problem.operator.mesh)
-    return solve_qvi_fixed_point(reg_problem, y0, outer, inner, start=start)
+    """The minimal solve of the eps-regularized problem, operator A + eps I;
+    `start` seeds only the first inner solve."""
+    regularized = problem.with_operator(add_regularization(problem.operator, eps))
+    return solve_qvi_minimal(regularized, outer, inner, start=start)
 
 
 def uniform_bound_holds(problem: QVIProblem, report: QVIReport) -> bool:

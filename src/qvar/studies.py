@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientDataError, NestingError, SolverError
-from .grid import DIRICHLET, GridFunction, dual_norm, leq, norm
-from .operators import LinearEllipticOperator, _regularization, add_regularization
+from .grid import DIRICHLET, GridFunction, dual_norm, leq, make_mesh, norm
+from .operators import LinearEllipticOperator, _regularization
 from .qvi_solver import (
     OuterParams,
     QVIProblem,
@@ -161,8 +161,11 @@ def _check_path(values, what: str) -> None:
 
 
 def _check_levels(n_list) -> None:
-    """Refinement cell counts must be strictly increasing, divide the last
-    (the reference) and be at least 4; checked before any solve."""
+    """Refinement cell counts must each make a mesh (n >= 2), increase
+    strictly and divide the last (the reference), and there must be at least
+    4 of them; checked before any solve."""
+    for n in n_list:
+        make_mesh(n, DIRICHLET)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     for n in n_list[:-1]:
@@ -238,8 +241,8 @@ def run_operator_perturbation(
     inner: VIParams | None = None,
     reference: GridFunction | None = None,
 ) -> StudyResult:
-    """Minimal solutions of A + delta*I, the operators a regularization path
-    walks (add_regularization), against the unperturbed one.
+    """Minimal solutions of A + delta*I, solved as a regularization path
+    solves its points (solve_qvi_regularized), against the unperturbed one.
 
     'scaled_identity' takes any operator and has the `ordered_solutions`
     verdict.  'coefficient' shifts the reaction coefficient a0, which enters
@@ -258,12 +261,7 @@ def run_operator_perturbation(
         ref, ref_kind = reference, "exact"
 
     reports = _chain(
-        lambda d, start: solve_qvi_minimal(
-            problem.with_operator(add_regularization(problem.operator, d)),
-            outer,
-            inner,
-            start=start,
-        ),
+        lambda d, start: solve_qvi_regularized(problem, d, outer=outer, inner=inner, start=start),
         delta_list,
         "perturbation study",
         start=ref,
@@ -378,11 +376,10 @@ def run_stability_bound_check(
     if not cert.smallness_ok:
         raise ValueError("stability check requires a passing contraction certificate")
     denom = (cert.c - cert.gamma) * (1.0 - cert.rho)
-    y0 = GridFunction.zeros(problem.operator.mesh)
 
     def solve(f, start):
         pert = QVIProblem(problem.operator, f, problem.obstacle_map, None)
-        return solve_qvi_fixed_point(pert, y0, outer, inner, start=start)
+        return solve_qvi_fixed_point(pert, None, outer, inner, start=start)
 
     # one walk point per pair: its first force starts from the previous pair's
     # second solution, its second force from its first

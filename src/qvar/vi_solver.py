@@ -130,7 +130,8 @@ def solve_vi(
     hw = mesh.hw
     hwf = hw * fv
     hold_tol = _HOLD_TOL * (1.0 + np.abs(pv))
-    e = _merit(op, hwf, y, ay)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = _merit(op, hwf, y, ay)
     iters = 0
     while kkt > params.tol and iters < params.max_iter:
         iters += 1

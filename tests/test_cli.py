@@ -306,6 +306,13 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("solver error: Newton step underflowed at residual ")
 
+    def test_overflowing_start_warns_nothing(self, tmp_path, capsys):
+        # the merit of the start overflows to inf; no RuntimeWarning escapes
+        cfg = write_cfg(tmp_path, f"out = {tmp_path}\n[problem]\nname = example1d\nalpha = 1e300\n")
+        assert run_command(["solve", "-c", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err == "solver error: Newton step underflowed at residual 5.000e+299\n"
+
 
 class TestTraceAndCertify:
     def test_trace_reports_quarter_ratio(self, tmp_path, capsys):
@@ -461,6 +468,16 @@ class TestStudies:
         )
         assert run_command(["regpath", "-c", cfg]) == 2
         assert "verdict errors_nonincreasing=False" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["regpath", "perturb", "refine", "robust"])
+    def test_negative_force_is_config_error(self, tmp_path, capsys, command):
+        # every study solves the minimal branch, whose hypothesis is f >= 0
+        cfg = write_cfg(
+            tmp_path, f"out = {tmp_path}\n[problem]\nname = example1d\nn = 32\nf = -0.5\n"
+        )
+        assert run_command([command, "-c", cfg]) == 4
+        err = capsys.readouterr().err
+        assert err == "config error: the monotone modes require a nonnegative force\n"
 
 
 def _uniform(gf):

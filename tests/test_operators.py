@@ -146,6 +146,14 @@ class TestAssembly:
         with pytest.raises(EllipticityError):
             assemble_linear(mesh, 1.0, -0.5)
 
+    def test_nan_coefficients_rejected(self):
+        # a NaN minimum compares false with every bound, so the checks negate
+        mesh = make_mesh(8, "dirichlet")
+        with pytest.raises(EllipticityError, match="diffusion"):
+            assemble_linear(mesh, np.nan, 0.0)
+        with pytest.raises(EllipticityError, match="reaction"):
+            assemble_linear(mesh, 1.0, np.nan)
+
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
     def test_weighted_symmetry(self, bc):
         rng = np.random.default_rng(17)
@@ -795,7 +803,8 @@ class TestRegularization:
     @pytest.mark.parametrize("name", list(BUILTINS))
     def test_builtin_linear_split(self, name, eps):
         # the regularized split is the plain split with eps on the diagonal of
-        # its linear part, and the constants and the supersolution read it
+        # its linear part, and the constants and the supersolution read it;
+        # the supersolution solves that part against f + lip
         prob = builtin_problem(name, n=16, bc="dirichlet")
         op = prob.operator
         reg = add_regularization(op, eps)
@@ -812,7 +821,8 @@ class TestRegularization:
         )
         sup = unconstrained_supersolution(reg, prob.f)
         if lip < np.inf:
-            assert np.array_equal(sup.values, solve_unconstrained(shifted, prob.f).values)
+            rhs = GridFunction(op.mesh, prob.f.values + lip)
+            assert np.array_equal(sup.values, solve_unconstrained(shifted, rhs).values)
         else:
             # the Newton solve sees the same values as through a wrapper that
             # adds eps*u after the plain operator

@@ -117,6 +117,13 @@ class TestFixedPoint:
         assert rep.outer_iterations == 2
         assert rep.step_norms[1] <= 1e-12
 
+    def test_default_start_is_zero(self):
+        prob = builtin_problem("kernel_qvi", n=32)
+        rep = solve_qvi_fixed_point(prob)
+        from_zero = solve_qvi_fixed_point(prob, GridFunction.zeros(prob.operator.mesh))
+        assert rep.solution.values.tobytes() == from_zero.solution.values.tobytes()
+        assert rep.step_norms == from_zero.step_norms
+
     def test_maximal_trivial_when_supersolution_feasible(self):
         mesh = make_mesh(16, "neumann")
         op = assemble_linear(mesh, 1.0, 1.0)
@@ -390,19 +397,37 @@ class TestNonlinearSupersolution:
         assert norm(rep_max.solution - rep_min.solution, "sup") <= 1e-8
 
     def test_regularized_sine_maximal_mode(self):
-        # the supersolution of op + eps I comes from its linear part
+        # the supersolution of op + eps I comes from its linear part, solved
+        # against F + |lam|
         from qvar.operators import add_regularization, solve_unconstrained
 
         prob = builtin_problem("nonmonotone_sine", n=32)
         base = prob.operator.base
         reg = prob.with_operator(add_regularization(prob.operator, 0.1))
         ybar = unconstrained_supersolution(reg.operator, reg.F)
-        direct = solve_unconstrained(add_regularization(base, 0.1), reg.F)
+        lifted = GridFunction(reg.F.mesh, reg.F.values + abs(prob.operator.lam))
+        direct = solve_unconstrained(add_regularization(base, 0.1), lifted)
         assert np.array_equal(ybar.values, direct.values)
         rep_min = solve_qvi_minimal(reg)
         rep_max = solve_qvi_maximal(reg, minimal=rep_min.solution)
         assert rep_min.converged and rep_max.converged
         assert leq(rep_min.solution, rep_max.solution, 1e-8)
+
+    @pytest.mark.parametrize("lam", [-0.9, -0.5, -0.1])
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("f_level", [1.0, 0.3])
+    def test_negative_sine_maximal_mode(self, lam, bc, f_level):
+        # where lam sin(y) < 0 the solve of A y = F alone leaves op(y) < F;
+        # against F + |lam| the start is a supersolution and the modes meet
+        from qvar.operators import apply as op_apply
+
+        prob = builtin_problem("nonmonotone_sine", n=32, bc=bc, lam=lam, f_level=f_level)
+        ybar = unconstrained_supersolution(prob.operator, prob.F)
+        assert np.all(op_apply(prob.operator, ybar).values >= prob.F.values)
+        rep_min = solve_qvi_minimal(prob)
+        rep_max = solve_qvi_maximal(prob, minimal=rep_min.solution)
+        assert rep_min.converged and rep_max.converged
+        assert norm(rep_max.solution - rep_min.solution, "sup") <= 1e-7
 
     def test_shifted_sine_converges_in_both_modes(self):
         # near the solution the energy of a full Newton step can read above

@@ -3,13 +3,14 @@ import re
 import numpy as np
 import pytest
 
-from qvar.errors import InsufficientDataError, NestingError, SolverError
+from qvar.errors import InsufficientDataError, MeshError, NestingError, SolverError
 from qvar.grid import GridFunction, make_mesh
 from qvar.obstacle import ObstacleMap
 from qvar.operators import add_regularization, assemble_linear
 from qvar.problems import builtin_problem
 from qvar.qvi_solver import QVIProblem
 from qvar.studies import (
+    FAMILIES,
     fit_rate,
     run_data_robustness,
     run_mesh_refinement,
@@ -128,6 +129,12 @@ class TestRegularizationPath:
         assert res.reference == "eps=0.0625"
         assert res.rows[-1][1] <= 1e-12
 
+    def test_negative_force_refused(self):
+        # every point is a minimal solve, whose hypothesis is f >= 0
+        prob = builtin_problem("example1d", n=32, f_level=-0.5)
+        with pytest.raises(ValueError, match="the monotone modes require a nonnegative force"):
+            run_regularization_path(prob, EXAMPLE_EPS, "smallest-eps")
+
     def test_negative_reference_rejected_before_any_solve(self, monkeypatch):
         import qvar.studies
 
@@ -161,6 +168,35 @@ class TestRegularizationPath:
 
 
 class TestOperatorPerturbation:
+    def test_regpath_and_perturb_solve_each_point_the_same_way(self, monkeypatch):
+        import qvar.studies
+
+        regularized, minimal = [], []
+        solve_regularized = qvar.studies.solve_qvi_regularized
+        solve_minimal = qvar.studies.solve_qvi_minimal
+
+        def count_regularized(problem, eps, **kwargs):
+            regularized.append(eps)
+            return solve_regularized(problem, eps, **kwargs)
+
+        def count_minimal(problem, *args, **kwargs):
+            minimal.append(problem.operator)
+            return solve_minimal(problem, *args, **kwargs)
+
+        # one solve_qvi_regularized call per walk point; perturb's delta = 0
+        # reference is the one direct minimal solve
+        monkeypatch.setattr(qvar.studies, "solve_qvi_regularized", count_regularized)
+        monkeypatch.setattr(qvar.studies, "solve_qvi_minimal", count_minimal)
+        prob = builtin_problem("example1d", n=32)
+        run_regularization_path(prob, EXAMPLE_EPS, "smallest-eps")
+        assert (regularized, minimal) == (EXAMPLE_EPS, [])
+        deltas = [0.4, 0.2, 0.1, 0.05]
+        for family in FAMILIES:
+            regularized.clear()
+            minimal.clear()
+            run_operator_perturbation(prob, family, deltas)
+            assert (regularized, minimal) == (deltas, [prob.operator])
+
     def test_scaled_identity_matches_regpath(self):
         prob = builtin_problem("example1d")
         exact = golden_exact()
@@ -244,6 +280,11 @@ class TestMeshRefinement:
     def test_nesting_error(self):
         with pytest.raises(NestingError):
             run_mesh_refinement(lambda n: builtin_problem("fixed_obstacle", n=n), [8, 12])
+
+    def test_level_below_two_refused(self):
+        # the mesh rule n >= 2 is checked first, before the divisibility test
+        with pytest.raises(MeshError, match="cell count must be >= 2, got 0"):
+            run_mesh_refinement(lambda n: builtin_problem("fixed_obstacle", n=n), [0, 4, 8, 16])
 
     def test_short_nested_list(self):
         with pytest.raises(InsufficientDataError):

@@ -49,7 +49,11 @@ The matrix:
 - inf and nan list entries, plaplacian on a neumann mesh and refine's three
   n_list rules: each exits 4 with its message after the line and key;
 - regpath with reference = -1e-3, which exits 4 with the library's
-  regularization message after the line and key.
+  regularization message after the line and key;
+- regpath and perturb on example1d with f = -0.5: every study solves the
+  minimal branch, so each exits 4 with the nonnegative-force message;
+- solve example1d with alpha = 1e300, whose starting merit overflows: it
+  exits 3 with the stagnation message and no RuntimeWarning on stderr.
 Rows are only ever appended, so that the dump index of every earlier
 command stays put.
 """
@@ -161,6 +165,10 @@ def _matrix():
             yield (f"regpath {name} bc={bc} reference=1e-6", ["regpath"],
                    config + "[study]\nreference = 1e-6\n")
     yield from _bad(BAD_ENTRIES)
+    negative = "[problem]\nname = example1d\nn = 32\nf = -0.5\n"
+    for cmd in ("regpath", "perturb"):
+        yield f"{cmd} example1d f=-0.5", [cmd], negative
+    yield "solve example1d alpha=1e300", ["solve"], "[problem]\nname = example1d\nalpha = 1e300\n"
 
 
 def _sha(data: bytes) -> str:
