@@ -24,7 +24,7 @@ from .errors import (
     QvarError,
     SolverError,
 )
-from .grid import DIRICHLET, GridFunction, make_mesh, to_csv
+from .grid import DIRICHLET, GridFunction, _write_text, make_mesh, to_csv
 from .obstacle import _coupling
 from .operators import _exponent, _regularization, assemble_linear
 from .problems import _TAKES, BUILTINS, _resolve_kernel, builtin_problem
@@ -255,11 +255,6 @@ def _load_config(path: str | None) -> ExperimentConfig:
     return parse_config(text)
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _make_out_dir(out: str) -> None:
     try:
         os.makedirs(out, exist_ok=True)
@@ -275,8 +270,8 @@ def _cmd_solve(cfg: ExperimentConfig, problem: QVIProblem, trace_mode: bool) -> 
     sol_path, rep_path = (
         os.path.join(cfg.out, f"{cfg.problem_name}_{kind}.csv") for kind in ("solution", "report")
     )
-    _write(sol_path, to_csv(report.solution))
-    _write(rep_path, report.csv_text())
+    _write_text(sol_path, to_csv(report.solution))
+    _write_text(rep_path, report.csv_text())
     print(
         f"{cfg.problem_name}: converged={report.converged} "
         f"outer_iterations={report.outer_iterations} rho_observed={report.rho_observed:.6g}"

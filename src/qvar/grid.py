@@ -8,13 +8,15 @@ pairings, so discrete symmetry statements hold exactly.
 
 from __future__ import annotations
 
+import os
+import stat
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .errors import GridMismatchError, MeshError
+from .errors import ConfigError, GridMismatchError, MeshError
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -265,11 +267,36 @@ def dual_norm(g: GridFunction) -> float:
 
 def to_csv(u: GridFunction) -> str:
     """Serialize as `x,value` rows, boundary nodes included (zeros for dirichlet)."""
-    xs = u.mesh.nodes()
-    vals = u.with_boundary()
-    lines = ["x,value"]
-    lines += [f"{x:.17g},{v:.17g}" for x, v in zip(xs.tolist(), vals.tolist())]
-    return "\n".join(lines) + "\n"
+    # x and value interleaved, all rows formatted by one `%`
+    rows = np.column_stack((u.mesh.nodes(), u.with_boundary())).ravel().tolist()
+    return "x,value\n" + "%.17g,%.17g\n" * (u.mesh.n + 1) % tuple(rows)
+
+
+# no O_TRUNC: see _write_text; O_BINARY exists, and matters, on Windows only
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def _write_text(path, text: str) -> None:
+    """Write text, UTF-8 encoded, to the file at path in place: an existing
+    file is overwritten from its start and cut to the new length, so it keeps
+    its inode, mode and links; a missing one is made as open(path, "w") makes
+    it.  Not truncating to zero first saves the writeback that ext4 starts
+    at close for a file truncated to zero and then written.  No fsync.  An
+    OSError is raised as a ConfigError naming the path."""
+    data = text.encode("utf-8")
+    try:
+        fd = os.open(path, _WRITE_FLAGS, 0o666)
+        try:
+            view = memoryview(data)
+            while view:  # os.write may write less than it is given
+                view = view[os.write(fd, view):]
+            # a device or pipe, such as a link to /dev/null, has no length to cut
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def from_csv(text: str, bc: str) -> GridFunction:

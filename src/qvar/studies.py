@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientDataError, NestingError, SolverError
-from .grid import DIRICHLET, GridFunction, dual_norm, leq, make_mesh, norm
+from .grid import DIRICHLET, GridFunction, _write_text, dual_norm, leq, make_mesh, norm
 from .operators import LinearEllipticOperator, _regularization
 from .qvi_solver import (
     OuterParams,
@@ -82,8 +82,7 @@ class StudyResult:
         return "\n".join(lines) + "\n"
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv())
+        _write_text(path, self.to_csv())
 
 
 def _fmt(v) -> str:

@@ -1,3 +1,5 @@
+import errno
+import os
 import pathlib
 import threading
 
@@ -478,6 +480,53 @@ class TestStudies:
         assert run_command([command, "-c", cfg]) == 4
         err = capsys.readouterr().err
         assert err == "config error: the monotone modes require a nonnegative force\n"
+
+
+class TestOutputFiles:
+    """Outputs are rewritten in place: a rerun over longer files leaves the
+    bytes of a fresh run, and an output that cannot be written exits 4."""
+
+    _EPS = "[study]\neps_list = 0.5,0.25,0.125,0.0625\n"
+
+    def _run(self, tmp_path, command, out, n, study=""):
+        cfg = write_cfg(tmp_path, f"[problem]\nname = example1d\nn = {n}\n{study}", f"{out}.cfg")
+        return run_command([command, "-c", cfg, "--out", str(tmp_path / out)])
+
+    @pytest.mark.parametrize(
+        "command, files",
+        [
+            ("solve", ("example1d_solution.csv", "example1d_report.csv")),
+            ("regpath", ("regpath.csv",)),
+        ],
+    )
+    def test_rerun_over_longer_outputs_gives_fresh_bytes(self, tmp_path, command, files):
+        # the longer files: a finer mesh, and for regpath two more eps
+        longer = "[study]\neps_list = 0.5,0.25,0.125,0.0625,0.03125,0.015625\n"
+        assert self._run(tmp_path, command, "used", 64, longer) == 0
+        old = {name: (tmp_path / "used" / name).read_bytes() for name in files}
+        assert self._run(tmp_path, command, "used", 8, self._EPS) == 0
+        assert self._run(tmp_path, command, "fresh", 8, self._EPS) == 0
+        # example1d's report does not depend on n; its solution does
+        assert len(old[files[0]]) > len((tmp_path / "fresh" / files[0]).read_bytes())
+        for name in files:
+            assert (tmp_path / "used" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+    @pytest.mark.parametrize("command, name", [("solve", "example1d_solution.csv"),
+                                               ("regpath", "regpath.csv")])
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys, command, name):
+        path = tmp_path / "out" / name
+        path.mkdir(parents=True)
+        assert self._run(tmp_path, command, "out", 8, self._EPS) == 4
+        assert capsys.readouterr().err == (
+            f"config error: cannot write {path}: {os.strerror(errno.EISDIR)}\n"
+        )
+
+    def test_rerun_keeps_permission_bits(self, tmp_path):
+        assert self._run(tmp_path, "solve", "out", 8) == 0
+        path = tmp_path / "out" / "example1d_solution.csv"
+        os.chmod(path, 0o600)
+        assert self._run(tmp_path, "solve", "out", 8) == 0
+        assert path.stat().st_mode & 0o777 == 0o600
 
 
 def _uniform(gf):
