@@ -24,7 +24,7 @@ from .errors import (
     QvarError,
     SolverError,
 )
-from .grid import DIRICHLET, GridFunction, _write_text, make_mesh, to_csv
+from .grid import DIRICHLET, GridFunction, _check_writable, _write_text, make_mesh, to_csv
 from .obstacle import _coupling
 from .operators import _exponent, _regularization, assemble_linear
 from .problems import _TAKES, BUILTINS, _resolve_kernel, builtin_problem
@@ -35,15 +35,7 @@ from .qvi_solver import (
     solve_qvi_fixed_point,
     solve_qvi_minimal,
 )
-from .studies import (
-    _check_family,
-    _check_levels,
-    _check_path,
-    run_data_robustness,
-    run_mesh_refinement,
-    run_operator_perturbation,
-    run_regularization_path,
-)
+from .studies import STUDIES, _number
 from .vi_solver import VIParams, kkt_residual, solve_vi, solve_vi_active_set_oracle
 
 # [problem] key -> builder keyword of the overrides only some builtins take
@@ -58,8 +50,6 @@ _PROBLEM_CHECKS = {
     "n": lambda n: make_mesh(n, DIRICHLET), "bc": lambda bc: make_mesh(2, bc),
     "p": _exponent, "eps_op": _regularization, "alpha": _coupling, "kernel": _resolve_kernel,
 }
-
-_STUDY_KINDS = ("regpath", "perturb", "refine", "robust")
 
 
 @dataclass
@@ -86,12 +76,7 @@ class ExperimentConfig:
 
 
 def _parse_float(raw: str, line_no: int, key: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"line {line_no}: key '{key}' expects a number, got {raw!r}") from None
-    _require_range(np.isfinite(value), line_no, key, f"must be finite, got {raw!r}")
-    return value
+    return _checked(line_no, key, _number, raw)
 
 
 def _parse_int(raw: str, line_no: int, key: str) -> int:
@@ -108,13 +93,15 @@ def _parse_list(raw: str, line_no: int, key: str, cast) -> list:
     except ValueError:
         raise ConfigError(f"line {line_no}: key '{key}' expects a comma-separated list, got {raw!r}") from None
     for value, part in zip(values, parts):
-        _require_range(np.isfinite(value), line_no, key, f"must be finite, got {part!r}")
+        if not np.isfinite(value):
+            raise ConfigError(f"line {line_no}: key '{key}' must be finite, got {part!r}")
     return values
 
 
-def _require_range(ok: bool, line_no: int, key: str, message: str) -> None:
-    if not ok:
-        raise ConfigError(f"line {line_no}: key '{key}' {message}")
+def _one_of(value: str, choices) -> str:
+    if value not in choices:
+        raise ValueError(f"must be one of {', '.join(choices)}, got {value!r}")
+    return value
 
 
 def _checked(line_no: int, key: str, check, *args, **kwargs):
@@ -177,9 +164,7 @@ def _apply_top_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -> N
 
 def _apply_problem_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -> None:
     if key == "name":
-        _require_range(raw in BUILTINS, line_no, key,
-                       f"must be one of {', '.join(BUILTINS)}, got {raw!r}")
-        cfg.problem_name = raw
+        cfg.problem_name = _checked(line_no, key, _one_of, raw, BUILTINS)
         return
     if key not in _PROBLEM_KEYS:
         raise ConfigError(f"line {line_no}: unknown key '{key}' in [problem]")
@@ -210,31 +195,16 @@ def _apply_solver_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -
 
 
 def _apply_study_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -> None:
-    value = raw
-    if key == "kind":
-        # the subcommand picks the study; the key is checked, not used
-        _require_range(raw in _STUDY_KINDS, line_no, key,
-                       f"must be one of {', '.join(_STUDY_KINDS)}, got {raw!r}")
-    elif key in ("eps_list", "delta_list"):
-        value = _parse_list(raw, line_no, key, float)
-        _checked(line_no, key, _check_path, value, key)
-    elif key in ("f_deltas", "phi_deltas"):
-        value = _parse_list(raw, line_no, key, float)
-        _require_range(all(v > 0 for v in value), line_no, key, "entries must be positive")
-    elif key == "n_list":
-        value = _parse_list(raw, line_no, key, int)
-        _checked(line_no, key, _check_levels, value)
-    elif key == "family":
-        _checked(line_no, key, _check_family, raw)
-    elif key == "reference":
-        # smallest-eps, an eps >= 0, or const:<level> as a function of the mesh
-        if raw.startswith("const:"):
-            value = functools.partial(GridFunction.constant, c=_parse_float(raw[6:], line_no, key))
-        elif raw != "smallest-eps":
-            value = _checked(line_no, key, _regularization, _parse_float(raw, line_no, key))
-    else:
+    # every study command accepts every kind's keys, so one config serves them
+    # all; `kind` is checked but not used, as the subcommand picks the study
+    keys = {"kind": (str, lambda kind: _one_of(kind, STUDIES), None)}
+    for _, kind_keys, _ in STUDIES.values():
+        keys.update(kind_keys)
+    if key not in keys:
         raise ConfigError(f"line {line_no}: unknown key '{key}' in [study]")
-    cfg.study[key] = value
+    entry, check, _ = keys[key]
+    value = raw if entry is str else _parse_list(raw, line_no, key, entry)
+    cfg.study[key] = _checked(line_no, key, check, value)
 
 
 _SECTION_PARSERS = {
@@ -263,13 +233,16 @@ def _make_out_dir(out: str) -> None:
 
 
 def _cmd_solve(cfg: ExperimentConfig, problem: QVIProblem, trace_mode: bool) -> int:
+    sol_path, rep_path = (
+        os.path.join(cfg.out, f"{cfg.problem_name}_{kind}.csv") for kind in ("solution", "report")
+    )
+    # both targets are checked before the solve, so neither is written alone
+    _check_writable(sol_path)
+    _check_writable(rep_path)
     if trace_mode or np.min(problem.f.values) < 0:
         report = solve_qvi_fixed_point(problem, outer=cfg.outer, inner=cfg.inner)
     else:
         report = solve_qvi_minimal(problem, cfg.outer, cfg.inner)
-    sol_path, rep_path = (
-        os.path.join(cfg.out, f"{cfg.problem_name}_{kind}.csv") for kind in ("solution", "report")
-    )
     _write_text(sol_path, to_csv(report.solution))
     _write_text(rep_path, report.csv_text())
     print(
@@ -289,34 +262,14 @@ def _cmd_certify(problem: QVIProblem) -> int:
 
 
 def _cmd_study(cfg: ExperimentConfig, problem: QVIProblem, kind: str) -> int:
-    if kind == "regpath":
-        reference = cfg.study.get("reference", "smallest-eps")
-        result = run_regularization_path(
-            problem,
-            cfg.study.get("eps_list", [0.5 / 2**k for k in range(6)]),
-            reference(problem.f.mesh) if callable(reference) else reference,
-            cfg.outer, cfg.inner,
-        )
-    elif kind == "perturb":
-        result = run_operator_perturbation(
-            problem,
-            cfg.study.get("family", "scaled_identity"),
-            cfg.study.get("delta_list", [0.4, 0.2, 0.1, 0.05, 0.025]),
-            cfg.outer, cfg.inner,
-        )
-    elif kind == "refine":
-        result = run_mesh_refinement(
-            lambda n: cfg.build_problem(n=n),
-            cfg.study.get("n_list", [8, 16, 32, 64, 128, 256]),
-            cfg.outer, cfg.inner,
-        )
-    else:  # robust
-        result = run_data_robustness(
-            problem,
-            cfg.study.get("f_deltas", [0.2, 0.1, 0.05, 0.025]),
-            cfg.study.get("phi_deltas"),
-            cfg.outer, cfg.inner,
-        )
+    _, keys, run = STUDIES[kind]
+    values = {key: cfg.study.get(key, default) for key, (_, _, default) in keys.items()}
+    # the problem built already serves its own mesh, so it is not built twice
+    result = run(
+        problem,
+        lambda n: problem if n == problem.f.mesh.n else cfg.build_problem(n=n),
+        values, cfg.outer, cfg.inner,
+    )
     result.seed = cfg.seed
     path = os.path.join(cfg.out, f"{result.name}.csv")
     result.write(path)
@@ -386,10 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("solve", "one solve, writes solution and report CSV"),
         ("trace", "fixed-point iteration trace from y0=0 with observed contraction ratio"),
         ("certify", "contraction certificate from structural bounds"),
-        ("regpath", "regularization-path study"),
-        ("perturb", "operator-perturbation study"),
-        ("refine", "mesh-refinement study"),
-        ("robust", "data-robustness study"),
+        *((kind, help_line) for kind, (help_line, _, _) in STUDIES.items()),
     ):
         add_common(sub.add_parser(name, help=help_text))
 

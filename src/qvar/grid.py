@@ -299,6 +299,20 @@ def _write_text(path, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _check_writable(path) -> None:
+    """Raise the ConfigError of _write_text for a regular file or directory
+    at path that cannot be opened for writing, and change nothing: it is
+    opened without being created, cut or written.  A pipe or device is not
+    opened, since opening one is seen at its other end."""
+    try:
+        if stat.S_IFMT(os.stat(path).st_mode) in (stat.S_IFREG, stat.S_IFDIR):
+            os.close(os.open(path, _WRITE_FLAGS & ~os.O_CREAT))
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def from_csv(text: str, bc: str) -> GridFunction:
     """Parse the `x,value` format back into a grid function.  Row i of n+1
     must hold two numbers with x within 1e-3 h of the node i/n; a row that

@@ -19,6 +19,7 @@ tolerance.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,21 +149,22 @@ def _chain(solve, items: list, what: str, start: GridFunction | None = None) -> 
     return reports
 
 
-def _check_path(values, what: str) -> None:
+def _check_path(values, what: str):
     """Study points must be at least 4, strictly decreasing and positive;
-    checked before any solve."""
+    checked before any solve, and returned."""
     if len(values) < 4:
         raise InsufficientDataError(f"{what} needs at least 4 entries, got {len(values)}")
     if any(b >= a for a, b in zip(values, values[1:])):
         raise ValueError(f"{what} must be strictly decreasing")
     if values[-1] <= 0:
         raise ValueError(f"{what} must be positive")
+    return values
 
 
-def _check_levels(n_list) -> None:
+def _check_levels(n_list):
     """Refinement cell counts must each make a mesh (n >= 2), increase
     strictly and divide the last (the reference), and there must be at least
-    4 of them; checked before any solve."""
+    4 of them; checked before any solve, and returned."""
     for n in n_list:
         make_mesh(n, DIRICHLET)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -172,11 +174,13 @@ def _check_levels(n_list) -> None:
             raise NestingError(f"{n} does not divide the reference cell count {n_list[-1]}")
     if len(n_list) < 4:
         raise InsufficientDataError(f"n_list needs at least 4 entries, got {len(n_list)}")
+    return n_list
 
 
-def _check_family(family: str) -> None:
+def _check_family(family: str) -> str:
     if family not in FAMILIES:
         raise ValueError(f"perturbation family must be one of {FAMILIES}, got {family!r}")
+    return family
 
 
 _PATH_AUX = ("solution_sup", "outer_iterations")
@@ -398,3 +402,79 @@ def run_stability_bound_check(
     return _result(
         "stability", rows, ("bound", "ratio"), verdicts, "pairwise", reports, fit=False
     )
+
+
+
+
+def _positive(values):
+    if not all(v > 0 for v in values):
+        raise ValueError("entries must be positive")
+    return values
+
+
+def _number(text: str) -> float:
+    """The finite number that text spells."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"expects a number, got {text!r}") from None
+    if not np.isfinite(value):
+        raise ValueError(f"must be finite, got {text!r}")
+    return value
+
+
+def _reference(text: str):
+    """regpath's reference as a config spells it: smallest-eps, an eps >= 0,
+    or const:<level>, the constant function on the mesh it is given."""
+    if text.startswith("const:"):
+        return functools.partial(GridFunction.constant, c=_number(text[6:]))
+    return text if text == "smallest-eps" else _regularization(_number(text))
+
+
+# The runners of STUDIES: run(problem, problem_on, values, outer, inner), where
+# problem_on(n) is the configured problem on n cells and values maps each of
+# the kind's keys to its value.  Each finds its run_* in this module's
+# namespace when it runs, so a function rebound there is the one called.
+def _run_regpath(problem, problem_on, values, outer, inner):
+    reference = values["reference"]
+    if callable(reference):
+        reference = reference(problem.f.mesh)
+    return run_regularization_path(problem, values["eps_list"], reference, outer, inner)
+
+
+def _run_perturb(problem, problem_on, values, outer, inner):
+    return run_operator_perturbation(problem, values["family"], values["delta_list"], outer, inner)
+
+
+def _run_refine(problem, problem_on, values, outer, inner):
+    return run_mesh_refinement(problem_on, values["n_list"], outer, inner)
+
+
+def _run_robust(problem, problem_on, values, outer, inner):
+    return run_data_robustness(problem, values["f_deltas"], values["phi_deltas"], outer, inner)
+
+
+# The CLI's study subcommands, in the order of its help:
+# kind -> (help line, {[study] key: (entry, check, default)}, runner).
+# A key's value is a comma-separated list of `entry` numbers, or one text
+# when `entry` is str; `check` owns its range rule and returns the value to
+# use, and `default` stands in when the key is absent.
+STUDIES = {
+    "regpath": ("regularization-path study", {
+        "eps_list": (float, functools.partial(_check_path, what="eps_list"),
+                     tuple(0.5 / 2**k for k in range(6))),
+        "reference": (str, _reference, "smallest-eps"),
+    }, _run_regpath),
+    "perturb": ("operator-perturbation study", {
+        "family": (str, _check_family, "scaled_identity"),
+        "delta_list": (float, functools.partial(_check_path, what="delta_list"),
+                       (0.4, 0.2, 0.1, 0.05, 0.025)),
+    }, _run_perturb),
+    "refine": ("mesh-refinement study", {
+        "n_list": (int, _check_levels, (8, 16, 32, 64, 128, 256)),
+    }, _run_refine),
+    "robust": ("data-robustness study", {
+        "f_deltas": (float, _positive, (0.2, 0.1, 0.05, 0.025)),
+        "phi_deltas": (float, _positive, None),
+    }, _run_robust),
+}

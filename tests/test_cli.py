@@ -314,6 +314,8 @@ class TestSolveCommand:
         assert run_command(["solve", "-c", cfg]) == 3
         err = capsys.readouterr().err
         assert err == "solver error: Newton step underflowed at residual 5.000e+299\n"
+        # the targets are checked before the solve without creating either
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestTraceAndCertify:
@@ -521,6 +523,42 @@ class TestOutputFiles:
             f"config error: cannot write {path}: {os.strerror(errno.EISDIR)}\n"
         )
 
+    @pytest.mark.parametrize("old", [b"old solution\n", None])
+    def test_unwritable_report_leaves_the_solution_alone(self, tmp_path, capsys, old):
+        solution = tmp_path / "out" / "example1d_solution.csv"
+        report = tmp_path / "out" / "example1d_report.csv"
+        report.mkdir(parents=True)
+        if old is not None:
+            solution.write_bytes(old)
+        assert self._run(tmp_path, "solve", "out", 8) == 4
+        assert capsys.readouterr().err == (
+            f"config error: cannot write {report}: {os.strerror(errno.EISDIR)}\n"
+        )
+        # an old solution keeps its bytes, and a missing one is not created
+        assert (solution.read_bytes() if solution.exists() else None) == old
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_output_is_opened_once(self, tmp_path):
+        # the check before the solve leaves a pipe alone: opening it would
+        # hand its reader an empty file
+        fifo = tmp_path / "out" / "example1d_report.csv"
+        fifo.parent.mkdir()
+        os.mkfifo(fifo)
+        sessions = []
+
+        def read():
+            while not sessions or sessions[-1] == b"":
+                with open(fifo, "rb") as fh:
+                    sessions.append(fh.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        assert self._run(tmp_path, "solve", "out", 8) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert len(sessions) == 1
+        assert sessions[0].startswith(b"outer_iter,step_norm,ratio\n")
+
     def test_rerun_keeps_permission_bits(self, tmp_path):
         assert self._run(tmp_path, "solve", "out", 8) == 0
         path = tmp_path / "out" / "example1d_solution.csv"
@@ -592,7 +630,7 @@ class TestConfigKeysReachTheRun:
     def test_value_reaches_problem_or_study(
         self, tmp_path, monkeypatch, text, command, seen, expected
     ):
-        from qvar import cli
+        from qvar import studies
         from qvar.studies import StudyResult
 
         calls = []
@@ -601,12 +639,106 @@ class TestConfigKeysReachTheRun:
             calls.append((problem, args))
             return StudyResult(command, [], (), None, {})
 
-        monkeypatch.setattr(cli, "run_operator_perturbation", record)
-        monkeypatch.setattr(cli, "run_regularization_path", record)
+        # the study table's runners call these through the studies module
+        monkeypatch.setattr(studies, "run_operator_perturbation", record)
+        monkeypatch.setattr(studies, "run_regularization_path", record)
         cfg = write_cfg(tmp_path, f"out = {tmp_path}\n{text}\n")
         assert run_command([command, "-c", cfg]) == 0
         [(problem, args)] = calls
         assert seen(problem, args) == expected
+
+
+# one entry for every [study] key of every kind, and kind
+ALL_STUDY_KEYS = {
+    "kind": "regpath",
+    "eps_list": "0.5,0.25,0.125,0.0625",
+    "reference": "1e-6",
+    "family": "coefficient",
+    "delta_list": "0.4,0.2,0.1,0.05",
+    "n_list": "4,8,16,32",
+    "f_deltas": "0.2,0.1,0.05,0.025",
+    "phi_deltas": "0.02,0.01,0.005,0.0025",
+}
+
+
+class TestStudyTable:
+    """The CLI derives its study subcommands, [study] keys and dispatch from
+    qvar.studies.STUDIES."""
+
+    @pytest.fixture
+    def fresh_parser(self):
+        from qvar import cli
+
+        cli._build_parser.cache_clear()
+        yield
+        cli._build_parser.cache_clear()
+
+    def _study(self, tmp_path, kind, keys, out):
+        study = "".join(f"{key} = {value}\n" for key, value in keys.items())
+        cfg = write_cfg(tmp_path, f"[problem]\nname = example1d\nn = 16\n[study]\n{study}", f"{out}.cfg")
+        code = run_command([kind, "-c", cfg, "--out", str(tmp_path / out)])
+        return code, (tmp_path / out / f"{kind}.csv").read_bytes()
+
+    def test_all_keys_config_serves_every_study(self, tmp_path):
+        from qvar.studies import STUDIES
+
+        own = {kind: set(keys) for kind, (_, keys, _) in STUDIES.items()}
+        assert set(ALL_STUDY_KEYS) == {"kind"}.union(*own.values())
+        for kind, keys in own.items():
+            code, shared = self._study(tmp_path, kind, ALL_STUDY_KEYS, f"{kind}-all")
+            assert code == 0
+            only = {key: ALL_STUDY_KEYS[key] for key in keys}
+            assert self._study(tmp_path, kind, only, f"{kind}-own") == (0, shared)
+
+    def test_refine_builds_each_level_once(self, tmp_path, monkeypatch):
+        from qvar import cli
+
+        built = []
+
+        def counted(name, **overrides):
+            built.append(overrides["n"])
+            return builtin_problem(name, **overrides)
+
+        monkeypatch.setattr(cli, "builtin_problem", counted)
+        cfg = write_cfg(
+            tmp_path,
+            f"out = {tmp_path}\n[problem]\nname = kernel_qvi\nn = 128\n"
+            "[study]\nn_list = 8,16,32,64,128\n",
+        )
+        assert run_command(["refine", "-c", cfg]) == 0
+        # the config's problem serves the finest level
+        assert built == [128, 8, 16, 32, 64]
+
+    def test_new_kind_is_one_table_entry(self, tmp_path, monkeypatch, capsys, fresh_parser):
+        from qvar import studies
+        from qvar.studies import StudyResult
+
+        def increasing(values):
+            if values != sorted(values):
+                raise ValueError("must increase")
+            return values
+
+        seen = []
+
+        def run(problem, problem_on, values, outer, inner):
+            seen.append((problem.f.mesh.n, values))
+            return StudyResult("toy", [(1.0, 0.5, 3)], ("count",), None, {"toy_ok": True})
+
+        toy = ("toy study", {"toy_list": (int, increasing, (2, 4))}, run)
+        monkeypatch.setitem(studies.STUDIES, "toy", toy)
+        assert run_command(["--help"]) == 0
+        assert "toy study" in capsys.readouterr().out
+        base = f"out = {tmp_path}\n[problem]\nn = 8\n[study]\nkind = toy\n"
+        assert run_command(["toy", "-c", write_cfg(tmp_path, base)]) == 0
+        assert run_command(["toy", "-c", write_cfg(tmp_path, base + "toy_list = 1,3\n")]) == 0
+        assert seen == [(8, {"toy_list": (2, 4)}), (8, {"toy_list": [1, 3]})]
+        assert (tmp_path / "toy.csv").read_text().splitlines()[:3] == [
+            "# study=toy seed=42 reference=none", "parameter,error,count", "1,0.5,3"
+        ]
+        capsys.readouterr()
+        assert run_command(["toy", "-c", write_cfg(tmp_path, base + "toy_list = 3,1\n")]) == 4
+        assert capsys.readouterr().err == "config error: line 6: key 'toy_list' must increase\n"
+        assert len(seen) == 2
 
 
 class TestCrossProcessDeterminism:
@@ -851,6 +983,18 @@ class TestConfigErrorMessages:
                 ["refine"],
                 "line 2: key 'n_list' n_list needs at least 4 entries, got 3",
             ),
+            # the choices of kind are the study table's kinds
+            (
+                "[study]\nkind = stability\n",
+                ["regpath"],
+                "line 2: key 'kind' must be one of regpath, perturb, refine, robust, "
+                "got 'stability'",
+            ),
+            (
+                "[study]\nphi_deltas = 0.02,0.01,0,0.005\n",
+                ["robust"],
+                "line 2: key 'phi_deltas' entries must be positive",
+            ),
         ],
     )
     def test_message_and_exit_code(self, tmp_path, capsys, text, argv, message):
@@ -864,13 +1008,13 @@ class TestConfigErrorMessages:
     def test_unusable_out_dir_fails_before_solving(
         self, tmp_path, monkeypatch, capsys, command, below, reason
     ):
-        from qvar import cli
+        from qvar import cli, studies
 
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the output directory was checked")
 
         monkeypatch.setattr(cli, "solve_qvi_minimal", no_solve)
-        monkeypatch.setattr(cli, "run_regularization_path", no_solve)
+        monkeypatch.setattr(studies, "run_regularization_path", no_solve)
         (tmp_path / "taken").write_text("", encoding="utf-8")
         out = f"{tmp_path}/taken{below}"
         cfg = write_cfg(tmp_path, "[problem]\nname = example1d\nn = 8\n")

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import pathlib
 
@@ -69,3 +70,22 @@ class TestCompare:
         assert code == 1
         assert "  FLAG line 1: integer 0 -> 3" in out.splitlines()
         assert "c/out/perturb.csv: only in" in out
+
+
+def test_matrix_runs_every_study_kind():
+    # checked here rather than in the tool: CI runs this tool on the base
+    # commit's source, so it may import nothing from qvar but run_command
+    from qvar.studies import STUDIES
+
+    commands = {argv[0] for _, argv, _ in digests._matrix()}
+    assert set(STUDIES) <= commands
+
+
+def test_tool_imports_only_run_command_from_qvar():
+    tree = ast.parse(_TOOL.read_text(encoding="utf-8"))
+    imported = [
+        (getattr(node, "module", None), [alias.name for alias in node.names])
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert [entry for entry in imported if "qvar" in str(entry)] == [("qvar.cli", ["run_command"])]
