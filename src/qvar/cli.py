@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import stat
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -24,7 +25,7 @@ from .errors import (
     QvarError,
     SolverError,
 )
-from .grid import DIRICHLET, GridFunction, _check_writable, _write_text, make_mesh, to_csv
+from .grid import DIRICHLET, GridFunction, make_mesh, to_csv
 from .obstacle import _coupling
 from .operators import _exponent, _regularization, assemble_linear
 from .problems import _TAKES, BUILTINS, _resolve_kernel, builtin_problem
@@ -225,20 +226,63 @@ def _load_config(path: str | None) -> ExperimentConfig:
     return parse_config(text)
 
 
-def _make_out_dir(out: str) -> None:
+# no O_TRUNC: see _write_text; O_BINARY exists, and matters, on Windows only
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def _write_text(path, text: str) -> None:
+    """Write text, UTF-8 encoded, to the file at path in place: an existing
+    file is overwritten from its start and cut to the new length, so it keeps
+    its inode, mode and links; a missing one is made as open(path, "w") makes
+    it.  Not truncating to zero first saves the writeback that ext4 starts
+    at close for a file truncated to zero and then written.  No fsync.  An
+    OSError is raised as a ConfigError naming the path."""
+    data = text.encode("utf-8")
+    try:
+        fd = os.open(path, _WRITE_FLAGS, 0o666)
+        try:
+            view = memoryview(data)
+            while view:  # os.write may write less than it is given
+                view = view[os.write(fd, view):]
+            # a device or pipe, such as a link to /dev/null, has no length to cut
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _check_writable(path) -> None:
+    """Raise the ConfigError of _write_text for a regular file or directory
+    at path that cannot be opened for writing, and change nothing: it is
+    opened without being created, cut or written.  A pipe or device is not
+    opened, since opening one is seen at its other end."""
+    try:
+        if stat.S_IFMT(os.stat(path).st_mode) in (stat.S_IFREG, stat.S_IFDIR):
+            os.close(os.open(path, _WRITE_FLAGS & ~os.O_CREAT))
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _targets(out: str, stems) -> list:
+    """The paths out/<stem>.csv, out made and each checked: every command
+    that writes calls this before it solves, and writes only these."""
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from None
+    paths = [os.path.join(out, f"{stem}.csv") for stem in stems]
+    for path in paths:
+        _check_writable(path)
+    return paths
 
 
 def _cmd_solve(cfg: ExperimentConfig, problem: QVIProblem, trace_mode: bool) -> int:
-    sol_path, rep_path = (
-        os.path.join(cfg.out, f"{cfg.problem_name}_{kind}.csv") for kind in ("solution", "report")
-    )
-    # both targets are checked before the solve, so neither is written alone
-    _check_writable(sol_path)
-    _check_writable(rep_path)
+    name = cfg.problem_name
+    sol_path, rep_path = _targets(cfg.out, (f"{name}_solution", f"{name}_report"))
     if trace_mode or np.min(problem.f.values) < 0:
         report = solve_qvi_fixed_point(problem, outer=cfg.outer, inner=cfg.inner)
     else:
@@ -246,7 +290,7 @@ def _cmd_solve(cfg: ExperimentConfig, problem: QVIProblem, trace_mode: bool) -> 
     _write_text(sol_path, to_csv(report.solution))
     _write_text(rep_path, report.csv_text())
     print(
-        f"{cfg.problem_name}: converged={report.converged} "
+        f"{name}: converged={report.converged} "
         f"outer_iterations={report.outer_iterations} rho_observed={report.rho_observed:.6g}"
     )
     print(f"wrote {sol_path} and {rep_path}")
@@ -262,6 +306,7 @@ def _cmd_certify(problem: QVIProblem) -> int:
 
 
 def _cmd_study(cfg: ExperimentConfig, problem: QVIProblem, kind: str) -> int:
+    (path,) = _targets(cfg.out, (kind,))  # the kind is the result's name
     _, keys, run = STUDIES[kind]
     values = {key: cfg.study.get(key, default) for key, (_, _, default) in keys.items()}
     # the problem built already serves its own mesh, so it is not built twice
@@ -271,8 +316,7 @@ def _cmd_study(cfg: ExperimentConfig, problem: QVIProblem, kind: str) -> int:
         values, cfg.outer, cfg.inner,
     )
     result.seed = cfg.seed
-    path = os.path.join(cfg.out, f"{result.name}.csv")
-    result.write(path)
+    _write_text(path, result.to_csv())
     print(f"wrote {path}")
     if result.fit is not None:
         print(f"fit: slope={result.fit.slope:.6g} r2={result.fit.r2:.6g}")
@@ -367,11 +411,10 @@ def run_command(argv) -> int:
         if args.out is not None:
             cfg.out = args.out
         # built for every command, refine included, so a bad [problem] fails
-        # before any solve; so does an output directory that cannot be made
+        # before any solve; so does an output target that cannot be written
         problem = cfg.build_problem()
         if args.command == "certify":
             return _cmd_certify(problem)
-        _make_out_dir(cfg.out)
         if args.command in ("solve", "trace"):
             return _cmd_solve(cfg, problem, trace_mode=args.command == "trace")
         return _cmd_study(cfg, problem, args.command)

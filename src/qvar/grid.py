@@ -1,4 +1,5 @@
-"""Uniform 1-D meshes on (0,1), nodal grid functions, discrete norms and lattice operations.
+"""Uniform 1-D meshes on (0,1), nodal grid functions, discrete norms, lattice
+operations and the `x,value` CSV text of a grid function.
 
 Degrees of freedom are interior nodes for dirichlet meshes (boundary values are
 implicitly zero) and all nodes for neumann meshes.  The trapezoid end-weights
@@ -8,15 +9,13 @@ pairings, so discrete symmetry statements hold exactly.
 
 from __future__ import annotations
 
-import os
-import stat
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .errors import ConfigError, GridMismatchError, MeshError
+from .errors import GridMismatchError, MeshError
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -270,47 +269,6 @@ def to_csv(u: GridFunction) -> str:
     # x and value interleaved, all rows formatted by one `%`
     rows = np.column_stack((u.mesh.nodes(), u.with_boundary())).ravel().tolist()
     return "x,value\n" + "%.17g,%.17g\n" * (u.mesh.n + 1) % tuple(rows)
-
-
-# no O_TRUNC: see _write_text; O_BINARY exists, and matters, on Windows only
-_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
-
-
-def _write_text(path, text: str) -> None:
-    """Write text, UTF-8 encoded, to the file at path in place: an existing
-    file is overwritten from its start and cut to the new length, so it keeps
-    its inode, mode and links; a missing one is made as open(path, "w") makes
-    it.  Not truncating to zero first saves the writeback that ext4 starts
-    at close for a file truncated to zero and then written.  No fsync.  An
-    OSError is raised as a ConfigError naming the path."""
-    data = text.encode("utf-8")
-    try:
-        fd = os.open(path, _WRITE_FLAGS, 0o666)
-        try:
-            view = memoryview(data)
-            while view:  # os.write may write less than it is given
-                view = view[os.write(fd, view):]
-            # a device or pipe, such as a link to /dev/null, has no length to cut
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                os.ftruncate(fd, len(data))
-        finally:
-            os.close(fd)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
-
-
-def _check_writable(path) -> None:
-    """Raise the ConfigError of _write_text for a regular file or directory
-    at path that cannot be opened for writing, and change nothing: it is
-    opened without being created, cut or written.  A pipe or device is not
-    opened, since opening one is seen at its other end."""
-    try:
-        if stat.S_IFMT(os.stat(path).st_mode) in (stat.S_IFREG, stat.S_IFDIR):
-            os.close(os.open(path, _WRITE_FLAGS & ~os.O_CREAT))
-    except FileNotFoundError:
-        pass
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def from_csv(text: str, bc: str) -> GridFunction:

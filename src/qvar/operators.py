@@ -195,8 +195,12 @@ class PLaplacianOperator:
         self.shift = 0.0
 
     def _edge_gradients(self, u: np.ndarray) -> np.ndarray:
-        full = np.concatenate(([0.0], u, [0.0]))
-        return np.diff(full) / self.mesh.h
+        """np.diff([0, u, 0]) / h without the copy; 0.0 - u[-1], not -u[-1], keeps +0."""
+        g = np.empty(u.size + 1)
+        g[0], g[-1] = u[0], 0.0 - u[-1]
+        np.subtract(u[1:], u[:-1], out=g[1:-1])
+        g /= self.mesh.h
+        return g
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         g = self._edge_gradients(u)

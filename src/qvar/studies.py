@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientDataError, NestingError, SolverError
-from .grid import DIRICHLET, GridFunction, _write_text, dual_norm, leq, make_mesh, norm
+from .grid import DIRICHLET, GridFunction, dual_norm, leq, make_mesh, norm
 from .operators import LinearEllipticOperator, _regularization
 from .qvi_solver import (
     OuterParams,
@@ -81,9 +81,6 @@ class StudyResult:
         for name, value in self.verdicts.items():
             lines.append(f"# verdict {name}={value}")
         return "\n".join(lines) + "\n"
-
-    def write(self, path) -> None:
-        _write_text(path, self.to_csv())
 
 
 def _fmt(v) -> str:
@@ -402,8 +399,6 @@ def run_stability_bound_check(
     return _result(
         "stability", rows, ("bound", "ratio"), verdicts, "pairwise", reports, fit=False
     )
-
-
 
 
 def _positive(values):

@@ -6,12 +6,12 @@ import threading
 import numpy as np
 import pytest
 
-from qvar.cli import ExperimentConfig, parse_config, run_command
+from qvar.cli import ExperimentConfig, _write_text, parse_config, run_command
 from qvar.errors import ConfigError
 from qvar.grid import from_csv
 from qvar.problems import builtin_problem
 from qvar.qvi_solver import problem_certificate
-from qvar.studies import run_mesh_refinement
+from qvar.studies import STUDIES, run_mesh_refinement
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -523,6 +523,26 @@ class TestOutputFiles:
             f"config error: cannot write {path}: {os.strerror(errno.EISDIR)}\n"
         )
 
+    @pytest.mark.parametrize("kind", list(STUDIES))
+    def test_unwritable_study_file_fails_before_any_solve(self, tmp_path, capsys, monkeypatch, kind):
+        import qvar.qvi_solver
+
+        path = tmp_path / "out" / f"{kind}.csv"
+        path.mkdir(parents=True)
+        real = qvar.qvi_solver.solve_vi
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qvar.qvi_solver, "solve_vi", counted)
+        assert self._run(tmp_path, kind, "out", 8, self._EPS) == 4
+        assert capsys.readouterr().err == (
+            f"config error: cannot write {path}: {os.strerror(errno.EISDIR)}\n"
+        )
+        assert calls == []
+
     @pytest.mark.parametrize("old", [b"old solution\n", None])
     def test_unwritable_report_leaves_the_solution_alone(self, tmp_path, capsys, old):
         solution = tmp_path / "out" / "example1d_solution.csv"
@@ -565,6 +585,74 @@ class TestOutputFiles:
         os.chmod(path, 0o600)
         assert self._run(tmp_path, "solve", "out", 8) == 0
         assert path.stat().st_mode & 0o777 == 0o600
+
+
+class TestWriteText:
+    def test_new_file_as_open_makes_it(self, tmp_path):
+        path = tmp_path / "new.csv"
+        _write_text(path, "x,value\n0,1\n")
+        assert path.read_bytes() == b"x,value\n0,1\n"
+        with open(tmp_path / "by_open.csv", "w") as fh:
+            fh.write("")
+        assert path.stat().st_mode == (tmp_path / "by_open.csv").stat().st_mode
+
+    def test_shorter_text_over_longer_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"x,value\n" + b"0.5,0.25\n" * 100)
+        _write_text(path, "x,value\n0,1\n")
+        assert path.read_bytes() == b"x,value\n0,1\n"
+        _write_text(path, "")
+        assert path.read_bytes() == b""
+
+    def test_file_keeps_inode_mode_and_links(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old contents, longer than the new\n", encoding="utf-8")
+        os.chmod(path, 0o640)
+        os.link(path, tmp_path / "link.csv")
+        inode = path.stat().st_ino
+        _write_text(path, "new\n")
+        assert path.stat().st_ino == inode
+        assert path.stat().st_mode & 0o777 == 0o640
+        assert (tmp_path / "link.csv").read_bytes() == b"new\n"
+
+    def test_symlinks_are_followed(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("old contents, longer than the new\n", encoding="utf-8")
+        (tmp_path / "link.csv").symlink_to(target)
+        _write_text(tmp_path / "link.csv", "new\n")
+        assert (tmp_path / "link.csv").is_symlink()
+        assert target.read_bytes() == b"new\n"
+        # a device cannot be cut to length; open(path, "w") writes to it too
+        (tmp_path / "discard.csv").symlink_to(os.devnull)
+        _write_text(tmp_path / "discard.csv", "new\n")
+
+    def test_directory_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError) as info:
+            _write_text(tmp_path, "x\n")
+        assert str(info.value) == f"cannot write {tmp_path}: {os.strerror(errno.EISDIR)}"
+
+    def test_failed_write_closes_its_descriptor(self, tmp_path, monkeypatch):
+        opened, closed = [], []
+        real_open, real_close = os.open, os.close
+
+        def spy_open(*args):
+            opened.append(real_open(*args))
+            return opened[-1]
+
+        def spy_close(fd):
+            closed.append(fd)
+            real_close(fd)
+
+        def no_truncate(fd, length):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(os, "open", spy_open)
+        monkeypatch.setattr(os, "close", spy_close)
+        monkeypatch.setattr(os, "ftruncate", no_truncate)
+        path = tmp_path / "out.csv"
+        with pytest.raises(ConfigError, match=f"^cannot write {path}: {os.strerror(errno.EIO)}$"):
+            _write_text(path, "x\n")
+        assert len(opened) == 1 and closed == opened
 
 
 def _uniform(gf):
@@ -687,6 +775,8 @@ class TestStudyTable:
         for kind, keys in own.items():
             code, shared = self._study(tmp_path, kind, ALL_STUDY_KEYS, f"{kind}-all")
             assert code == 0
+            # <kind>.csv, named before the run, holds the study of that name
+            assert shared.startswith(f"# study={kind} ".encode())
             only = {key: ALL_STUDY_KEYS[key] for key in keys}
             assert self._study(tmp_path, kind, only, f"{kind}-own") == (0, shared)
 

@@ -1,14 +1,10 @@
-import errno
-import os
-
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cholesky_banded
 
-from qvar.errors import ConfigError, GridMismatchError, MeshError
+from qvar.errors import GridMismatchError, MeshError
 from qvar.grid import (
     GridFunction,
-    _write_text,
     _cholesky_solve,
     _cholesky_tridiag,
     _h1_gram_cholesky,
@@ -378,71 +374,3 @@ class TestCsvMatchesPerRowReference:
         for u in cases:
             assert to_csv(u) == _to_csv_per_row(u)
         assert "-0\n" in to_csv(cases[1])
-
-
-class TestWriteText:
-    def test_new_file_as_open_makes_it(self, tmp_path):
-        path = tmp_path / "new.csv"
-        _write_text(path, "x,value\n0,1\n")
-        assert path.read_bytes() == b"x,value\n0,1\n"
-        with open(tmp_path / "by_open.csv", "w") as fh:
-            fh.write("")
-        assert path.stat().st_mode == (tmp_path / "by_open.csv").stat().st_mode
-
-    def test_shorter_text_over_longer_file(self, tmp_path):
-        path = tmp_path / "out.csv"
-        path.write_bytes(b"x,value\n" + b"0.5,0.25\n" * 100)
-        _write_text(path, "x,value\n0,1\n")
-        assert path.read_bytes() == b"x,value\n0,1\n"
-        _write_text(path, "")
-        assert path.read_bytes() == b""
-
-    def test_file_keeps_inode_mode_and_links(self, tmp_path):
-        path = tmp_path / "out.csv"
-        path.write_text("old contents, longer than the new\n", encoding="utf-8")
-        os.chmod(path, 0o640)
-        os.link(path, tmp_path / "link.csv")
-        inode = path.stat().st_ino
-        _write_text(path, "new\n")
-        assert path.stat().st_ino == inode
-        assert path.stat().st_mode & 0o777 == 0o640
-        assert (tmp_path / "link.csv").read_bytes() == b"new\n"
-
-    def test_symlinks_are_followed(self, tmp_path):
-        target = tmp_path / "target.csv"
-        target.write_text("old contents, longer than the new\n", encoding="utf-8")
-        (tmp_path / "link.csv").symlink_to(target)
-        _write_text(tmp_path / "link.csv", "new\n")
-        assert (tmp_path / "link.csv").is_symlink()
-        assert target.read_bytes() == b"new\n"
-        # a device cannot be cut to length; open(path, "w") writes to it too
-        (tmp_path / "discard.csv").symlink_to(os.devnull)
-        _write_text(tmp_path / "discard.csv", "new\n")
-
-    def test_directory_is_config_error(self, tmp_path):
-        with pytest.raises(ConfigError) as info:
-            _write_text(tmp_path, "x\n")
-        assert str(info.value) == f"cannot write {tmp_path}: {os.strerror(errno.EISDIR)}"
-
-    def test_failed_write_closes_its_descriptor(self, tmp_path, monkeypatch):
-        opened, closed = [], []
-        real_open, real_close = os.open, os.close
-
-        def spy_open(*args):
-            opened.append(real_open(*args))
-            return opened[-1]
-
-        def spy_close(fd):
-            closed.append(fd)
-            real_close(fd)
-
-        def no_truncate(fd, length):
-            raise OSError(errno.EIO, os.strerror(errno.EIO))
-
-        monkeypatch.setattr(os, "open", spy_open)
-        monkeypatch.setattr(os, "close", spy_close)
-        monkeypatch.setattr(os, "ftruncate", no_truncate)
-        path = tmp_path / "out.csv"
-        with pytest.raises(ConfigError, match=f"^cannot write {path}: {os.strerror(errno.EIO)}$"):
-            _write_text(path, "x\n")
-        assert len(opened) == 1 and closed == opened

@@ -234,6 +234,23 @@ class TestApply:
         with pytest.raises(GridMismatchError):
             PLaplacianOperator(make_mesh(8, "neumann"), 3.0)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 63, 1023])
+    def test_edge_gradients_keep_the_bytes_of_diff(self, m):
+        # the earlier body of _edge_gradients, verbatim, as the reference
+        def reference(self, u):
+            full = np.concatenate(([0.0], u, [0.0]))
+            return np.diff(full) / self.mesh.h
+
+        plap = PLaplacianOperator(make_mesh(m + 1, "dirichlet"), 3.0)
+        rng = np.random.default_rng(m)
+        for k in range(200):
+            u = rng.choice((-1.0, 1.0), m) * 10.0 ** rng.uniform(-300, 300, m)
+            u[rng.random(m) < 0.2] = 0.0
+            u[rng.random(m) < 0.2] = -0.0
+            # a last +0 and a last -0 in turn: 0.0 - u[-1] and -u[-1] differ on +0
+            u[-1] = (0.0, -0.0, u[-1])[k % 3]
+            assert plap._edge_gradients(u).tobytes() == reference(plap, u).tobytes()
+
 
 class TestSolveUnconstrained:
     def test_constant_eigenvector(self):

@@ -77,8 +77,24 @@ def test_matrix_runs_every_study_kind():
     # commit's source, so it may import nothing from qvar but run_command
     from qvar.studies import STUDIES
 
-    commands = {argv[0] for _, argv, _ in digests._matrix()}
+    commands = {argv[0] for _, argv, *_ in digests._matrix()}
     assert set(STUDIES) <= commands
+
+
+def test_psi_file_rows_solve_and_refuse():
+    from qvar.cli import run_command
+
+    rows = [row for row in digests._matrix() if "psi_file" in row[0]]
+    assert len(rows) == 7
+    for label, argv, config, inputs in rows:
+        code, out, err, files = digests._run(run_command, argv, config, inputs)
+        if inputs.get("psi.csv") == digests._psi_file(16):
+            assert (code, err) == (0, b"")
+            name = label.split()[1]
+            assert sorted(files) == [f"out/{name}_report.csv", f"out/{name}_solution.csv"]
+        else:
+            assert code == 4 and files == {}
+            assert err.startswith(b"config error: ") and b"psi_file psi.csv" in err
 
 
 def test_tool_imports_only_run_command_from_qvar():

@@ -466,13 +466,6 @@ class TestDeterminismAndFormat:
         assert any(line.startswith("# fit slope=") for line in lines)
         assert any(line.startswith("# verdict eps_monotone=") for line in lines)
 
-    def test_write_file(self, tmp_path):
-        prob = builtin_problem("example1d")
-        res = run_regularization_path(prob, EXAMPLE_EPS, golden_exact())
-        path = tmp_path / "regpath.csv"
-        res.write(path)
-        assert path.read_text(encoding="utf-8") == res.to_csv()
-
 
 # every builtin at n = 32 on each boundary condition it is assembled on, with
 # every study: the coefficient family refuses nonlinear operators

@@ -53,7 +53,13 @@ The matrix:
 - regpath and perturb on example1d with f = -0.5: every study solves the
   minimal branch, so each exits 4 with the nonnegative-force message;
 - solve example1d with alpha = 1e300, whose starting merit overflows: it
-  exits 3 with the stagnation message and no RuntimeWarning on stderr.
+  exits 3 with the stagnation message and no RuntimeWarning on stderr;
+- solve and trace of fixed_obstacle and kernel_qvi at n = 16 on a
+  psi_file that holds the ramp 0.02 + 0.06 x, written by this tool into the
+  command's directory;
+- the three psi_file refusals: a missing file, a file of 9 nodes on the
+  16-cell mesh and a row that is not two numbers: each exits 4 naming the
+  file.
 Rows are only ever appended, so that the dump index of every earlier
 command stays put.
 """
@@ -107,6 +113,15 @@ BAD_ENTRIES = (
 )
 
 
+def _psi_file(n: int, bad_row: int | None = None) -> str:
+    """The ramp 0.02 + 0.06 x as an `x,value` file on n cells, formatted as
+    `solve` writes a solution, with row bad_row (if given) not two numbers."""
+    rows = ["%.17g,%.17g" % (i / n, 0.02 + 0.06 * i / n) for i in range(n + 1)]
+    if bad_row is not None:
+        rows[bad_row] = rows[bad_row].split(",")[0] + ",high"
+    return "x,value\n" + "".join(row + "\n" for row in rows)
+
+
 def _bcs(name: str):
     """The boundary conditions a builtin is assembled on."""
     return ("dirichlet",) if name == "plaplacian" else ("dirichlet", "neumann")
@@ -133,7 +148,8 @@ def _studies(name: str, problem: str, tag: str):
 
 
 def _matrix():
-    """(label, argv, config text) for every command of the matrix."""
+    """(label, argv, config text) for every command of the matrix, followed
+    by {file name: text} of its input files where it reads any."""
     for name in BUILTINS:
         for bc in _bcs(name):
             for n in SOLVE_SIZES:
@@ -169,19 +185,31 @@ def _matrix():
     for cmd in ("regpath", "perturb"):
         yield f"{cmd} example1d f=-0.5", [cmd], negative
     yield "solve example1d alpha=1e300", ["solve"], "[problem]\nname = example1d\nalpha = 1e300\n"
+    ramp = {"psi.csv": _psi_file(16)}
+    for name in ("fixed_obstacle", "kernel_qvi"):
+        config = f"[problem]\nname = {name}\nn = 16\npsi_file = psi.csv\n"
+        for cmd in ("solve", "trace"):
+            yield f"{cmd} {name} n=16 psi_file", [cmd], config, ramp
+    config = "[problem]\nname = fixed_obstacle\nn = 16\npsi_file = psi.csv\n"
+    for what, inputs in (("missing", {}), ("nodes=9", {"psi.csv": _psi_file(8)}),
+                         ("bad_row", {"psi.csv": _psi_file(16, bad_row=8)})):
+        yield f"solve fixed_obstacle psi_file {what}", ["solve"], config, inputs
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _run(run_command, argv, config):
-    """Run one command in a fresh directory; returns (exit code, stdout,
-    stderr, {relative path: bytes})."""
+def _run(run_command, argv, config, inputs=None):
+    """Run one command in a fresh directory that holds its input files;
+    returns (exit code, stdout, stderr, {relative path: bytes})."""
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
+            for name, text in (inputs or {}).items():
+                with open(name, "w", encoding="utf-8") as fh:
+                    fh.write(text)
             if config is not None:
                 with open("run.cfg", "w", encoding="utf-8") as fh:
                     fh.write(config)
@@ -306,8 +334,8 @@ def main(argv=None) -> int:
     os.environ.pop("QVAR_SEED", None)
     from qvar.cli import run_command
 
-    for index, (label, cmd, config) in enumerate(_matrix()):
-        code, out, err, files = _run(run_command, cmd, config)
+    for index, (label, cmd, config, *inputs) in enumerate(_matrix()):
+        code, out, err, files = _run(run_command, cmd, config, *inputs)
         print(f"{label}: exit={code} stdout={_sha(out)} stderr={_sha(err)}")
         for path in sorted(files):
             print(f"  {path} {_sha(files[path])}")
