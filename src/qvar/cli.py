@@ -28,7 +28,7 @@ from .errors import (
 from .grid import DIRICHLET, GridFunction, make_mesh, to_csv
 from .obstacle import _coupling
 from .operators import _exponent, _regularization, assemble_linear
-from .problems import _TAKES, BUILTINS, _resolve_kernel, builtin_problem
+from .problems import _TAKES, BUILTINS, _read_text, _resolve_kernel, builtin_problem
 from .qvi_solver import (
     OuterParams,
     QVIProblem,
@@ -39,18 +39,34 @@ from .qvi_solver import (
 from .studies import STUDIES, _number
 from .vi_solver import VIParams, kkt_residual, solve_vi, solve_vi_active_set_oracle
 
-# [problem] key -> builder keyword of the overrides only some builtins take
-_BUILDER_KEYS = {
-    "p": "p", "eps_op": "eps_op", "lambda": "lam", "alpha": "alpha", "c0": "c0",
-    "kernel": "kernel", "psi": "psi_level", "psi_file": "psi_file",
+# [problem] key -> (its builtin_problem keyword, value type, the library call
+# that owns its range rule or None); make_mesh owns the rules of n and bc
+_PROBLEM_KEYS = {
+    "name": ("name", str, lambda name: _one_of(name, BUILTINS)),
+    "n": ("n", int, lambda n: make_mesh(n, DIRICHLET)),
+    "bc": ("bc", str, lambda bc: make_mesh(2, bc)),
+    "f": ("f_level", float, None),
+    "F": ("F_level", float, None),
+    "p": ("p", float, _exponent),
+    "eps_op": ("eps_op", float, _regularization),
+    "lambda": ("lam", float, None),
+    "alpha": ("alpha", float, _coupling),
+    "c0": ("c0", float, None),
+    "kernel": ("kernel", str, _resolve_kernel),
+    "psi": ("psi_level", float, None),
+    "psi_file": ("psi_file", str, None),
 }
-# [problem] key -> builtin_problem keyword; every builtin takes n, bc, f and F
-_PROBLEM_KEYS = {"n": "n", "bc": "bc", "f": "f_level", "F": "F_level", **_BUILDER_KEYS}
-# [problem] key -> the library call that owns its range rule (make_mesh's for n and bc)
-_PROBLEM_CHECKS = {
-    "n": lambda n: make_mesh(n, DIRICHLET), "bc": lambda bc: make_mesh(2, bc),
-    "p": _exponent, "eps_op": _regularization, "alpha": _coupling, "kernel": _resolve_kernel,
+# [solver] key -> (parameter set, its field, value type)
+_SOLVER_KEYS = {
+    "tol_outer": ("outer", "tol", float),
+    "tol_inner": ("inner", "tol", float),
+    "max_outer": ("outer", "max_iter", int),
+    "max_inner": ("inner", "max_iter", int),
 }
+# top-level key -> value type
+_TOP_KEYS = {"seed": int, "out": str}
+# the keywords that only some builders take; every builtin takes the rest
+_OVERRIDES = set().union(*_TAKES.values())
 
 
 @dataclass
@@ -76,27 +92,16 @@ class ExperimentConfig:
             raise ConfigError(f"line {self.lines['bc']}: key 'bc' {exc}") from None
 
 
-def _parse_float(raw: str, line_no: int, key: str) -> float:
-    return _checked(line_no, key, _number, raw)
-
-
-def _parse_int(raw: str, line_no: int, key: str) -> int:
+def _integer(text: str) -> int:
+    """The integer that text spells."""
     try:
-        return int(raw)
+        return int(text)
     except ValueError:
-        raise ConfigError(f"line {line_no}: key '{key}' expects an integer, got {raw!r}") from None
+        raise ValueError(f"expects an integer, got {text!r}") from None
 
 
-def _parse_list(raw: str, line_no: int, key: str, cast) -> list:
-    parts = [part.strip() for part in raw.split(",") if part.strip()]
-    try:
-        values = [cast(part) for part in parts]
-    except ValueError:
-        raise ConfigError(f"line {line_no}: key '{key}' expects a comma-separated list, got {raw!r}") from None
-    for value, part in zip(values, parts):
-        if not np.isfinite(value):
-            raise ConfigError(f"line {line_no}: key '{key}' must be finite, got {part!r}")
-    return values
+# value type -> the parser of one value, or of one entry of a list
+_PARSERS = {int: _integer, float: _number, str: str}
 
 
 def _one_of(value: str, choices) -> str:
@@ -143,10 +148,10 @@ def parse_config(text: str) -> ExperimentConfig:
     # checked once the whole document is read: `name` may follow the key
     takes = _TAKES[cfg.problem_name]
     foreign = [(line_no, key) for key, line_no in cfg.lines.items()
-               if key in _BUILDER_KEYS and _BUILDER_KEYS[key] not in takes]
+               if _PROBLEM_KEYS[key][0] in _OVERRIDES.difference(takes)]
     if foreign:
         line_no, key = min(foreign)
-        spelled = ", ".join(k for k, name in _BUILDER_KEYS.items() if name in takes)
+        spelled = ", ".join(k for k, (keyword, _, _) in _PROBLEM_KEYS.items() if keyword in takes)
         raise ConfigError(
             f"line {line_no}: key '{key}' does not apply to problem "
             f"'{cfg.problem_name}'; its overrides are {spelled}"
@@ -155,43 +160,30 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _apply_top_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -> None:
-    if key == "seed":
-        cfg.seed = _parse_int(raw, line_no, key)
-    elif key == "out":
-        cfg.out = raw
-    else:
+    if key not in _TOP_KEYS:
         raise ConfigError(f"line {line_no}: unknown top-level key '{key}'")
+    setattr(cfg, key, _checked(line_no, key, _PARSERS[_TOP_KEYS[key]], raw))
 
 
 def _apply_problem_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -> None:
-    if key == "name":
-        cfg.problem_name = _checked(line_no, key, _one_of, raw, BUILTINS)
-        return
     if key not in _PROBLEM_KEYS:
         raise ConfigError(f"line {line_no}: unknown key '{key}' in [problem]")
-    if key == "n":
-        value = _parse_int(raw, line_no, key)
-    elif key in ("bc", "kernel", "psi_file"):
-        value = raw
-    else:  # p, eps_op, lambda, alpha, c0, psi, f and F
-        value = _parse_float(raw, line_no, key)
-    if key in _PROBLEM_CHECKS:
-        _checked(line_no, key, _PROBLEM_CHECKS[key], value)
-    cfg.overrides[_PROBLEM_KEYS[key]] = value
+    keyword, kind, check = _PROBLEM_KEYS[key]
+    value = _checked(line_no, key, _PARSERS[kind], raw)
+    if check is not None:
+        _checked(line_no, key, check, value)
+    if keyword == "name":
+        cfg.problem_name = value
+    else:
+        cfg.overrides[keyword] = value
 
 
 def _apply_solver_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -> None:
-    targets = {
-        "tol_outer": ("outer", "tol", _parse_float),
-        "tol_inner": ("inner", "tol", _parse_float),
-        "max_outer": ("outer", "max_iter", _parse_int),
-        "max_inner": ("inner", "max_iter", _parse_int),
-    }
-    if key not in targets:
+    if key not in _SOLVER_KEYS:
         raise ConfigError(f"line {line_no}: unknown key '{key}' in [solver]")
-    which, attr, parse = targets[key]
+    which, attr, kind = _SOLVER_KEYS[key]
     # a new parameter set, so that its own checks run on the value
-    changed = {attr: parse(raw, line_no, key)}
+    changed = {attr: _checked(line_no, key, _PARSERS[kind], raw)}
     setattr(cfg, which, _checked(line_no, key, replace, getattr(cfg, which), **changed))
 
 
@@ -204,7 +196,9 @@ def _apply_study_key(cfg: ExperimentConfig, key: str, raw: str, line_no: int) ->
     if key not in keys:
         raise ConfigError(f"line {line_no}: unknown key '{key}' in [study]")
     entry, check, _ = keys[key]
-    value = raw if entry is str else _parse_list(raw, line_no, key, entry)
+    parse = functools.partial(_checked, line_no, key, _PARSERS[entry])
+    parts = [part.strip() for part in raw.split(",")]  # a list's entries parse as values do
+    value = parse(raw) if entry is str else [parse(part) for part in parts if part]
     cfg.study[key] = _checked(line_no, key, check, value)
 
 
@@ -216,14 +210,7 @@ _SECTION_PARSERS = {
 
 
 def _load_config(path: str | None) -> ExperimentConfig:
-    if path is None:
-        return ExperimentConfig()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
+    return ExperimentConfig() if path is None else parse_config(_read_text(path))
 
 
 # no O_TRUNC: see _write_text; O_BINARY exists, and matters, on Windows only
@@ -280,10 +267,10 @@ def _targets(out: str, stems) -> list:
     return paths
 
 
-def _cmd_solve(cfg: ExperimentConfig, problem: QVIProblem, trace_mode: bool) -> int:
+def _cmd_solve(cfg: ExperimentConfig, problem: QVIProblem, command: str) -> int:
     name = cfg.problem_name
     sol_path, rep_path = _targets(cfg.out, (f"{name}_solution", f"{name}_report"))
-    if trace_mode or np.min(problem.f.values) < 0:
+    if command == "trace" or np.min(problem.f.values) < 0:
         report = solve_qvi_fixed_point(problem, outer=cfg.outer, inner=cfg.inner)
     else:
         report = solve_qvi_minimal(problem, cfg.outer, cfg.inner)
@@ -297,7 +284,7 @@ def _cmd_solve(cfg: ExperimentConfig, problem: QVIProblem, trace_mode: bool) -> 
     return 0 if report.converged else 3
 
 
-def _cmd_certify(problem: QVIProblem) -> int:
+def _cmd_certify(cfg: ExperimentConfig, problem: QVIProblem, command: str) -> int:
     cert = problem_certificate(problem)
     print("c,L_A,L_N,gamma,L_phi,rho,smallness_ok")
     print(cert.csv_row())
@@ -327,6 +314,19 @@ def _cmd_study(cfg: ExperimentConfig, problem: QVIProblem, kind: str) -> int:
     if not all(result.verdicts.values()):
         return 2
     return 0
+
+
+# subcommand -> (help line, handler(cfg, problem, command)), in help order
+_COMMANDS = {
+    "solve": ("one solve, writes solution and report CSV", _cmd_solve),
+    "trace": ("fixed-point iteration trace from y0=0 with observed contraction ratio", _cmd_solve),
+    "certify": ("contraction certificate from structural bounds", _cmd_certify),
+}
+
+
+def _subcommands() -> dict:
+    """_COMMANDS and one row per study kind, read from STUDIES when called."""
+    return {**_COMMANDS, **{kind: (row[0], _cmd_study) for kind, row in STUDIES.items()}}
 
 
 def _cmd_oracle_check(trials: int, ndof: int, seed: int) -> int:
@@ -379,12 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility; parameter points always run in list order")
 
-    for name, help_text in (
-        ("solve", "one solve, writes solution and report CSV"),
-        ("trace", "fixed-point iteration trace from y0=0 with observed contraction ratio"),
-        ("certify", "contraction certificate from structural bounds"),
-        *((kind, help_line) for kind, (help_line, _, _) in STUDIES.items()),
-    ):
+    for name, (help_text, _) in _subcommands().items():
         add_common(sub.add_parser(name, help=help_text))
 
     oc = sub.add_parser(
@@ -413,11 +408,8 @@ def run_command(argv) -> int:
         # built for every command, refine included, so a bad [problem] fails
         # before any solve; so does an output target that cannot be written
         problem = cfg.build_problem()
-        if args.command == "certify":
-            return _cmd_certify(problem)
-        if args.command in ("solve", "trace"):
-            return _cmd_solve(cfg, problem, trace_mode=args.command == "trace")
-        return _cmd_study(cfg, problem, args.command)
+        _, handler = _subcommands()[args.command]
+        return handler(cfg, problem, args.command)
     except (ConfigError, InsufficientDataError, NestingError, GridMismatchError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 4

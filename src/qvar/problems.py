@@ -55,15 +55,23 @@ def _resolve_kernel(spec: str):
     return gauss_kernel(sigma)
 
 
+def _read_text(path) -> str:
+    """The text of the UTF-8 file at path, else ConfigError `cannot read <path>: <reason>`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        reason = exc.strerror
+    except UnicodeDecodeError:
+        reason = "not UTF-8 text"
+    raise ConfigError(f"cannot read {path}: {reason}")
+
+
 def _psi(mesh, psi_level: float, psi_file: str | None) -> GridFunction:
     """The base obstacle: the rows of psi_file if given, else the constant psi_level."""
     if psi_file is None:
         return GridFunction.constant(mesh, psi_level)
-    try:
-        with open(psi_file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read psi_file {psi_file}: {exc}") from exc
+    text = _read_text(psi_file)
     try:
         parsed = from_csv(text, mesh.bc)
     except ValueError as exc:

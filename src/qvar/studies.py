@@ -20,6 +20,7 @@ tolerance.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,8 +85,6 @@ class StudyResult:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return f"{float(v):.17g}"
@@ -413,7 +412,7 @@ def _number(text: str) -> float:
         value = float(text)
     except ValueError:
         raise ValueError(f"expects a number, got {text!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"must be finite, got {text!r}")
     return value
 

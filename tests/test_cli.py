@@ -943,7 +943,7 @@ class TestConfigErrorMessages:
             (
                 "[study]\neps_list = 0.5,abc\n",
                 ["regpath"],
-                "line 2: key 'eps_list' expects a comma-separated list, got '0.5,abc'",
+                "line 2: key 'eps_list' expects a number, got 'abc'",
             ),
             ("[problem]\nn 64\n", ["solve"], "line 2: expected 'key = value', got 'n 64'"),
             (
@@ -1085,6 +1085,13 @@ class TestConfigErrorMessages:
                 ["robust"],
                 "line 2: key 'phi_deltas' entries must be positive",
             ),
+            # the library's rule across two keys, after both are read
+            (
+                "[problem]\nn = 8\n[study]\nf_deltas = 0.2,0.1,0.05,0.025\n"
+                "phi_deltas = 0.02,0.01,0.005\n",
+                ["robust"],
+                "perturbation lists must have equal length",
+            ),
         ],
     )
     def test_message_and_exit_code(self, tmp_path, capsys, text, argv, message):
@@ -1114,6 +1121,48 @@ class TestConfigErrorMessages:
         )
 
 
+class TestInputFiles:
+    """A config or psi_file that cannot be read fails as an unwritable output
+    does: `cannot read <path>: <reason>`, exit 4, before any solve."""
+
+    def _psi_cfg(self, tmp_path, psi_path):
+        return write_cfg(
+            tmp_path,
+            f"out = {tmp_path}\n[problem]\nname = fixed_obstacle\nn = 16\n"
+            f"psi_file = {psi_path}\n",
+        )
+
+    def _fails(self, capsys, argv, reason):
+        assert run_command(argv) == 4
+        assert capsys.readouterr() == ("", f"config error: cannot read {argv[-1]}: {reason}\n")
+
+    def test_missing_config(self, tmp_path, capsys):
+        self._fails(capsys, ["solve", "-c", str(tmp_path / "x.cfg")], "No such file or directory")
+
+    def test_directory_config(self, tmp_path, capsys):
+        self._fails(capsys, ["certify", "-c", str(tmp_path)], "Is a directory")
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "x.cfg"
+        path.write_bytes(b"\xff[problem]\n")
+        self._fails(capsys, ["regpath", "-c", str(path)], "not UTF-8 text")
+
+    def test_missing_psi_file(self, tmp_path, capsys):
+        psi_path = tmp_path / "absent.csv"
+        assert run_command(["solve", "-c", self._psi_cfg(tmp_path, psi_path)]) == 4
+        assert capsys.readouterr().err == (
+            f"config error: cannot read {psi_path}: No such file or directory\n"
+        )
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_psi_file_not_utf8(self, tmp_path, capsys):
+        psi_path = tmp_path / "psi.csv"
+        psi_path.write_bytes(b"x,value\n0,0.02\n0.5,\xe9\n1,0.08\n")
+        assert run_command(["trace", "-c", self._psi_cfg(tmp_path, psi_path)]) == 4
+        assert capsys.readouterr().err == f"config error: cannot read {psi_path}: not UTF-8 text\n"
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["psi.csv"]
+
+
 class TestExperimentConfigHelpers:
     def test_build_problem_with_overrides(self):
         cfg = ExperimentConfig(problem_name="example1d", overrides={"n": 16})
@@ -1136,15 +1185,16 @@ class TestExperimentConfigHelpers:
         assert np.max(sol.values) <= 0.07 + 1e-9
         assert np.max(sol.values) >= 0.07 - 1e-9  # obstacle binds in the middle
 
-    def test_psi_file_missing_is_config_error(self, tmp_path, capsys):
-        psi_path = tmp_path / "absent.csv"
+    def test_psi_file_of_two_rows_is_config_error(self, tmp_path, capsys):
+        psi_path = tmp_path / "psi.csv"
+        psi_path.write_text("x,value\n0,0.02\n1,0.08\n", encoding="utf-8")
         cfg = write_cfg(
             tmp_path, f"[problem]\nname = fixed_obstacle\nn = 16\npsi_file = {psi_path}\n"
         )
         assert run_command(["solve", "-c", cfg]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: cannot read psi_file {psi_path}: ")
-        assert "No such file" in err
+        assert capsys.readouterr().err == (
+            f"config error: psi_file {psi_path}: expected at least three x,value rows\n"
+        )
 
     def test_psi_file_wrong_resolution_is_config_error(self, tmp_path, capsys):
         from qvar.grid import GridFunction, make_mesh, to_csv

@@ -84,8 +84,15 @@ def test_matrix_runs_every_study_kind():
 def test_psi_file_rows_solve_and_refuse():
     from qvar.cli import run_command
 
+    refusals = {
+        "missing": "cannot read psi.csv: No such file or directory",
+        "nodes=9": "psi_file psi.csv has 9 nodes, the mesh has 17",
+        "bad_row": "psi_file psi.csv: line 10: expected two numbers x,value, got '0.5,high'",
+        "not_utf8": "cannot read psi.csv: not UTF-8 text",
+        "rows=2": "psi_file psi.csv: expected at least three x,value rows",
+    }
     rows = [row for row in digests._matrix() if "psi_file" in row[0]]
-    assert len(rows) == 7
+    assert len(rows) == 9
     for label, argv, config, inputs in rows:
         code, out, err, files = digests._run(run_command, argv, config, inputs)
         if inputs.get("psi.csv") == digests._psi_file(16):
@@ -94,7 +101,18 @@ def test_psi_file_rows_solve_and_refuse():
             assert sorted(files) == [f"out/{name}_report.csv", f"out/{name}_solution.csv"]
         else:
             assert code == 4 and files == {}
-            assert err.startswith(b"config error: ") and b"psi_file psi.csv" in err
+            assert err.decode() == f"config error: {refusals.pop(label.split()[-1])}\n"
+    assert refusals == {}
+
+
+def test_matrix_asks_for_the_help_of_every_subcommand():
+    import argparse
+
+    from qvar.cli import _build_parser
+
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {tuple(argv) for _, argv, *_ in digests._matrix() if argv[-1] == "--help"}
+    assert helps == {("--help",)} | {(cmd, "--help") for cmd in sub.choices}
 
 
 def test_tool_imports_only_run_command_from_qvar():

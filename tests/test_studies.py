@@ -66,6 +66,12 @@ class TestFitRate:
         with pytest.raises(ValueError):
             fit_rate([(1, -1), (2, 2), (4, 4)])
 
+    def test_equal_errors_fit_a_flat_line(self):
+        # the log errors have zero variance, so r2 comes from the residual alone
+        fit = fit_rate([(x, 0.03) for x in (0.5, 0.25, 0.125, 0.0625)])
+        assert abs(fit.slope) <= 1e-12
+        assert fit.r2 == 1.0
+
     @pytest.mark.parametrize("planted", [0.5, 1.0, 2.0])
     def test_recovers_planted_slopes(self, planted):
         rng = np.random.default_rng(17)
@@ -337,6 +343,11 @@ class TestDataRobustness:
         prob = builtin_problem("example1d")
         with pytest.raises(ValueError):
             run_data_robustness(prob, None, None)
+
+    def test_unequal_lists_rejected(self):
+        prob = builtin_problem("example1d", n=8)
+        with pytest.raises(ValueError, match="^perturbation lists must have equal length$"):
+            run_data_robustness(prob, [0.2, 0.1, 0.05, 0.025], [0.02, 0.01, 0.005])
 
 
 class TestStabilityBoundCheck:

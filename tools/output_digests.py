@@ -59,7 +59,12 @@ The matrix:
   command's directory;
 - the three psi_file refusals: a missing file, a file of 9 nodes on the
   16-cell mesh and a row that is not two numbers: each exits 4 naming the
-  file.
+  file;
+- a psi_file that is not UTF-8 and one of two rows, and robust with 4
+  f_deltas and 3 phi_deltas: each exits 4;
+- `qvar --help` and `qvar <command> --help` for every subcommand, with
+  COLUMNS=80 set before anything runs, since argparse wraps help to the
+  terminal width.
 Rows are only ever appended, so that the dump index of every earlier
 command stays put.
 """
@@ -82,6 +87,7 @@ SOLVE_SIZES = (2, 8, 16, 64, 100)
 KERNELS = ("one", "gauss(0.05)", "gauss(5.0)")
 KERNEL_SIZES = (8, 100)
 STUDY_SIZE = 32
+SUBCOMMANDS = SOLVE_COMMANDS + ("regpath", "perturb", "refine", "robust", "oracle-check")
 # (command, config) with one value out of the range that a library check owns
 BAD_VALUES = (
     ("solve", "[problem]\nn = 1\n"),
@@ -149,7 +155,7 @@ def _studies(name: str, problem: str, tag: str):
 
 def _matrix():
     """(label, argv, config text) for every command of the matrix, followed
-    by {file name: text} of its input files where it reads any."""
+    by {file name: text or bytes} of its input files where it reads any."""
     for name in BUILTINS:
         for bc in _bcs(name):
             for n in SOLVE_SIZES:
@@ -194,6 +200,13 @@ def _matrix():
     for what, inputs in (("missing", {}), ("nodes=9", {"psi.csv": _psi_file(8)}),
                          ("bad_row", {"psi.csv": _psi_file(16, bad_row=8)})):
         yield f"solve fixed_obstacle psi_file {what}", ["solve"], config, inputs
+    for what, data in (("not_utf8", b"\xffx,value\n"), ("rows=2", "x,value\n0,0.02\n1,0.08\n")):
+        yield f"solve fixed_obstacle psi_file {what}", ["solve"], config, {"psi.csv": data}
+    yield from _bad([("robust", "[problem]\nn = 8\n[study]\nf_deltas = 0.2,0.1,0.05,0.025\n"
+                                "phi_deltas = 0.02,0.01,0.005\n")])
+    yield "qvar --help", ["--help"], None
+    for cmd in SUBCOMMANDS:
+        yield f"{cmd} --help", [cmd, "--help"], None
 
 
 def _sha(data: bytes) -> str:
@@ -207,9 +220,9 @@ def _run(run_command, argv, config, inputs=None):
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            for name, text in (inputs or {}).items():
-                with open(name, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+            for name, data in (inputs or {}).items():
+                with open(name, "wb") as fh:
+                    fh.write(data.encode("utf-8") if isinstance(data, str) else data)
             if config is not None:
                 with open("run.cfg", "w", encoding="utf-8") as fh:
                     fh.write(config)
@@ -332,6 +345,7 @@ def main(argv=None) -> int:
         parser.error("--src is required")
     sys.path.insert(0, os.path.abspath(args.src))
     os.environ.pop("QVAR_SEED", None)
+    os.environ["COLUMNS"] = "80"  # the width argparse wraps help to
     from qvar.cli import run_command
 
     for index, (label, cmd, config, *inputs) in enumerate(_matrix()):
